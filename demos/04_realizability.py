@@ -12,8 +12,8 @@ from collatz_parity import (
     asymptotic_report,
     classify,
     cycle_fixed_point,
+    iter_trajectory,
     parse_generator,
-    trajectory,
 )
 
 
@@ -45,7 +45,7 @@ print("\n== a head followed by the alternating (0,1) tail ==")
 show("head:1101;cycle:01", 40, 10)
 
 print("\n== decay of the offset ratio for a realizable stream ==")
-rows = trajectory(parse_generator("int:27"), 200)
+rows = list(iter_trajectory(parse_generator("int:27"), 200))
 rep = asymptotic_report(rows)
 for j in (10, 50, 100, 200):
     r = rows[j - 1]

@@ -2,7 +2,8 @@
 
 Finite parity vectors get their full characteristic set (n, m, P, c, a, b,
 alpha, beta, A, B, N0, X, Y, X*, Y*); infinite bit streams get order-j
-characteristic rows and a horizon-bounded realizability verdict.
+characteristic rows, the same CharacteristicSet for each prefix, and a
+horizon-bounded realizability verdict.
 """
 
 from .core import (
@@ -17,7 +18,6 @@ from .core import (
     parity,
     parity_vector,
     parse_generator,
-    prefix,
 )
 from .characteristics import (
     CharacteristicSet,
@@ -51,13 +51,10 @@ from .trajectory import (
     AsymptoticReport,
     ClassifierDiagnostics,
     RealizabilityVerdict,
-    TrajectoryRow,
     asymptotic_report,
     classify,
     iter_trajectory,
     lemma51_check,
-    row_from_prefix,
-    trajectory,
 )
 from .report import (
     FixtureCase,
@@ -74,7 +71,7 @@ __all__ = [
     "BitStreamExhausted", "BitStreamGenerator", "HeadCycleGenerator",
     "IntegerGenerator", "ParityVector", "PrefixGenerator",
     "collatz_sequence", "collatz_step", "parity", "parity_vector",
-    "parse_generator", "prefix",
+    "parse_generator",
     "CharacteristicSet", "OmegaExtremes", "XStarDecomposition", "XStarRow",
     "ab_family_member", "ab_recurrence", "apply_vector", "char_set",
     "compose_p", "congruence_witness", "cycle_fixed_point", "g_of",
@@ -82,8 +79,7 @@ __all__ = [
     "p_recurrence", "repeat_p", "solve_n0", "xstar_decompose", "xy_points",
     "GROWING", "HALVED", "HALVED_PLUS_HALF", "INCONCLUSIVE", "STABILIZED",
     "AsymptoticReport", "ClassifierDiagnostics", "RealizabilityVerdict",
-    "TrajectoryRow", "asymptotic_report", "classify", "iter_trajectory",
-    "lemma51_check", "row_from_prefix", "trajectory",
+    "asymptotic_report", "classify", "iter_trajectory", "lemma51_check",
     "FixtureCase", "FixtureReport", "FixtureResult",
     "format_rational", "load_fixtures", "run_fixtures",
 ]

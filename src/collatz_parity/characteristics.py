@@ -29,44 +29,156 @@ from .core import ParityVector
 
 @dataclass(frozen=True)
 class CharacteristicSet:
-    """All base characteristic numbers of one finite parity vector.
+    """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
-    a, b, X, Y are None when m = 0 (the characteristic equation needs m >= 1).
+    Only n, the one-positions j_1 < ... < j_m, P, N0 and a are stored; a is
+    None when m = 0 (the characteristic equation needs m >= 1).  Every other
+    number is computed on read, and those that need a are None when m = 0.
+    Reading Xstar, Ystar, Kstar or qstar costs m modular inverses.
     """
 
     n: int
-    m: int
+    one_positions: tuple[int, ...]
     P: int
-    c: int
-    a: int | None
-    b: int | None
-    alpha: int
-    beta: int
-    A: int
-    B: int
     N0: int
-    X: int | None
-    Y: int | None
-    r0: Fraction
+    a: int | None
+
+    @property
+    def m(self) -> int:
+        return len(self.one_positions)
+
+    @property
+    def c(self) -> int:
+        return (1 << self.n) - 3**self.m
+
+    @property
+    def b(self) -> int | None:
+        return None if self.a is None else (3**self.m * self.a + 1) >> self.n
+
+    @property
+    def alpha(self) -> int:
+        return self.P // 3**self.m
+
+    @property
+    def beta(self) -> int:
+        return self.P % 3**self.m
+
+    @property
+    def A(self) -> int:
+        return self.P >> self.n
+
+    @property
+    def B(self) -> int:
+        return self.P & ((1 << self.n) - 1)
+
+    @property
+    def X(self) -> int | None:
+        return None if self.a is None else self.P * self.a
+
+    @property
+    def Y(self) -> int | None:
+        return None if self.a is None else self.P * self.b
+
+    @property
+    def Xstar(self) -> int | None:
+        return None if self.a is None else _xstar(self.one_positions, self.n)[0]
+
+    @property
+    def Ystar(self) -> int | None:
+        return None if self.a is None else _xstar(self.one_positions, self.n)[1]
+
+    @property
+    def K(self) -> int | None:
+        """X = N0 + 2^n K."""
+        return None if self.a is None else (self.X - self.N0) >> self.n
+
+    @property
+    def Kstar(self) -> int | None:
+        """X* = N0 + 2^n K*."""
+        return None if self.a is None else (self.Xstar - self.N0) >> self.n
+
+    @property
+    def f1(self) -> int | None:
+        return None if self.a is None else (self.B * self.a) >> self.n
+
+    @property
+    def f2(self) -> int | None:
+        """B*a = 2^n f1 + f2 with 0 <= f2 < 2^n."""
+        return None if self.a is None else (self.B * self.a) & ((1 << self.n) - 1)
+
+    @property
+    def r0(self) -> Fraction:
+        return Fraction(self.N0, 1 << self.n)
+
+    @property
+    def q(self) -> Fraction | None:
+        return None if self.a is None else Fraction(self.X, 1 << self.n)
+
+    @property
+    def qstar(self) -> Fraction | None:
+        return None if self.a is None else Fraction(self.Xstar, 1 << self.n)
+
+    @property
+    def m_over_n(self) -> Fraction:
+        return Fraction(self.m, self.n)
+
+    @property
+    def P_over_2n(self) -> Fraction:
+        return Fraction(self.P, 1 << self.n)
+
+    @property
+    def P_over_3m(self) -> Fraction:
+        return Fraction(self.P, 3**self.m)
+
+    @property
+    def P_over_2n3m(self) -> Fraction:
+        return Fraction(self.P, (1 << self.n) * 3**self.m)
+
+    @property
+    def alpha_over_2n(self) -> Fraction:
+        return Fraction(self.alpha, 1 << self.n)
+
+    @property
+    def A_over_3m(self) -> Fraction:
+        return Fraction(self.A, 3**self.m)
+
+    @property
+    def f2_over_2n(self) -> Fraction | None:
+        return None if self.a is None else Fraction(self.f2, 1 << self.n)
+
+    @property
+    def ab_gap(self) -> Fraction | None:
+        """|a/2^n - b/3^m|; the two ratios become equivalent for large prefixes."""
+        if self.a is None:
+            return None
+        return abs(Fraction(self.a, 1 << self.n) - Fraction(self.b, 3**self.m))
+
+    @property
+    def q_int_distance(self) -> Fraction | None:
+        return None if self.a is None else _int_distance(self.q)
+
+    @property
+    def qstar_int_distance(self) -> Fraction | None:
+        return None if self.a is None else _int_distance(self.qstar)
 
     def check(self) -> None:
-        """Re-verify every internal identity; raises AssertionError on breakage."""
+        """Re-verify the identities that tie the stored fields together; raises AssertionError."""
         pow2 = 1 << self.n
         pow3 = 3**self.m
-        assert self.c == pow2 - pow3
-        assert self.alpha * pow3 + self.beta == self.P and 0 <= self.beta < pow3
-        assert self.A * pow2 + self.B == self.P and 0 <= self.B < pow2
-        assert 1 <= self.N0 <= pow2
-        assert self.r0 == Fraction(self.N0, pow2) and 0 < self.r0 <= 1
+        ones = self.one_positions
+        assert all(i < j for i, j in zip((0,) + ones, ones + (self.n + 1,)))
+        assert 1 <= self.N0 <= pow2 and (pow3 * self.N0 + self.P) % pow2 == 0
         if self.m == 0:
-            assert self.P == 0 and self.a is None and self.b is None
-            assert self.X is None and self.Y is None
+            assert self.P == 0 and self.a is None
         else:
-            assert self.a is not None and self.b is not None
-            assert pow3 * self.a + 1 == pow2 * self.b
-            assert 0 < self.a < pow2 and 0 < self.b < pow3
-            assert self.X == self.P * self.a and self.Y == self.P * self.b
+            assert 0 < self.a < pow2 and (pow3 * self.a + 1) % pow2 == 0
+            assert 0 < self.b < pow3
             assert pow3 - 2**self.m <= self.P <= (1 << (self.n - self.m)) * (pow3 - 2**self.m)
+
+
+def _int_distance(x: Fraction) -> Fraction:
+    frac = x - (x.numerator // x.denominator)
+    return min(frac, 1 - frac)
 
 
 class XStarRow(NamedTuple):
@@ -100,6 +212,28 @@ class XStarDecomposition:
         assert lifted % pow2 == 0 and lifted // pow2 == self.Ystar
 
 
+def _xstar(ones: tuple[int, ...], n: int,
+           rows: list[XStarRow] | None = None) -> tuple[int, int]:
+    # X* and Y* over the one-positions of a length-n vector.  The per-one rows
+    # are built only when `rows` is given: a trajectory reads X* on every row,
+    # and building rows there would add about a third to this loop.
+    Xstar = 0
+    Ystar = 0
+    pow3k = 1
+    for k, j in enumerate(ones, start=1):
+        pow3k *= 3
+        shift = n - j + 1
+        mod = 1 << shift
+        theta = mod - pow(pow3k, -1, mod)
+        t = (pow3k * theta + 1) >> shift
+        z = theta << (j - 1)
+        if rows is not None:
+            rows.append(XStarRow(k, j, theta, z, t))
+        Xstar += z
+        Ystar = 3 * Ystar + t
+    return Xstar, Ystar
+
+
 def p_recurrence(v: ParityVector) -> tuple[int, ...]:
     """The sequence (P_1, ..., P_n): P_j = P_{j-1} on a 0 bit, 3*P_{j-1} + 2^{j-1} on a 1."""
     out = []
@@ -118,14 +252,6 @@ def p_closed_form(v: ParityVector) -> int:
     ones = v.one_positions()
     m = len(ones)
     return sum(3 ** (m - i) * (1 << (j - 1)) for i, j in enumerate(ones, start=1))
-
-
-def _ab_from_inverse(m: int, n: int) -> tuple[int, int]:
-    # a is the least positive solution of 3^m * a = -1 (mod 2^n).
-    pow2 = 1 << n
-    a = pow2 - pow(3, -m, pow2)
-    b = (3**m * a + 1) >> n
-    return a, b
 
 
 def ab_recurrence(m: int, n: int) -> list[tuple[int, int]]:
@@ -157,8 +283,9 @@ def ab_family_member(m: int, n: int, j: int) -> tuple[int, int]:
     """The j-th member (a + 2^n j, b + 3^m j) of the solution family of 3^m a + 1 = 2^n b."""
     if m < 1 or n < 1:
         raise ValueError(f"ab_family_member requires m, n >= 1, got ({m}, {n})")
-    a, b = _ab_from_inverse(m, n)
-    return a + (1 << n) * j, b + 3**m * j
+    pow2 = 1 << n
+    a = pow2 - pow(3, -m, pow2)  # least positive solution of 3^m a = -1 (mod 2^n)
+    return a + pow2 * j, ((3**m * a + 1) >> n) + 3**m * j
 
 
 def g_of(v: ParityVector, N: int) -> Fraction:
@@ -193,9 +320,7 @@ def apply_vector(v: ParityVector, N: int) -> int:
 
 def solve_n0(v: ParityVector) -> int:
     """Smallest positive realizer of v: N0 = -P * (3^m)^{-1} mod 2^n, with 0 mapped to 2^n."""
-    pow2 = 1 << v.n
-    r = (-p_closed_form(v) * pow(3, -v.ones, pow2)) % pow2
-    return pow2 if r == 0 else r
+    return char_set(v).N0
 
 
 def nth_realizer(v: ParityVector, j: int) -> int:
@@ -207,12 +332,10 @@ def nth_realizer(v: ParityVector, j: int) -> int:
 
 def xy_points(v: ParityVector) -> tuple[int, int]:
     """The particular points X = P*a and Y = P*b; X realizes v and T^n(X) = Y."""
-    m = v.ones
-    if m == 0:
+    cs = char_set(v)
+    if cs.m == 0:
         raise ValueError("xy_points requires at least one 1 bit (m >= 1)")
-    a, b = _ab_from_inverse(m, v.n)
-    P = p_closed_form(v)
-    return P * a, P * b
+    return cs.X, cs.Y
 
 
 def xstar_decompose(v: ParityVector) -> XStarDecomposition:
@@ -222,26 +345,12 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
     which the congruence forces to be odd; t_k is the matching cofactor, and
     Y* = sum 3^{m-k} t_k satisfies T^n(X*) = Y*.
     """
-    m = v.ones
-    if m == 0:
+    cs = char_set(v)
+    if cs.m == 0:
         raise ValueError("xstar_decompose requires at least one 1 bit (m >= 1)")
-    n = v.n
-    rows = []
-    Xstar = 0
-    Ystar = 0
-    pow3k = 1
-    for k, j in enumerate(v.one_positions(), start=1):
-        pow3k *= 3
-        mod = 1 << (n - j + 1)
-        theta = mod - pow(pow3k, -1, mod)
-        t = (pow3k * theta + 1) >> (n - j + 1)
-        z = (1 << (j - 1)) * theta
-        rows.append(XStarRow(k, j, theta, z, t))
-        Xstar += z
-        Ystar = 3 * Ystar + t
-    X, _ = xy_points(v)
-    J = (X - Xstar) >> n
-    return XStarDecomposition(tuple(rows), Xstar, Ystar, J)
+    rows: list[XStarRow] = []
+    Xstar, Ystar = _xstar(cs.one_positions, cs.n, rows)
+    return XStarDecomposition(tuple(rows), Xstar, Ystar, J=(cs.X - Xstar) >> cs.n)
 
 
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:
@@ -317,21 +426,16 @@ def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> 
 
 
 def char_set(v: ParityVector) -> CharacteristicSet:
-    """Compute the full characteristic set of v."""
-    n, m = v.n, v.ones
-    pow2 = 1 << n
-    pow3 = 3**m
+    """The characteristic set of v by the closed forms.
+
+    N0 = -P * (3^m)^{-1} mod 2^n (0 mapped to 2^n) and a = -(3^m)^{-1} mod 2^n,
+    from one P and one modular inverse.
+    """
+    ones = v.one_positions()
+    pow2 = 1 << v.n
+    inv3m = pow(3, -len(ones), pow2)
     P = p_closed_form(v)
-    alpha, beta = divmod(P, pow3)
-    A, B = divmod(P, pow2)
-    N0 = solve_n0(v)
-    if m == 0:
-        a = b = X = Y = None
-    else:
-        a, b = _ab_from_inverse(m, n)
-        X, Y = P * a, P * b
     return CharacteristicSet(
-        n=n, m=m, P=P, c=pow2 - pow3, a=a, b=b,
-        alpha=alpha, beta=beta, A=A, B=B,
-        N0=N0, X=X, Y=Y, r0=Fraction(N0, pow2),
+        n=v.n, one_positions=ones, P=P, N0=(-P * inv3m) % pow2 or pow2,
+        a=pow2 - inv3m if ones else None,
     )

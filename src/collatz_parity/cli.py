@@ -10,7 +10,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from .characteristics import char_set, nth_realizer, xstar_decompose
+from .characteristics import char_set, solve_n0, xstar_decompose
 from .core import ParityVector, parse_generator
 from .report import (
     DEFAULT_PRECISION,
@@ -34,8 +34,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_rational_flags(sub):
-    sub.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+    sub.add_argument("--precision", type=_non_negative_int, default=DEFAULT_PRECISION,
                      help="decimal digits for rationals (default 12)")
     sub.add_argument("--exact-rationals", action="store_true",
                      help="render rationals exactly as p/q")
@@ -105,9 +112,10 @@ def _cmd_solve(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     v = ParityVector.from_string(args.bits)
+    n0 = solve_n0(v)
     with _open_out(args) as out:
         for j in range(args.count):
-            out.write(f"{nth_realizer(v, j)}\n")
+            out.write(f"{n0 + (j << v.n)}\n")
     return 0
 
 

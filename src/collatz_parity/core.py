@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
-class BitStreamExhausted(Exception):
+class BitStreamExhausted(ValueError):
     """A finite bit source ran out before the requested position.
 
     `position` is the number of bits that were actually delivered.
@@ -145,13 +145,6 @@ class PrefixGenerator:
                 ) from None
         return ParityVector(tuple(out))
 
-    def is_b01_shape(self) -> bool | None:
-        """Whether the stream has a finite head followed by the repeating (0,1) tail.
-
-        Decidable only for head+cycle specs; other kinds return None ("unknown").
-        """
-        return None
-
     def spec_string(self) -> str:
         raise NotImplementedError
 
@@ -189,13 +182,6 @@ class HeadCycleGenerator(PrefixGenerator):
             yield from self.head.bits
         while True:
             yield from self.cycle.bits
-
-    def is_b01_shape(self) -> bool | None:
-        # The infinite tail is eventually alternating iff the cycle itself
-        # alternates and has even length (odd alternating cycles break on wrap).
-        c = self.cycle.bits
-        alternating = all(c[i] != c[i + 1] for i in range(len(c) - 1))
-        return alternating and len(c) % 2 == 0
 
     def spec_string(self) -> str:
         if self.head is None:
@@ -261,8 +247,3 @@ def parse_generator(spec: str) -> PrefixGenerator:
     raise ValueError(
         f"unrecognized generator spec {spec!r}; expected int:/bits:/cycle:/head:/file: prefix"
     )
-
-
-def prefix(gen: PrefixGenerator, j: int) -> ParityVector:
-    """The length-j prefix of the stream described by `gen`."""
-    return gen.prefix(j)

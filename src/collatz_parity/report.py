@@ -28,7 +28,7 @@ from .characteristics import (
     xstar_decompose,
 )
 from .core import ParityVector, parse_generator
-from .trajectory import TrajectoryRow, trajectory as _run_trajectory
+from .trajectory import iter_trajectory
 
 DEFAULT_PRECISION = 12
 
@@ -67,19 +67,6 @@ def charset_to_json_dict(cs: CharacteristicSet) -> dict:
     }
 
 
-def charset_from_json_dict(d: dict) -> CharacteristicSet:
-    def opt(key: str) -> int | None:
-        return None if d[key] is None else int(d[key])
-
-    return CharacteristicSet(
-        n=int(d["n"]), m=int(d["m"]), P=int(d["P"]), c=int(d["c"]),
-        a=opt("a"), b=opt("b"),
-        alpha=int(d["alpha"]), beta=int(d["beta"]), A=int(d["A"]), B=int(d["B"]),
-        N0=int(d["N0"]), X=opt("X"), Y=opt("Y"),
-        r0=Fraction(int(d["r0_num"]), int(d["r0_den"])),
-    )
-
-
 def xstar_to_json_dict(dec: XStarDecomposition) -> dict:
     return {
         "rows": [
@@ -98,7 +85,7 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
-def trajectory_csv_line(row: TrajectoryRow, digits: int = DEFAULT_PRECISION,
+def trajectory_csv_line(row: CharacteristicSet, digits: int = DEFAULT_PRECISION,
                         exact: bool = False) -> str:
     def cell_int(x: int | None) -> str:
         return "" if x is None else str(x)
@@ -107,7 +94,7 @@ def trajectory_csv_line(row: TrajectoryRow, digits: int = DEFAULT_PRECISION,
         return "" if x is None else format_rational(x, digits, exact)
 
     cells = [
-        str(row.j), str(row.n), str(row.m), str(row.P), str(row.c),
+        str(row.n), str(row.n), str(row.m), str(row.P), str(row.c),
         cell_int(row.a), cell_int(row.b), str(row.N0),
         cell_frac(row.r0), cell_frac(row.q), cell_int(row.K), cell_int(row.Kstar),
         cell_frac(row.m_over_n), cell_frac(row.P_over_2n), cell_frac(row.P_over_2n3m),
@@ -116,7 +103,7 @@ def trajectory_csv_line(row: TrajectoryRow, digits: int = DEFAULT_PRECISION,
     return ",".join(cells)
 
 
-def write_trajectory_csv(rows: Iterable[TrajectoryRow], out: IO[str],
+def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
     out.write(TRAJECTORY_CSV_HEADER + "\n")
     for row in rows:
@@ -305,7 +292,7 @@ def _check_trajectory_n0(case: FixtureCase) -> str:
         raise ValueError(f"trajectory-n0 input must be '<spec>|horizon=<H>', got {case.input!r}")
     gen = parse_generator(spec_text)
     horizon = int(horizon_part[len("horizon="):])
-    got = [row.N0 for row in _run_trajectory(gen, horizon)]
+    got = [row.N0 for row in iter_trajectory(gen, horizon)]
     want = _int_list(case.expected)
     return "" if got == want else f"expected {want}, got {got}"
 

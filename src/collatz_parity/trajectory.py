@@ -2,15 +2,20 @@
 
 For an infinite bit stream V the length-j prefix has its own characteristic
 set; those values as functions of j are the order-j characteristic numbers.
-Rows are computed incrementally:
+Each row is a CharacteristicSet with n = j, the same type `char_set` returns
+for a finite vector.  Its stored fields are updated incrementally:
 
   * P_j by the one-step recurrence,
   * N0_j by lifting the residue from mod 2^j to mod 2^{j+1}: the lift that
     matches the parity of T^j(N0_j) keeps the vector realized (the dichotomy
     N0_{j+1} in {N0_j, N0_j + 2^j}),
   * the inverse of 3^{m_j} mod 2^j by one Newton step per row (times the
-    inverse of 3 when a new one arrives), giving a_j and b_j in O(1) big-int
-    operations per row.
+    inverse of 3 when a new one arrives), giving a_j,
+  * the one-positions, extended on a 1 bit.
+
+That is O(1) big-int operations per row.  The other numbers are computed
+when read; reading X*_j (or K*_j, q*_j) costs m_j modular inverses, so a
+caller that reads it on every row does O(j) inverses per row.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.
@@ -22,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import BitStreamExhausted, ParityVector, PrefixGenerator
-from .characteristics import char_set, xstar_decompose
+from .core import BitStreamExhausted, PrefixGenerator
+from .characteristics import CharacteristicSet
 
 HALVED = "halved"
 HALVED_PLUS_HALF = "halved-plus-half"
@@ -36,113 +41,8 @@ DEFAULT_HORIZON = 256
 DEFAULT_WINDOW = 32
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
-    """Order-j characteristic numbers of one prefix; a/b-derived fields are None while m = 0."""
-
-    j: int
-    m: int
-    P: int
-    c: int
-    N0: int
-    alpha: int
-    beta: int
-    A: int
-    B: int
-    a: int | None
-    b: int | None
-    X: int | None
-    Y: int | None
-    Xstar: int | None
-    Ystar: int | None
-    K: int | None
-    Kstar: int | None
-    f1: int | None
-    f2: int | None
-
-    @property
-    def n(self) -> int:
-        return self.j
-
-    @property
-    def r0(self) -> Fraction:
-        return Fraction(self.N0, 1 << self.j)
-
-    @property
-    def q(self) -> Fraction | None:
-        return None if self.X is None else Fraction(self.X, 1 << self.j)
-
-    @property
-    def qstar(self) -> Fraction | None:
-        return None if self.Xstar is None else Fraction(self.Xstar, 1 << self.j)
-
-    @property
-    def m_over_n(self) -> Fraction:
-        return Fraction(self.m, self.j)
-
-    @property
-    def P_over_2n(self) -> Fraction:
-        return Fraction(self.P, 1 << self.j)
-
-    @property
-    def P_over_3m(self) -> Fraction:
-        return Fraction(self.P, 3**self.m)
-
-    @property
-    def P_over_2n3m(self) -> Fraction:
-        return Fraction(self.P, (1 << self.j) * 3**self.m)
-
-    @property
-    def alpha_over_2n(self) -> Fraction:
-        return Fraction(self.alpha, 1 << self.j)
-
-    @property
-    def A_over_3m(self) -> Fraction:
-        return Fraction(self.A, 3**self.m)
-
-    @property
-    def f2_over_2n(self) -> Fraction | None:
-        return None if self.f2 is None else Fraction(self.f2, 1 << self.j)
-
-    @property
-    def ab_gap(self) -> Fraction | None:
-        """|a/2^n - b/3^m|; the two ratios become equivalent for large prefixes."""
-        if self.a is None:
-            return None
-        return abs(Fraction(self.a, 1 << self.j) - Fraction(self.b, 3**self.m))
-
-    @property
-    def q_int_distance(self) -> Fraction | None:
-        return None if self.q is None else _int_distance(self.q)
-
-    @property
-    def qstar_int_distance(self) -> Fraction | None:
-        return None if self.qstar is None else _int_distance(self.qstar)
-
-
-def _int_distance(x: Fraction) -> Fraction:
-    frac = x - (x.numerator // x.denominator)
-    return min(frac, 1 - frac)
-
-
-def _xstar_sums(ones: list[int], n: int) -> tuple[int, int]:
-    # X* = sum 2^{j_k-1} theta_k, Y* = sum 3^{m-k} t_k over one-positions.
-    Xstar = 0
-    Ystar = 0
-    pow3k = 1
-    for k, jk in enumerate(ones, start=1):
-        pow3k *= 3
-        shift = n - jk + 1
-        mod = 1 << shift
-        theta = mod - pow(pow3k, -1, mod)
-        t = (pow3k * theta + 1) >> shift
-        Xstar += (1 << (jk - 1)) * theta
-        Ystar = 3 * Ystar + t
-    return Xstar, Ystar
-
-
-def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[TrajectoryRow]:
-    """Stream rows for j = 1..horizon.
+def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[CharacteristicSet]:
+    """Stream rows for j = 1..horizon: the characteristic set of each length-j prefix.
 
     A finite bit source that runs dry raises BitStreamExhausted whose
     `position` is the last complete row index; rows up to it have already
@@ -151,7 +51,6 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[TrajectoryRo
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     bits = gen.bits()
-    m = 0
     P = 0
     pow3m = 1
     pow2 = 1          # 2^{j-1} while processing row j
@@ -159,7 +58,7 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[TrajectoryRo
     u = 1             # T^{j}(N0_j) after each row
     inv3 = 1          # 3^{-1} mod 2^j
     inv3m = 1         # (3^m)^{-1} mod 2^j
-    ones: list[int] = []
+    ones: tuple[int, ...] = ()
     for j in range(1, horizon + 1):
         try:
             e = next(bits)
@@ -180,74 +79,29 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[TrajectoryRo
             inv3m = (inv3m * (2 - pow3m * inv3m)) & mask
         if e:
             P = 3 * P + pow2
-            m += 1
             pow3m *= 3
-            ones.append(j)
+            ones += (j,)
             inv3m = (inv3m * inv3) & mask
         pow2 = newpow2
-
-        alpha, beta = divmod(P, pow3m)
-        A, B = divmod(P, pow2)
-        if m == 0:
-            a = b = X = Y = Xstar = Ystar = K = Kstar = f1 = f2 = None
-        else:
-            a = pow2 - inv3m
-            b = (pow3m * a + 1) >> j
-            X, Y = P * a, P * b
-            Xstar, Ystar = _xstar_sums(ones, j)
-            K = (X - N0) >> j
-            Kstar = (Xstar - N0) >> j
-            f1, f2 = divmod(B * a, pow2)
-        yield TrajectoryRow(
-            j=j, m=m, P=P, c=pow2 - pow3m, N0=N0,
-            alpha=alpha, beta=beta, A=A, B=B,
-            a=a, b=b, X=X, Y=Y, Xstar=Xstar, Ystar=Ystar,
-            K=K, Kstar=Kstar, f1=f1, f2=f2,
-        )
+        yield CharacteristicSet(n=j, one_positions=ones, P=P, N0=N0,
+                                a=pow2 - inv3m if ones else None)
 
 
-def trajectory(gen: PrefixGenerator, horizon: int) -> list[TrajectoryRow]:
-    """All rows for j = 1..horizon as a list."""
-    return list(iter_trajectory(gen, horizon))
-
-
-def row_from_prefix(v: ParityVector) -> TrajectoryRow:
-    """Recompute one row from scratch through the finite-vector module.
-
-    Independent of the incremental path; used to cross-check it.
-    """
-    cs = char_set(v)
-    if cs.m == 0:
-        Xstar = Ystar = K = Kstar = f1 = f2 = None
-    else:
-        dec = xstar_decompose(v)
-        Xstar, Ystar = dec.Xstar, dec.Ystar
-        K = (cs.X - cs.N0) >> cs.n
-        Kstar = (Xstar - cs.N0) >> cs.n
-        f1, f2 = divmod(cs.B * cs.a, 1 << cs.n)
-    return TrajectoryRow(
-        j=cs.n, m=cs.m, P=cs.P, c=cs.c, N0=cs.N0,
-        alpha=cs.alpha, beta=cs.beta, A=cs.A, B=cs.B,
-        a=cs.a, b=cs.b, X=cs.X, Y=cs.Y, Xstar=Xstar, Ystar=Ystar,
-        K=K, Kstar=Kstar, f1=f1, f2=f2,
-    )
-
-
-def lemma51_check(prev: TrajectoryRow, cur: TrajectoryRow) -> str:
+def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
     """Which of the two consecutive-row relations holds for r0.
 
     Returns "halved" when r0_{j+1} = r0_j / 2 (N0 unchanged) and
     "halved-plus-half" when r0_{j+1} = r0_j / 2 + 1/2 (N0 lifted by 2^j).
     Exactly one must hold.
     """
-    if cur.j != prev.j + 1:
-        raise ValueError(f"rows must be consecutive, got j={prev.j} then j={cur.j}")
+    if cur.n != prev.n + 1:
+        raise ValueError(f"rows must be consecutive, got j={prev.n} then j={cur.n}")
     if cur.r0 == prev.r0 / 2:
         return HALVED
     if cur.r0 == prev.r0 / 2 + Fraction(1, 2):
         return HALVED_PLUS_HALF
     raise AssertionError(
-        f"r0 dichotomy violated between rows {prev.j} and {cur.j}: "
+        f"r0 dichotomy violated between rows {prev.n} and {cur.n}: "
         f"{prev.r0} -> {cur.r0}"
     )
 
@@ -300,7 +154,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
         raise ValueError(f"window must be >= 1, got {window}")
     if window > horizon:
         raise ValueError(f"window ({window}) must not exceed horizon ({horizon})")
-    rows: list[TrajectoryRow] = []
+    rows: list[CharacteristicSet] = []
     try:
         for row in iter_trajectory(gen, horizon):
             rows.append(row)
@@ -313,7 +167,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     last = rows[-1]
     m_before_window = rows[-window - 1].m if len(rows) > window else 0
     diag = ClassifierDiagnostics(
-        final_j=last.j,
+        final_j=last.n,
         q_distance=last.q_int_distance,
         qstar_distance=last.qstar_int_distance,
         m_over_n=last.m_over_n,
@@ -321,7 +175,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
         ones_in_window=last.m - m_before_window,
     )
     # N0_j is non-decreasing; a change at row j means N0_j != N0_{j-1}.
-    changes = [cur.j for prev, cur in zip(rows, rows[1:]) if cur.N0 != prev.N0]
+    changes = [cur.n for prev, cur in zip(rows, rows[1:]) if cur.N0 != prev.N0]
     last_change = changes[-1] if changes else None
     first_window_j = len(rows) - window + 1
     if last_change is not None and last_change >= first_window_j:
@@ -349,16 +203,13 @@ class AsymptoticReport:
     a diagnostic is undefined (m = 0).
     """
 
-    rows: tuple[TrajectoryRow, ...]
+    rows: tuple[CharacteristicSet, ...]
     tail_start: int
     last: dict
     max_over_tail: dict
 
-    def row_values(self, row: TrajectoryRow) -> dict:
-        return {name: getattr(row, name) for name in ASYMPTOTIC_FIELDS}
 
-
-def asymptotic_report(rows: Iterable[TrajectoryRow]) -> AsymptoticReport:
+def asymptotic_report(rows: Iterable[CharacteristicSet]) -> AsymptoticReport:
     rows = tuple(rows)
     if len(rows) < 2:
         raise ValueError("asymptotic_report needs at least 2 rows")

@@ -28,14 +28,12 @@ from collatz_parity import (
     omega_extremes,
     p_closed_form,
     p_recurrence,
+    iter_trajectory,
     parse_generator,
-    prefix,
     repeat_p,
-    row_from_prefix,
     run_fixtures,
     load_fixtures,
     solve_n0,
-    trajectory,
     xstar_decompose,
     xy_points,
 )
@@ -82,7 +80,7 @@ def test_criterion_1_paper_example_corpus():
         assert [r.theta for r in dec.rows] == [341, 199, 109, 15, 5, 3, 1]
         assert solve_n0(PV("101110")) == 9
         assert solve_n0(PV("1011010111")) == 313
-        rows = trajectory(parse_generator("bits:11010011010010"), 8)
+        rows = list(iter_trajectory(parse_generator("bits:11010011010010"), 8))
         assert [r.N0 for r in rows] == [1, 3, 3, 11, 11, 11, 11, 139]
         assert cycle_fixed_point(PV("100")) == Fraction(1, 5)
 
@@ -185,20 +183,23 @@ def test_criterion_5_trajectory_invariants():
         for _ in range(50):
             gens.append(BitStreamGenerator(tuple(rng.randint(0, 1) for _ in range(200))))
         for gen in gens:
-            rows = trajectory(gen, 200)
+            rows = list(iter_trajectory(gen, 200))
             for prev, cur in zip(rows, rows[1:]):
                 # r0 dichotomy: exactly one of the two lift relations
                 half = prev.r0 / 2
                 assert (cur.r0 == half) != (cur.r0 == half + Fraction(1, 2))
-                assert cur.N0 in (prev.N0, prev.N0 + (1 << prev.j))
+                assert cur.N0 in (prev.N0, prev.N0 + (1 << prev.n))
             for row in rows:
                 if row.m == 0:
                     continue
                 assert row.q == row.r0 + row.K  # exact rational identity
                 pow3, pow2m = 3**row.m, 2**row.m
-                assert pow3 - pow2m <= row.P <= (1 << (row.j - row.m)) * (pow3 - pow2m)
+                assert pow3 - pow2m <= row.P <= (1 << (row.n - row.m)) * (pow3 - pow2m)
             for j in (1, 17, 64, 200):
-                assert rows[j - 1] == row_from_prefix(prefix(gen, j))
+                v = gen.prefix(j)
+                assert rows[j - 1] == char_set(v)
+                if rows[j - 1].m:
+                    assert apply_vector(v, rows[j - 1].Xstar) == rows[j - 1].Ystar
 
 
 def test_criterion_6_classifier_behavior():
@@ -213,13 +214,13 @@ def test_criterion_6_classifier_behavior():
         assert verdict.kind == STABILIZED
         # N0_j never decreases, for realizable and non-realizable streams alike
         for spec in ("cycle:100", "int:27", "head:1101;cycle:01"):
-            rows = trajectory(parse_generator(spec), 80)
+            rows = list(iter_trajectory(parse_generator(spec), 80))
             assert all(cur.N0 >= prev.N0 for prev, cur in zip(rows, rows[1:]))
 
 
 def test_criterion_7_decay_diagnostics():
     with criterion(7, "offset ratio at row 500 decayed by >= 2^100 vs row 10"):
-        rows = trajectory(IntegerGenerator(27), 500)
+        rows = list(iter_trajectory(IntegerGenerator(27), 500))
         early = rows[9].P_over_2n3m
         late = rows[-1].P_over_2n3m
         assert late > 0

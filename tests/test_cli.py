@@ -5,9 +5,8 @@ import json
 import pytest
 
 from collatz_parity.cli import main
-from collatz_parity.report import TRAJECTORY_CSV_HEADER
+from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
 from collatz_parity import char_set, ParityVector
-from collatz_parity.report import charset_from_json_dict
 
 
 def run(capsys, *argv):
@@ -20,10 +19,9 @@ def test_analyze(capsys):
     code, out, _ = run(capsys, "analyze", "1101001")
     assert code == 0
     assert '"P": "133"' in out
-    # round trip: parse the JSON back into a characteristic set and re-check
-    cs = charset_from_json_dict(json.loads(out))
+    cs = char_set(ParityVector.from_string("1101001"))
     cs.check()
-    assert cs == char_set(ParityVector.from_string("1101001"))
+    assert json.loads(out) == charset_to_json_dict(cs)
 
 
 def test_analyze_rejects_garbage(capsys):
@@ -141,3 +139,26 @@ def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "trajectory", "cycle:102", "--horizon", "5")
     assert code == 1
     assert "error" in err
+
+
+def test_exhausted_bit_source_is_a_one_line_error(capsys):
+    code, out, err = run(capsys, "trajectory", "bits:101", "--horizon", "10")
+    assert code == 1
+    assert len(out.splitlines()) == 4  # the header and the three complete rows
+    assert err.startswith("error: bit source exhausted") and len(err.splitlines()) == 1
+
+
+def test_negative_precision_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "rows.csv"
+    for argv in (["trajectory", "int:27", "--horizon", "3"],
+                 ["classify", "int:27", "--horizon", "3", "--window", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--precision", "-1", "--out", str(path)])
+        assert exc.value.code == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--precision" in captured.err
+        assert not path.exists()
+    with pytest.raises(SystemExit) as exc:
+        main(["trajectory", "int:27", "--precision", "-1"])
+    assert exc.value.code == 64
+    assert capsys.readouterr().out == ""

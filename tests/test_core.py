@@ -12,7 +12,6 @@ from collatz_parity import (
     collatz_step,
     parity_vector,
     parse_generator,
-    prefix,
 )
 
 
@@ -96,7 +95,7 @@ def test_prefix_consistency():
     ]
     for gen in gens:
         for j in range(1, 12):
-            assert prefix(gen, j + 1).bits[:j] == prefix(gen, j).bits
+            assert gen.prefix(j + 1).bits[:j] == gen.prefix(j).bits
 
 
 def test_head_cycle_examples():
@@ -119,17 +118,6 @@ def test_bit_stream_exhaustion_reports_position():
     with pytest.raises(BitStreamExhausted) as exc:
         gen.prefix(5)
     assert exc.value.position == 3
-
-
-def test_is_b01_shape():
-    assert HeadCycleGenerator(cycle=ParityVector.from_string("01")).is_b01_shape() is True
-    assert HeadCycleGenerator(cycle=ParityVector.from_string("10")).is_b01_shape() is True
-    assert HeadCycleGenerator(cycle=ParityVector.from_string("0101")).is_b01_shape() is True
-    assert HeadCycleGenerator(cycle=ParityVector.from_string("100")).is_b01_shape() is False
-    assert HeadCycleGenerator(cycle=ParityVector.from_string("010")).is_b01_shape() is False
-    assert HeadCycleGenerator(cycle=ParityVector.from_string("1")).is_b01_shape() is False
-    assert IntegerGenerator(7).is_b01_shape() is None
-    assert BitStreamGenerator((0, 1)).is_b01_shape() is None
 
 
 def test_parse_generator_grammar(tmp_path):

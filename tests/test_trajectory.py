@@ -1,6 +1,7 @@
 """Order-j rows, the r0 dichotomy, and the horizon-bounded classifier."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -15,14 +16,13 @@ from collatz_parity import (
     STABILIZED,
     IntegerGenerator,
     ParityVector,
+    apply_vector,
     asymptotic_report,
+    char_set,
     classify,
     iter_trajectory,
     lemma51_check,
     parse_generator,
-    prefix,
-    row_from_prefix,
-    trajectory,
 )
 
 PV = ParityVector.from_string
@@ -43,13 +43,13 @@ def some_generators():
 
 
 def test_table1_n0_row():
-    rows = trajectory(parse_generator("bits:11010011010010"), 8)
+    rows = list(iter_trajectory(parse_generator("bits:11010011010010"), 8))
     assert [r.N0 for r in rows] == [1, 3, 3, 11, 11, 11, 11, 139]
 
 
 def test_from_integer_stabilizes_at_n():
-    rows = trajectory(IntegerGenerator(7), 20)
-    assert all(r.N0 == 7 for r in rows if r.j >= 3)
+    rows = list(iter_trajectory(IntegerGenerator(7), 20))
+    assert all(r.N0 == 7 for r in rows if r.n >= 3)
     assert [r.N0 for r in rows[:3]] == [1, 3, 7]
 
 
@@ -59,25 +59,29 @@ def test_n0_matches_brute_force_scan():
     from collatz_parity import parity_vector
 
     gen = IntegerGenerator(7)
-    rows = trajectory(gen, 14)
+    rows = list(iter_trajectory(gen, 14))
     for row in rows:
-        target = prefix(gen, row.j)
+        target = gen.prefix(row.n)
         smallest = next(
-            N for N in range(1, (1 << row.j) + 1)
-            if parity_vector(N, row.j) == target
+            N for N in range(1, (1 << row.n) + 1)
+            if parity_vector(N, row.n) == target
         )
         assert row.N0 == smallest
 
 
 def test_incremental_equals_from_scratch():
     for gen in some_generators():
-        rows = trajectory(gen, 64)
-        for j in range(1, 65):
-            assert rows[j - 1] == row_from_prefix(prefix(gen, j))
+        rows = list(iter_trajectory(gen, 64))
+        for row in rows:
+            v = gen.prefix(row.n)
+            assert row == char_set(v)
+            if row.m:
+                # X* against the affine map, not against its own loop
+                assert apply_vector(v, row.Xstar) == row.Ystar
 
 
 def test_lemma51_table1_cases():
-    rows = trajectory(parse_generator("bits:11010011010010"), 8)
+    rows = list(iter_trajectory(parse_generator("bits:11010011010010"), 8))
     assert rows[3].r0 == Fraction(11, 16) and rows[4].r0 == Fraction(11, 32)
     assert lemma51_check(rows[3], rows[4]) == HALVED
     assert rows[2].r0 == Fraction(3, 8)
@@ -87,27 +91,27 @@ def test_lemma51_table1_cases():
 
 def test_lemma51_dichotomy_everywhere():
     for gen in some_generators():
-        rows = trajectory(gen, 80)
+        rows = list(iter_trajectory(gen, 80))
         for prev, cur in zip(rows, rows[1:]):
             kind = lemma51_check(prev, cur)
             if cur.N0 == prev.N0:
                 assert kind == HALVED
             else:
                 assert kind == HALVED_PLUS_HALF
-                assert cur.N0 == prev.N0 + (1 << prev.j)
+                assert cur.N0 == prev.N0 + (1 << prev.n)
 
 
 def test_lemma51_rejects_non_consecutive():
-    rows = trajectory(IntegerGenerator(27), 5)
+    rows = list(iter_trajectory(IntegerGenerator(27), 5))
     with pytest.raises(ValueError):
         lemma51_check(rows[0], rows[3])
 
 
 def test_row_identities():
     for gen in some_generators():
-        rows = trajectory(gen, 60)
+        rows = list(iter_trajectory(gen, 60))
         for row in rows:
-            pow2 = 1 << row.j
+            pow2 = 1 << row.n
             pow3 = 3**row.m
             assert row.c == pow2 - pow3
             assert 1 <= row.N0 <= pow2
@@ -130,7 +134,7 @@ def test_row_identities():
 
 def test_n0_non_decreasing():
     for gen in some_generators():
-        rows = trajectory(gen, 80)
+        rows = list(iter_trajectory(gen, 80))
         for prev, cur in zip(rows, rows[1:]):
             assert cur.N0 >= prev.N0
 
@@ -143,7 +147,7 @@ def test_trajectory_exhaustion():
             rows.append(row)
     assert exc.value.position == 3
     assert len(rows) == 3
-    assert rows == trajectory(gen, 3)
+    assert rows == list(iter_trajectory(gen, 3))
 
 
 def test_classify_growing_cycle_100():
@@ -174,7 +178,7 @@ def test_classify_growing_bound_for_integers():
     # N realizes all its prefixes, so N0_j <= N: at most ceil(log2 N) + 1 changes
     for N in (7, 27, 97, 871, 6171):
         verdict = classify(IntegerGenerator(N), 80, 20)
-        rows = trajectory(IntegerGenerator(N), 80)
+        rows = list(iter_trajectory(IntegerGenerator(N), 80))
         distinct = len(set(r.N0 for r in rows))
         assert distinct <= N.bit_length() + 1
         assert verdict.kind == STABILIZED
@@ -193,7 +197,7 @@ def test_classify_reports_diagnostics():
     # realizable stream: q is close to an integer (distance = r0 here)
     assert d.q_distance == Fraction(27, 1 << 80)
     assert d.qstar_distance is not None
-    assert d.m_over_n == Fraction(sum(prefix(IntegerGenerator(27), 80).bits), 80)
+    assert d.m_over_n == Fraction(sum(IntegerGenerator(27).prefix(80).bits), 80)
     assert d.ones_in_window > 0
 
 
@@ -211,7 +215,7 @@ def test_classify_validates_window():
 
 
 def test_asymptotic_report_bounds():
-    rows = trajectory(IntegerGenerator(7), 60)
+    rows = list(iter_trajectory(IntegerGenerator(7), 60))
     rep = asymptotic_report(rows)
     for row in rows:
         if row.m == 0:
@@ -226,7 +230,7 @@ def test_asymptotic_report_bounds():
 
 
 def test_asymptotic_report_all_ones():
-    rows = trajectory(parse_generator("cycle:1"), 40)
+    rows = list(iter_trajectory(parse_generator("cycle:1"), 40))
     for row in rows:
         assert row.alpha == 0  # P = 3^m - 2^m < 3^m for the minimal vector
     rep = asymptotic_report(rows)
@@ -234,6 +238,13 @@ def test_asymptotic_report_all_ones():
 
 
 def test_asymptotic_report_needs_two_rows():
-    rows = trajectory(IntegerGenerator(7), 1)
+    rows = list(iter_trajectory(IntegerGenerator(7), 1))
     with pytest.raises(ValueError):
         asymptotic_report(rows)
+
+
+def test_trajectory_name_is_the_submodule():
+    import collatz_parity.trajectory as T
+
+    assert isinstance(T, types.ModuleType)
+    assert T.iter_trajectory is iter_trajectory
