@@ -34,11 +34,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _non_negative_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
 
 
 def _add_rational_flags(sub):
@@ -63,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="print the smallest realizers N0, N1, ...")
     p.add_argument("bits")
-    p.add_argument("--count", type=int, default=1, help="how many realizers (default 1)")
+    p.add_argument("--count", type=_positive_int, default=1,
+                   help="how many realizers (default 1)")
     _add_out_flag(p)
 
     p = subs.add_parser("xstar", help="print the X* decomposition table")
@@ -74,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("trajectory", help="stream order-j rows as CSV")
     p.add_argument("spec", help="generator spec: int:N | bits:... | cycle:... | "
                                 "head:...;cycle:... | file:PATH")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    p.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
     _add_rational_flags(p)
     _add_out_flag(p)
 
     p = subs.add_parser("classify", help="horizon-bounded realizability verdict")
     p.add_argument("spec")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
+    p.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
+    p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW)
     p.add_argument("--json", action="store_true")
     _add_rational_flags(p)
     _add_out_flag(p)
@@ -109,8 +118,6 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
     v = ParityVector.from_string(args.bits)
     n0 = solve_n0(v)
     with _open_out(args) as out:

@@ -46,10 +46,8 @@ def collatz_sequence(N: int, n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError(f"collatz_sequence requires n >= 1, got {n}")
     terms = [N]
-    x = N
     for _ in range(n - 1):
-        x = x >> 1 if x & 1 == 0 else (3 * x + 1) >> 1
-        terms.append(x)
+        terms.append(collatz_step(terms[-1]))
     return tuple(terms)
 
 
@@ -110,13 +108,7 @@ def parity_vector(N: int, n: int) -> ParityVector:
         raise ValueError(f"parity_vector requires N >= 1, got {N}")
     if n < 1:
         raise ValueError(f"parity_vector requires n >= 1, got {n}")
-    bits = []
-    x = N
-    for _ in range(n):
-        e = x & 1
-        bits.append(e)
-        x = x >> 1 if e == 0 else (3 * x + 1) >> 1
-    return ParityVector(tuple(bits))
+    return IntegerGenerator(N).prefix(n)
 
 
 class PrefixGenerator:
@@ -162,9 +154,8 @@ class IntegerGenerator(PrefixGenerator):
     def bits(self) -> Iterator[int]:
         x = self.N
         while True:
-            e = x & 1
-            yield e
-            x = x >> 1 if e == 0 else (3 * x + 1) >> 1
+            yield x & 1
+            x = collatz_step(x)
 
     def spec_string(self) -> str:
         return f"int:{self.N}"

@@ -22,7 +22,6 @@ from .characteristics import (
     cycle_fixed_point,
     g_of,
     is_member,
-    nth_realizer,
     p_recurrence,
     solve_n0,
     xstar_decompose,
@@ -113,21 +112,76 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
 # ---------------------------------------------------------------------------
 # Fixture corpus
 # ---------------------------------------------------------------------------
+#
+# A case's `input` and `expected` are JSON objects.  Bit vectors are
+# bitstrings; the counts m, n, count and horizon are JSON numbers; every other
+# integer is a decimal string and every rational a "p/q" string, as the CLI's
+# JSON writes them; booleans are JSON booleans.  Each kind maps its input to a
+# dict of named results in that encoding, and a case passes when every key of
+# `expected` is among them with an equal value.
 
-FIXTURE_KINDS = (
-    "charset", "p-table", "ab", "xstar", "n0", "apply", "g-eval",
-    "trajectory-n0", "fixed-point",
-)
+
+def _vector(inp: dict) -> ParityVector:
+    return ParityVector.from_string(inp["v"])
+
+
+def _strs(values: Iterable) -> list[str]:
+    return [str(x) for x in values]
+
+
+def _ab_results(inp: dict) -> dict:
+    table = ab_recurrence(inp["m"], inp["n"])
+    return {"a": str(table[-1][0]), "b": str(table[-1][1]),
+            "table": [_strs(row) for row in table]}
+
+
+def _xstar_results(inp: dict) -> dict:
+    results = xstar_to_json_dict(xstar_decompose(_vector(inp)))
+    rows = results.pop("rows")
+    for key in ("theta", "z", "t"):
+        results[key] = [row[key] for row in rows]
+    return results
+
+
+def _n0_results(inp: dict) -> dict:
+    v = _vector(inp)
+    n0 = solve_n0(v)
+    return {"realizers": [str(n0 + (j << v.n)) for j in range(inp["count"])]}
+
+
+def _g_eval_results(inp: dict) -> dict:
+    v, N = _vector(inp), int(inp["N"])
+    return {"value": str(g_of(v, N)), "member": is_member(v, N)}
+
+
+def _trajectory_n0_results(inp: dict) -> dict:
+    rows = iter_trajectory(parse_generator(inp["spec"]), inp["horizon"])
+    return {"N0": [str(row.N0) for row in rows]}
+
+
+_KIND_RESULTS = {
+    "charset": lambda inp: charset_to_json_dict(char_set(_vector(inp))),
+    "p-table": lambda inp: {"table": _strs(p_recurrence(_vector(inp)))},
+    "ab": _ab_results,
+    "xstar": _xstar_results,
+    "n0": _n0_results,
+    "apply": lambda inp: {"value": str(apply_vector(_vector(inp), int(inp["N"])))},
+    "g-eval": _g_eval_results,
+    "trajectory-n0": _trajectory_n0_results,
+    "fixed-point": lambda inp: {"value": str(cycle_fixed_point(_vector(inp)))},
+}
+
+FIXTURE_KINDS = tuple(_KIND_RESULTS)
 
 
 @dataclass(frozen=True)
 class FixtureCase:
-    """One self-contained worked example: re-runnable from its textual fields alone."""
+    """One self-contained worked example: re-runnable from its own fields alone."""
 
     id: str
     kind: str
-    input: str
-    expected: str
+    input: dict
+    expected: dict
     source: str
     erratum: str | None = None
 
@@ -181,139 +235,23 @@ def load_fixtures(path=None) -> list[FixtureCase]:
             raise ValueError(f"malformed fixture at line {lineno}: {exc}") from None
         if case.kind not in FIXTURE_KINDS:
             raise ValueError(f"malformed fixture at line {lineno}: unknown kind {case.kind!r}")
+        if not (isinstance(case.input, dict) and isinstance(case.expected, dict)):
+            raise ValueError(f"malformed fixture at line {lineno}: "
+                             "input and expected must be JSON objects")
         cases.append(case)
     return cases
 
 
-def _kv(text: str) -> dict[str, str]:
-    out = {}
-    for part in text.split(";"):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",")]
-
-
-def _check_charset(case: FixtureCase) -> str:
-    cs = char_set(ParityVector.from_string(case.input))
+def _compare(expected: dict, got: dict) -> str:
+    """One problem per expected key that is missing from `got` or differs; empty if none."""
     problems = []
-    for key, want in _kv(case.expected).items():
-        got = getattr(cs, key)
-        got_text = "absent" if got is None else str(got)
-        if got_text != want:
-            problems.append(f"{key}: expected {want}, got {got_text}")
+    for key, want in expected.items():
+        want_text = json.dumps(want)
+        if key not in got:
+            problems.append(f"{key}: expected {want_text}, not produced")
+        elif json.dumps(got[key]) != want_text:
+            problems.append(f"{key}: expected {want_text}, got {json.dumps(got[key])}")
     return "; ".join(problems)
-
-
-def _check_p_table(case: FixtureCase) -> str:
-    got = list(p_recurrence(ParityVector.from_string(case.input)))
-    want = _int_list(case.expected)
-    return "" if got == want else f"expected {want}, got {got}"
-
-
-def _check_ab(case: FixtureCase) -> str:
-    kv_in = _kv(case.input)
-    m, n = int(kv_in["m"]), int(kv_in["n"])
-    table = ab_recurrence(m, n)
-    problems = []
-    for key, want in _kv(case.expected).items():
-        if key == "a":
-            got = table[-1][0]
-        elif key == "b":
-            got = table[-1][1]
-        elif key.startswith("a_"):
-            got = table[int(key[2:]) - 1][0]
-        elif key.startswith("b_"):
-            got = table[int(key[2:]) - 1][1]
-        else:
-            raise ValueError(f"unknown ab key {key!r}")
-        if str(got) != want:
-            problems.append(f"{key}: expected {want}, got {got}")
-    return "; ".join(problems)
-
-
-def _check_xstar(case: FixtureCase) -> str:
-    dec = xstar_decompose(ParityVector.from_string(case.input))
-    problems = []
-    for key, want in _kv(case.expected).items():
-        if key in ("theta", "z", "t"):
-            got = [getattr(r, key) for r in dec.rows]
-            if got != _int_list(want):
-                problems.append(f"{key}: expected {want}, got {got}")
-        elif key in ("Xstar", "Ystar", "J"):
-            got = getattr(dec, key)
-            if str(got) != want:
-                problems.append(f"{key}: expected {want}, got {got}")
-        else:
-            raise ValueError(f"unknown xstar key {key!r}")
-    return "; ".join(problems)
-
-
-def _check_n0(case: FixtureCase) -> str:
-    v = ParityVector.from_string(case.input)
-    want = _int_list(case.expected)
-    got = [nth_realizer(v, j) for j in range(len(want))]
-    return "" if got == want else f"expected {want}, got {got}"
-
-
-def _check_apply(case: FixtureCase) -> str:
-    kv = _kv(case.input)
-    got = apply_vector(ParityVector.from_string(kv["v"]), int(kv["N"]))
-    return "" if str(got) == case.expected else f"expected {case.expected}, got {got}"
-
-
-def _check_g_eval(case: FixtureCase) -> str:
-    kv = _kv(case.input)
-    v = ParityVector.from_string(kv["v"])
-    N = int(kv["N"])
-    parts = case.expected.split(";")
-    want_value = Fraction(parts[0])
-    problems = []
-    got = g_of(v, N)
-    if got != want_value:
-        problems.append(f"value: expected {want_value}, got {got}")
-    for part in parts[1:]:
-        key, _, val = part.partition("=")
-        if key == "member":
-            want_member = val == "true"
-            if is_member(v, N) != want_member:
-                problems.append(f"member: expected {want_member}")
-    return "; ".join(problems)
-
-
-def _check_trajectory_n0(case: FixtureCase) -> str:
-    spec_text, sep, horizon_part = case.input.partition("|")
-    if not sep or not horizon_part.startswith("horizon="):
-        raise ValueError(f"trajectory-n0 input must be '<spec>|horizon=<H>', got {case.input!r}")
-    gen = parse_generator(spec_text)
-    horizon = int(horizon_part[len("horizon="):])
-    got = [row.N0 for row in iter_trajectory(gen, horizon)]
-    want = _int_list(case.expected)
-    return "" if got == want else f"expected {want}, got {got}"
-
-
-def _check_fixed_point(case: FixtureCase) -> str:
-    got = cycle_fixed_point(ParityVector.from_string(case.input))
-    want = Fraction(case.expected)
-    return "" if got == want else f"expected {want}, got {got}"
-
-
-_CHECKS = {
-    "charset": _check_charset,
-    "p-table": _check_p_table,
-    "ab": _check_ab,
-    "xstar": _check_xstar,
-    "n0": _check_n0,
-    "apply": _check_apply,
-    "g-eval": _check_g_eval,
-    "trajectory-n0": _check_trajectory_n0,
-    "fixed-point": _check_fixed_point,
-}
 
 
 def run_fixtures(cases: Iterable[FixtureCase]) -> FixtureReport:
@@ -321,7 +259,7 @@ def run_fixtures(cases: Iterable[FixtureCase]) -> FixtureReport:
     results = []
     for case in sorted(cases, key=lambda c: c.id):
         try:
-            detail = _CHECKS[case.kind](case)
+            detail = _compare(case.expected, _KIND_RESULTS[case.kind](case.input))
         except Exception as exc:  # a crashing case is a failing case
             detail = f"error: {exc}"
         results.append(FixtureResult(case.id, case.kind, case.source, detail == "", detail))

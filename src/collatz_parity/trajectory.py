@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import BitStreamExhausted, PrefixGenerator
+from .core import BitStreamExhausted, PrefixGenerator, collatz_step
 from .characteristics import CharacteristicSet
 
 HALVED = "halved"
@@ -71,7 +71,7 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
         if (u & 1) != e:
             N0 += pow2
             u += pow3m
-        u = u >> 1 if e == 0 else (3 * u + 1) >> 1
+        u = collatz_step(u)
         newpow2 = pow2 << 1
         mask = newpow2 - 1
         if j > 1:
@@ -130,7 +130,9 @@ class RealizabilityVerdict:
     stabilized: N0_j constant over the final `window` rows (candidate = that value).
     growing:    N0_j still changed inside the final window; distinct_count is the
                 number of distinct values seen (N0_j is non-decreasing).
-    inconclusive: fewer complete rows than `window` (short bit source).
+    inconclusive: the bit source ran dry before `horizon` rows; rows_computed is
+                the number of rows it delivered.  The verdicts are about infinite
+                streams, so a finite source gets none and no diagnostics.
     """
 
     kind: str
@@ -148,24 +150,31 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     """Classify the N0_j behavior of a stream over a finite horizon.
 
     The verdict claims nothing beyond the computed rows: a stream may change
-    N0 right after the horizon, so "stabilized" is evidence, not proof.
+    N0 right after the horizon, so "stabilized" is evidence, not proof, and a
+    source that runs dry before `horizon` rows is "inconclusive".  The rows
+    are streamed; only the last one and a few counters are kept.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > horizon:
         raise ValueError(f"window ({window}) must not exceed horizon ({horizon})")
-    rows: list[CharacteristicSet] = []
+    changes = 0
+    last_change = None
+    m_before_window = 0
+    last = None
     try:
         for row in iter_trajectory(gen, horizon):
-            rows.append(row)
-    except BitStreamExhausted:
-        pass
-    if len(rows) < window:
+            # N0_j is non-decreasing; a change at row j means N0_j != N0_{j-1}.
+            if last is not None and row.N0 != last.N0:
+                changes += 1
+                last_change = row.n
+            if row.n == horizon - window:
+                m_before_window = row.m
+            last = row
+    except BitStreamExhausted as exc:
         return RealizabilityVerdict(
-            kind=INCONCLUSIVE, horizon=horizon, window=window, rows_computed=len(rows)
+            kind=INCONCLUSIVE, horizon=horizon, window=window, rows_computed=exc.position
         )
-    last = rows[-1]
-    m_before_window = rows[-window - 1].m if len(rows) > window else 0
     diag = ClassifierDiagnostics(
         final_j=last.n,
         q_distance=last.q_int_distance,
@@ -174,17 +183,13 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
         P_over_2n=last.P_over_2n,
         ones_in_window=last.m - m_before_window,
     )
-    # N0_j is non-decreasing; a change at row j means N0_j != N0_{j-1}.
-    changes = [cur.n for prev, cur in zip(rows, rows[1:]) if cur.N0 != prev.N0]
-    last_change = changes[-1] if changes else None
-    first_window_j = len(rows) - window + 1
-    if last_change is not None and last_change >= first_window_j:
+    if last_change is not None and last_change > horizon - window:
         return RealizabilityVerdict(
-            kind=GROWING, horizon=horizon, window=window, rows_computed=len(rows),
-            distinct_count=len(changes) + 1, diagnostics=diag,
+            kind=GROWING, horizon=horizon, window=window, rows_computed=horizon,
+            distinct_count=changes + 1, diagnostics=diag,
         )
     return RealizabilityVerdict(
-        kind=STABILIZED, horizon=horizon, window=window, rows_computed=len(rows),
+        kind=STABILIZED, horizon=horizon, window=window, rows_computed=horizon,
         candidate=last.N0, stable_since=last_change or 1, diagnostics=diag,
     )
 

@@ -37,8 +37,9 @@ def test_solve(capsys):
 
 
 def test_solve_count_validation(capsys):
-    code, _, err = run(capsys, "solve", "11", "--count", "0")
-    assert code == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "11", "--count", "0"])
+    assert exc.value.code == 64
 
 
 def test_xstar_table(capsys):
@@ -103,6 +104,18 @@ def test_classify_stabilized_json(capsys):
     assert d["diagnostics"]["final_j"] == 80
 
 
+def test_classify_dry_source_is_inconclusive(capsys):
+    code, out, _ = run(capsys, "classify", "bits:101", "--horizon", "10", "--window", "2")
+    assert code == 0
+    assert out == "verdict: inconclusive (horizon-bounded; horizon=10, window=2, rows=3)\n"
+    code, out, _ = run(capsys, "classify", "bits:101", "--horizon", "10", "--window", "2",
+                       "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["kind"] == "inconclusive" and d["rows_computed"] == 3
+    assert d["candidate"] is None and "diagnostics" not in d
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -119,8 +132,8 @@ def test_verify_json(capsys):
 
 def test_verify_failure_exit_code(capsys, tmp_path):
     path = tmp_path / "fixtures.jsonl"
-    path.write_text('{"id": "bad", "kind": "n0", "input": "101110", '
-                    '"expected": "8", "source": "made up"}\n')
+    path.write_text('{"id": "bad", "kind": "n0", "input": {"v": "101110", "count": 1}, '
+                    '"expected": {"realizers": ["8"]}, "source": "made up"}\n')
     code, out, _ = run(capsys, "verify", "--fixtures", str(path))
     assert code == 2
     assert "FAIL bad" in out
@@ -149,14 +162,22 @@ def test_exhausted_bit_source_is_a_one_line_error(capsys):
 
 
 def test_negative_precision_is_a_usage_error(capsys, tmp_path):
+    # and so are a horizon, window or count below 1
     path = tmp_path / "rows.csv"
-    for argv in (["trajectory", "int:27", "--horizon", "3"],
-                 ["classify", "int:27", "--horizon", "3", "--window", "2"]):
+    for argv, flag in (
+        (["trajectory", "int:27", "--horizon", "3", "--precision", "-1"], "--precision"),
+        (["classify", "int:27", "--horizon", "3", "--window", "2", "--precision", "-1"],
+         "--precision"),
+        (["trajectory", "int:27", "--horizon", "0"], "--horizon"),
+        (["classify", "int:27", "--horizon", "0", "--window", "1"], "--horizon"),
+        (["classify", "int:27", "--horizon", "3", "--window", "0"], "--window"),
+        (["solve", "11", "--count", "0"], "--count"),
+    ):
         with pytest.raises(SystemExit) as exc:
-            main(argv + ["--precision", "-1", "--out", str(path)])
+            main(argv + ["--out", str(path)])
         assert exc.value.code == 64
         captured = capsys.readouterr()
-        assert captured.out == "" and "--precision" in captured.err
+        assert captured.out == "" and flag in captured.err
         assert not path.exists()
     with pytest.raises(SystemExit) as exc:
         main(["trajectory", "int:27", "--precision", "-1"])

@@ -131,9 +131,19 @@ def test_run_default_corpus_passes():
 
 def test_load_fixtures_reports_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
-    path.write_text('{"id": "a", "kind": "n0", "input": "1", "expected": "1", "source": "x"}\n'
+    path.write_text('{"id": "a", "kind": "n0", "input": {"v": "1", "count": 1}, '
+                    '"expected": {"realizers": ["1"]}, "source": "x"}\n'
                     "{broken\n")
     with pytest.raises(ValueError, match="line 2"):
+        load_fixtures(str(path))
+
+
+def test_load_fixtures_rejects_the_old_string_format(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text('{"id": "a", "kind": "n0", "input": {"v": "1", "count": 1}, '
+                    '"expected": {"realizers": ["1"]}, "source": "x"}\n'
+                    '{"id": "b", "kind": "n0", "input": "1", "expected": "1", "source": "x"}\n')
+    with pytest.raises(ValueError, match="line 2: input and expected must be JSON objects"):
         load_fixtures(str(path))
 
 
@@ -145,26 +155,72 @@ def test_load_fixtures_rejects_unknown_kind(tmp_path):
 
 
 def test_failing_fixture_reports_diff():
-    case = FixtureCase(id="wrong", kind="n0", input="101110", expected="8",
-                       source="made up")
+    case = FixtureCase(id="wrong", kind="n0", input={"v": "101110", "count": 1},
+                       expected={"realizers": ["8"]}, source="made up")
     report = run_fixtures([case])
     assert report.failed == 1
-    assert "expected [8]" in report.results[0].detail
-    assert "got [9]" in report.results[0].detail
+    assert 'expected ["8"]' in report.results[0].detail
+    assert 'got ["9"]' in report.results[0].detail
+
+
+def test_fixture_key_the_kind_does_not_produce_fails():
+    case = FixtureCase(id="extra", kind="apply", input={"v": "1101001", "N": "11"},
+                       expected={"value": "8", "member": None}, source="made up")
+    report = run_fixtures([case])
+    assert report.failed == 1
+    assert report.results[0].detail == "member: expected null, not produced"
+
+
+def test_fixture_values_compare_by_json_type():
+    # "true" is not true, and 1 is not true: values match as JSON, not by Python ==
+    for member in ("true", 1):
+        case = FixtureCase(id="typed", kind="g-eval", input={"v": "11010", "N": "11"},
+                           expected={"value": "10", "member": member}, source="made up")
+        assert run_fixtures([case]).failed == 1
+
+
+def _altered(value):
+    """A different JSON value of the same shape: one element changed in a list."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "1"
+    if isinstance(value, list):
+        return [_altered(value[0])] + value[1:]
+    raise TypeError(f"no alteration for {value!r}")
+
+
+def test_corpus_checks_every_expected_value():
+    cases = load_fixtures()
+    altered_keys = 0
+    for i, case in enumerate(cases):
+        for key, value in case.expected.items():
+            expected = {**case.expected, key: _altered(value)}
+            bad = FixtureCase(case.id, case.kind, case.input, expected, case.source)
+            report = run_fixtures(cases[:i] + [bad] + cases[i + 1:])
+            failed = [r for r in report.results if not r.ok]
+            assert [r.id for r in failed] == [case.id], (case.id, key)
+            assert failed[0].detail.startswith(f"{key}: expected "), failed[0].detail
+            altered_keys += 1
+    assert altered_keys >= 30
 
 
 def test_crashing_fixture_is_a_failure():
-    case = FixtureCase(id="crash", kind="xstar", input="000", expected="Xstar=1",
-                       source="made up")
+    case = FixtureCase(id="crash", kind="xstar", input={"v": "000"},
+                       expected={"Xstar": "1"}, source="made up")
     report = run_fixtures([case])
     assert report.failed == 1
-    assert "error" in report.results[0].detail
+    assert report.results[0].detail.startswith("error: xstar_decompose requires")
 
 
 def test_report_order_is_by_id():
     cases = [
-        FixtureCase(id="b", kind="n0", input="1", expected="1", source="s"),
-        FixtureCase(id="a", kind="n0", input="0", expected="2", source="s"),
+        FixtureCase(id="b", kind="n0", input={"v": "1", "count": 1},
+                    expected={"realizers": ["1"]}, source="s"),
+        FixtureCase(id="a", kind="n0", input={"v": "0", "count": 1},
+                    expected={"realizers": ["2"]}, source="s"),
     ]
     report = run_fixtures(cases)
     assert [r.id for r in report.results] == ["a", "b"]

@@ -188,6 +188,13 @@ def test_classify_inconclusive_short_stream():
     verdict = classify(BitStreamGenerator((1, 0, 1, 1, 0)), 40, 10)
     assert verdict.kind == INCONCLUSIVE
     assert verdict.rows_computed == 5
+    # more rows than the window, but fewer than the horizon: no verdict either
+    verdict = classify(parse_generator("bits:101"), 10, 2)
+    assert verdict.kind == INCONCLUSIVE and verdict.rows_computed == 3
+    assert verdict.candidate is None and verdict.diagnostics is None
+    # a finite source that lasts the whole horizon is classified as usual
+    verdict = classify(parse_generator("bits:101"), 3, 2)
+    assert verdict.kind == STABILIZED and verdict.rows_computed == 3
 
 
 def test_classify_reports_diagnostics():
