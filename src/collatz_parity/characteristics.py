@@ -14,13 +14,15 @@ all exact integers or rationals attached to v:
     X, Y      P*a and P*b; X realizes v and T^n(X) = Y
     X*, Y*    the odd-residue decomposition over one-positions; X* realizes v
 
-All solving is done with modular inverses modulo powers of two; realizers of
-v are exactly the arithmetic progression N0 + 2^n * k.
+a and b, N0 and every theta_k of X* come from one closed-form solve, `_solve_ab`;
+the paper's halving recurrence `ab_recurrence` stays as its oracle.  Realizers
+of v are exactly the arithmetic progression N0 + 2^n * k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -31,17 +33,16 @@ from .core import ParityVector
 class CharacteristicSet:
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
-    Only n, the one-positions j_1 < ... < j_m, P, N0 and a are stored; a is
-    None when m = 0 (the characteristic equation needs m >= 1).  Every other
-    number is computed on read, and those that need a are None when m = 0.
-    Reading Xstar, Ystar, Kstar or qstar costs m modular inverses.
+    Only n, the one-positions j_1 < ... < j_m, P and N0 are stored; every other
+    number is computed on read.  a and b come from one solve, cached on first
+    read; they and the numbers that need them or the ones are None when m = 0
+    (the equation needs m >= 1).  Reading Xstar, Ystar, Kstar or qstar costs m solves.
     """
 
     n: int
     one_positions: tuple[int, ...]
     P: int
     N0: int
-    a: int | None
 
     @property
     def m(self) -> int:
@@ -51,9 +52,17 @@ class CharacteristicSet:
     def c(self) -> int:
         return (1 << self.n) - 3**self.m
 
+    @cached_property
+    def _ab(self) -> tuple[int, int] | tuple[None, None]:
+        return _solve_ab(self.m, self.n) if self.m else (None, None)
+
+    @property
+    def a(self) -> int | None:
+        return self._ab[0]
+
     @property
     def b(self) -> int | None:
-        return None if self.a is None else (3**self.m * self.a + 1) >> self.n
+        return self._ab[1]
 
     @property
     def alpha(self) -> int:
@@ -81,11 +90,11 @@ class CharacteristicSet:
 
     @property
     def Xstar(self) -> int | None:
-        return None if self.a is None else _xstar(self.one_positions, self.n)[0]
+        return None if self.m == 0 else _xstar(self.one_positions, self.n)[0]
 
     @property
     def Ystar(self) -> int | None:
-        return None if self.a is None else _xstar(self.one_positions, self.n)[1]
+        return None if self.m == 0 else _xstar(self.one_positions, self.n)[1]
 
     @property
     def K(self) -> int | None:
@@ -95,7 +104,7 @@ class CharacteristicSet:
     @property
     def Kstar(self) -> int | None:
         """X* = N0 + 2^n K*."""
-        return None if self.a is None else (self.Xstar - self.N0) >> self.n
+        return None if self.m == 0 else (self.Xstar - self.N0) >> self.n
 
     @property
     def f1(self) -> int | None:
@@ -116,7 +125,7 @@ class CharacteristicSet:
 
     @property
     def qstar(self) -> Fraction | None:
-        return None if self.a is None else Fraction(self.Xstar, 1 << self.n)
+        return None if self.m == 0 else Fraction(self.Xstar, 1 << self.n)
 
     @property
     def m_over_n(self) -> Fraction:
@@ -159,7 +168,7 @@ class CharacteristicSet:
 
     @property
     def qstar_int_distance(self) -> Fraction | None:
-        return None if self.a is None else _int_distance(self.qstar)
+        return None if self.m == 0 else _int_distance(self.qstar)
 
     def check(self) -> None:
         """Re-verify the identities that tie the stored fields together; raises AssertionError."""
@@ -174,6 +183,13 @@ class CharacteristicSet:
             assert 0 < self.a < pow2 and (pow3 * self.a + 1) % pow2 == 0
             assert 0 < self.b < pow3
             assert pow3 - 2**self.m <= self.P <= (1 << (self.n - self.m)) * (pow3 - 2**self.m)
+
+
+def _solve_ab(m: int, n: int) -> tuple[int, int]:
+    """The least positive solution (a, b) of 3^m a + 1 = 2^n b, for m, n >= 1."""
+    mod = 1 << n
+    a = mod - pow(3, -m, mod)
+    return a, (3**m * a + 1) >> n
 
 
 def _int_distance(x: Fraction) -> Fraction:
@@ -219,13 +235,8 @@ def _xstar(ones: tuple[int, ...], n: int,
     # and building rows there would add about a third to this loop.
     Xstar = 0
     Ystar = 0
-    pow3k = 1
     for k, j in enumerate(ones, start=1):
-        pow3k *= 3
-        shift = n - j + 1
-        mod = 1 << shift
-        theta = mod - pow(pow3k, -1, mod)
-        t = (pow3k * theta + 1) >> shift
+        theta, t = _solve_ab(k, n - j + 1)
         z = theta << (j - 1)
         if rows is not None:
             rows.append(XStarRow(k, j, theta, z, t))
@@ -283,9 +294,8 @@ def ab_family_member(m: int, n: int, j: int) -> tuple[int, int]:
     """The j-th member (a + 2^n j, b + 3^m j) of the solution family of 3^m a + 1 = 2^n b."""
     if m < 1 or n < 1:
         raise ValueError(f"ab_family_member requires m, n >= 1, got ({m}, {n})")
-    pow2 = 1 << n
-    a = pow2 - pow(3, -m, pow2)  # least positive solution of 3^m a = -1 (mod 2^n)
-    return a + pow2 * j, ((3**m * a + 1) >> n) + 3**m * j
+    a, b = _solve_ab(m, n)
+    return a + (j << n), b + 3**m * j
 
 
 def g_of(v: ParityVector, N: int) -> Fraction:
@@ -428,14 +438,11 @@ def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> 
 def char_set(v: ParityVector) -> CharacteristicSet:
     """The characteristic set of v by the closed forms.
 
-    N0 = -P * (3^m)^{-1} mod 2^n (0 mapped to 2^n) and a = -(3^m)^{-1} mod 2^n,
-    from one P and one modular inverse.
+    N0 = P * a mod 2^n (0 mapped to 2^n), from one P and one solve for a;
+    N0 = 2^n when m = 0.
     """
     ones = v.one_positions()
     pow2 = 1 << v.n
-    inv3m = pow(3, -len(ones), pow2)
     P = p_closed_form(v)
-    return CharacteristicSet(
-        n=v.n, one_positions=ones, P=P, N0=(-P * inv3m) % pow2 or pow2,
-        a=pow2 - inv3m if ones else None,
-    )
+    a = _solve_ab(len(ones), v.n)[0] if ones else 0
+    return CharacteristicSet(n=v.n, one_positions=ones, P=P, N0=P * a % pow2 or pow2)

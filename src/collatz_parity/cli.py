@@ -193,8 +193,9 @@ def _cmd_classify(args) -> int:
         if d is not None:
             out.write(f"final row {d.final_j}: m/n = {_frac_text(d.m_over_n, args)}, "
                       f"P/2^n = {_frac_text(d.P_over_2n, args)}\n")
-            out.write(f"nearest-integer distance: q = {_frac_text(d.q_distance, args)}, "
-                      f"q* = {_frac_text(d.qstar_distance, args)}\n")
+            if d.q_distance is not None:  # None when the final row has m = 0
+                out.write(f"nearest-integer distance: q = {_frac_text(d.q_distance, args)}, "
+                          f"q* = {_frac_text(d.qstar_distance, args)}\n")
             if d.ones_in_window == 0:
                 out.write("warning: no 1 bits inside the final window "
                           "(all-zero tail would break the infinite-ones assumption)\n")
@@ -226,6 +227,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "classify" and args.window > args.horizon:
+        parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:

@@ -3,19 +3,18 @@
 For an infinite bit stream V the length-j prefix has its own characteristic
 set; those values as functions of j are the order-j characteristic numbers.
 Each row is a CharacteristicSet with n = j, the same type `char_set` returns
-for a finite vector.  Its stored fields are updated incrementally:
+for a finite vector; a row stores only n, P_j, N0_j and the one-positions:
 
   * P_j by the one-step recurrence,
   * N0_j by lifting the residue from mod 2^j to mod 2^{j+1}: the lift that
     matches the parity of T^j(N0_j) keeps the vector realized (the dichotomy
     N0_{j+1} in {N0_j, N0_j + 2^j}),
-  * the inverse of 3^{m_j} mod 2^j by one Newton step per row (times the
-    inverse of 3 when a new one arrives), giving a_j,
   * the one-positions, extended on a 1 bit.
 
-That is O(1) big-int operations per row.  The other numbers are computed
-when read; reading X*_j (or K*_j, q*_j) costs m_j modular inverses, so a
-caller that reads it on every row does O(j) inverses per row.
+The loop carries only P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j): O(1) big-int
+operations per row.  Other numbers are computed when read: a_j and b_j cost
+one modular power on first read, and X*_j (or K*_j, q*_j) costs m_j of them,
+so reading X* on every row does O(j) modular powers per row.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.
@@ -56,8 +55,6 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
     pow2 = 1          # 2^{j-1} while processing row j
     N0 = 1
     u = 1             # T^{j}(N0_j) after each row
-    inv3 = 1          # 3^{-1} mod 2^j
-    inv3m = 1         # (3^m)^{-1} mod 2^j
     ones: tuple[int, ...] = ()
     for j in range(1, horizon + 1):
         try:
@@ -72,19 +69,12 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
             N0 += pow2
             u += pow3m
         u = collatz_step(u)
-        newpow2 = pow2 << 1
-        mask = newpow2 - 1
-        if j > 1:
-            inv3 = (inv3 * (2 - 3 * inv3)) & mask
-            inv3m = (inv3m * (2 - pow3m * inv3m)) & mask
         if e:
             P = 3 * P + pow2
             pow3m *= 3
             ones += (j,)
-            inv3m = (inv3m * inv3) & mask
-        pow2 = newpow2
-        yield CharacteristicSet(n=j, one_positions=ones, P=P, N0=N0,
-                                a=pow2 - inv3m if ones else None)
+        pow2 <<= 1
+        yield CharacteristicSet(n=j, one_positions=ones, P=P, N0=N0)
 
 
 def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:

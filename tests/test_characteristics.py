@@ -229,6 +229,9 @@ def test_xstar_properties_random():
         assert apply_vector(v, dec.Xstar) == dec.Ystar
         X, _ = xy_points(v)
         assert (X - dec.Xstar) % (1 << v.n) == 0
+        # (theta_k, t_k) is the (a, b) pair of (k, n - j_k + 1)
+        for r in dec.rows:
+            assert (r.theta, r.t) == ab_recurrence(r.k, v.n - r.j + 1)[-1]
 
 
 def test_compose_p():

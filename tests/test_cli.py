@@ -116,6 +116,19 @@ def test_classify_dry_source_is_inconclusive(capsys):
     assert d["candidate"] is None and "diagnostics" not in d
 
 
+def test_classify_all_zero_stream_omits_the_distance_line(capsys):
+    # the final row has m = 0, so q and q* are undefined: no text line, null in JSON
+    argv = ("classify", "cycle:0", "--horizon", "40", "--window", "8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "verdict: growing" in out and "final row 40" in out
+    assert "nearest-integer distance" not in out and "None" not in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    d = json.loads(out)["diagnostics"]
+    assert d["q_int_distance"] is None and d["qstar_int_distance"] is None
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -171,6 +184,7 @@ def test_negative_precision_is_a_usage_error(capsys, tmp_path):
         (["trajectory", "int:27", "--horizon", "0"], "--horizon"),
         (["classify", "int:27", "--horizon", "0", "--window", "1"], "--horizon"),
         (["classify", "int:27", "--horizon", "3", "--window", "0"], "--window"),
+        (["classify", "int:27", "--horizon", "3", "--window", "5"], "--window"),
         (["solve", "11", "--count", "0"], "--count"),
     ):
         with pytest.raises(SystemExit) as exc:

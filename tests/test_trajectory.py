@@ -5,6 +5,7 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_parity import (
     BitStreamExhausted,
@@ -16,6 +17,7 @@ from collatz_parity import (
     STABILIZED,
     IntegerGenerator,
     ParityVector,
+    ab_recurrence,
     apply_vector,
     asymptotic_report,
     char_set,
@@ -76,8 +78,28 @@ def test_incremental_equals_from_scratch():
             v = gen.prefix(row.n)
             assert row == char_set(v)
             if row.m:
-                # X* against the affine map, not against its own loop
+                # a and b against the paper's halving recurrence, X* against
+                # the affine map: neither oracle shares code with the rows
+                assert (row.a, row.b) == ab_recurrence(row.m, row.n)[-1]
                 assert apply_vector(v, row.Xstar) == row.Ystar
+
+
+# The length is drawn first: plain st.lists averages about 6 bits, and rows
+# past the first few dozen would rarely be reached.
+bit_lists = st.integers(1, 64).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(bit_lists)
+def test_every_row_is_the_char_set_of_its_prefix(bits):
+    gen = BitStreamGenerator(tuple(bits))
+    for row in iter_trajectory(gen, len(bits)):
+        v = gen.prefix(row.n)
+        cs = char_set(v)
+        assert row == cs and (row.a, row.b) == (cs.a, cs.b)
+        if row.m:
+            assert apply_vector(v, row.Xstar) == row.Ystar
 
 
 def test_lemma51_table1_cases():
