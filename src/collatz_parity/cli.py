@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .characteristics import char_set, solve_n0, xstar_decompose
 from .core import ParityVector, parse_generator
@@ -49,6 +49,14 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _max_digits(text: str) -> int:
+    value = int(text)
+    low = getattr(sys.int_info, "str_digits_check_threshold", 640)
+    if value != 0 and value < low:
+        raise argparse.ArgumentTypeError(f"must be 0 (no limit) or >= {low}, got {value}")
+    return value
+
+
 def _add_rational_flags(sub):
     sub.add_argument("--precision", type=_non_negative_int, default=DEFAULT_PRECISION,
                      help="decimal digits for rationals (default 12)")
@@ -63,6 +71,9 @@ def _add_out_flag(sub):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="collatz-parity",
                      description="Characteristic numbers of Collatz parity vectors")
+    parser.add_argument("--max-digits", type=_max_digits, metavar="N",
+                        help="most decimal digits an integer may have in input or output, "
+                             "0 for no limit (default: the interpreter's limit, 4300)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("analyze", parents=[], help="print the characteristic set as JSON")
@@ -224,16 +235,42 @@ _COMMANDS = {
 }
 
 
+@contextmanager
+def _int_digit_limit(limit: int | None):
+    """Set the interpreter's int/str digit limit for the call, then restore it.
+
+    Interpreters older than 3.10.7 have no limit and nothing to set.
+    """
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def _error_text(exc: Exception) -> str:
+    text = str(exc)
+    if "int_max_str_digits" in text:  # int <-> str past the interpreter's limit
+        return (f"an integer has more than {sys.get_int_max_str_digits()} decimal digits; "
+                "rerun with --max-digits N before the command (0 for no limit)")
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "classify" and args.window > args.horizon:
         parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with _int_digit_limit(args.max_digits):
+        try:
+            return _COMMANDS[args.command](args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {_error_text(exc)}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -13,8 +13,10 @@ for a finite vector; a row stores only n, P_j, N0_j and the one-positions:
 
 The loop carries only P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j): O(1) big-int
 operations per row.  Other numbers are computed when read: a_j and b_j cost
-one modular power on first read, and X*_j (or K*_j, q*_j) costs m_j of them,
-so reading X* on every row does O(j) modular powers per row.
+one modular power on first read, and X*_j (or K*_j, q*_j) costs m_j of them.
+The trajectory CSV reads none of these closed forms: `write_trajectory_csv`
+carries a_j, b_j and K*_j from row to row by the paper's halving ladder, in
+m_j small-integer steps per row and no modular power.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.
@@ -192,13 +194,12 @@ ASYMPTOTIC_FIELDS = (
 
 @dataclass(frozen=True)
 class AsymptoticReport:
-    """Exact per-row decay diagnostics plus last-row and max-over-tail summaries.
+    """Last-row and max-over-tail summaries of exact per-row decay diagnostics.
 
-    The tail is the second half of the rows; max_over_tail ignores rows where
-    a diagnostic is undefined (m = 0).
+    The tail is the second half of the rows, from row `tail_start`;
+    max_over_tail ignores rows where a diagnostic is undefined (m = 0).
     """
 
-    rows: tuple[CharacteristicSet, ...]
     tail_start: int
     last: dict
     max_over_tail: dict
@@ -215,5 +216,4 @@ def asymptotic_report(rows: Iterable[CharacteristicSet]) -> AsymptoticReport:
     for name in ASYMPTOTIC_FIELDS:
         values = [getattr(r, name) for r in tail if getattr(r, name) is not None]
         max_over_tail[name] = max(values) if values else None
-    return AsymptoticReport(rows=rows, tail_start=tail_start + 1, last=last,
-                            max_over_tail=max_over_tail)
+    return AsymptoticReport(tail_start=tail_start + 1, last=last, max_over_tail=max_over_tail)

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -186,6 +187,7 @@ def test_negative_precision_is_a_usage_error(capsys, tmp_path):
         (["classify", "int:27", "--horizon", "3", "--window", "0"], "--window"),
         (["classify", "int:27", "--horizon", "3", "--window", "5"], "--window"),
         (["solve", "11", "--count", "0"], "--count"),
+        (["--max-digits", "1", "analyze", "11"], "--max-digits"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(path)])
@@ -197,3 +199,27 @@ def test_negative_precision_is_a_usage_error(capsys, tmp_path):
         main(["trajectory", "int:27", "--precision", "-1"])
     assert exc.value.code == 64
     assert capsys.readouterr().out == ""
+
+
+def test_digit_limit_is_an_error_naming_max_digits(capsys):
+    # X = P*a of 6000 ones has about 4670 digits, past the default 4300
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "analyze", "1" * 6000)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--max-digits" in err and str(limit) in err
+
+
+def test_max_digits_zero_lifts_the_limit(capsys):
+    before = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    code, out, err = run(capsys, "--max-digits", "0", "analyze", "1" * 6000)
+    assert code == 0 and err == ""
+    d = json.loads(out)
+    assert len(d["X"]) > 4300 and d["X"].isdigit()
+    X = char_set(ParityVector.from_string("1" * 6000)).X
+    digits = len(d["X"])
+    assert 10 ** (digits - 1) <= X < 10**digits and int(d["X"][-30:]) == X % 10**30
+    if before is not None:  # the limit is the caller's again after the call
+        assert sys.get_int_max_str_digits() == before

@@ -5,11 +5,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_parity import ParityVector, char_set, iter_trajectory, parse_generator
 from collatz_parity.report import (
+    DEFAULT_PRECISION,
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
+    _round_half_even,
     charset_to_json_dict,
     format_rational,
     load_fixtures,
@@ -42,6 +45,22 @@ def test_format_rational_half_even():
 def test_format_rational_exact():
     assert format_rational(Fraction(79, 16), exact=True) == "79/16"
     assert format_rational(Fraction(10), exact=True) == "10"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(-10**30, 10**30) | st.just(0), st.integers(1, 10**20), st.integers(0, 12))
+def test_round_half_even_matches_fraction(p, q, digits):
+    assert _round_half_even(p, q, digits) == round(Fraction(p, q) * 10**digits)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.integers(-10**12, 10**12), st.integers(0, 12), st.integers(0, 40))
+def test_round_half_even_ties(u, digits, extra):
+    # p * 10^digits / q = (2u + 1) 5^digits / 2 exactly, with q a power of 2
+    p, q = (2 * u + 1) << extra, 1 << (digits + 1 + extra)
+    assert (p * 10**digits) % q == q // 2
+    expected = round(Fraction(p, q) * 10**digits)
+    assert _round_half_even(p, q, digits) == expected and expected % 2 == 0
 
 
 def test_charset_json_round_trip():
@@ -108,6 +127,24 @@ def test_trajectory_csv_exact_mode():
     cells = line.split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
     assert cells[header.index("r0_j")] == "7/8"
+
+
+def test_trajectory_csv_rejects_rows_that_do_not_follow_on():
+    rows = list(iter_trajectory(parse_generator("int:7"), 3))
+    for bad in ([rows[1]], [rows[0], rows[2]], [char_set(PV("0")), char_set(PV("11"))]):
+        with pytest.raises(ValueError, match="consecutive"):
+            write_trajectory_csv(bad, io.StringIO())
+    write_trajectory_csv([rows[0], char_set(PV("10"))], io.StringIO())  # prefixes of one stream
+
+
+@pytest.mark.parametrize("spec", ["int:27", "cycle:100", "head:1101;cycle:01"])
+def test_csv_equals_the_closed_form_rendering(spec):
+    rows = list(iter_trajectory(parse_generator(spec), 300))
+    for digits in (DEFAULT_PRECISION, 0, 3):
+        out = io.StringIO()
+        write_trajectory_csv(rows, out, digits)
+        closed_form = [trajectory_csv_line(row, digits) for row in rows]
+        assert out.getvalue().split("\n") == [TRAJECTORY_CSV_HEADER, *closed_form, ""]
 
 
 def test_load_fixtures_default_corpus():

@@ -1,5 +1,6 @@
 """Order-j rows, the r0 dichotomy, and the horizon-bounded classifier."""
 
+import io
 import random
 import types
 from fractions import Fraction
@@ -26,6 +27,7 @@ from collatz_parity import (
     lemma51_check,
     parse_generator,
 )
+from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
 
 PV = ParityVector.from_string
 
@@ -100,6 +102,27 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
         assert row == cs and (row.a, row.b) == (cs.a, cs.b)
         if row.m:
             assert apply_vector(v, row.Xstar) == row.Ystar
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(bit_lists)
+def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
+    rows = list(iter_trajectory(BitStreamGenerator(tuple(bits)), len(bits)))
+    out = io.StringIO()
+    write_trajectory_csv(rows, out)
+    header = TRAJECTORY_CSV_HEADER.split(",")
+    columns = [header.index(name) for name in ("a_j", "b_j", "Kstar_j")]
+    for row, line in zip(rows, out.getvalue().splitlines()[1:], strict=True):
+        cells = line.split(",")
+        a, b, kstar = (cells[i] for i in columns)
+        if row.m == 0:
+            assert a == b == kstar == ""
+            continue
+        # against _solve_ab and _xstar, which share no code with the ladder
+        assert (int(a), int(b), int(kstar)) == (row.a, row.b, row.Kstar)
+        assert 0 <= int(kstar) < row.m
+        if row.n % 16 == 0 or row.n == len(bits):
+            assert (int(a), int(b)) == ab_recurrence(row.m, row.n)[-1]
 
 
 def test_lemma51_table1_cases():

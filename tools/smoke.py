@@ -1,0 +1,148 @@
+"""Smoke check of the library and the CLI contract, standard library only.
+
+For interpreters that have no pytest.  Run it with the interpreter to check,
+from any directory:
+
+    python3 tools/smoke.py
+
+It runs `verify`, every demo and a few CLI calls in child processes of the
+same interpreter, with this checkout's src/ on PYTHONPATH, and prints one
+PASS or FAIL line per check.  The exit status is 0 when every check passes
+and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+SIX_THOUSAND_ONES = "1" * 6000
+
+
+def run(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], env=ENV, capture_output=True,
+                          text=True, timeout=300)
+
+
+def cli(*argv: str) -> subprocess.CompletedProcess:
+    return run("-m", "collatz_parity.cli", *argv)
+
+
+def check_verify() -> str:
+    proc = cli("verify")
+    last = proc.stdout.splitlines()[-1] if proc.stdout else ""
+    if proc.returncode != 0 or not last.endswith(" 0 failed"):
+        return f"exit {proc.returncode}, last line {last!r}"
+    return ""
+
+
+def check_demos() -> str:
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        proc = run(str(demo))
+        if proc.returncode != 0:
+            return f"{demo.name} exit {proc.returncode}: {proc.stderr.strip()[-200:]}"
+    return ""
+
+
+def check_domain_errors() -> str:
+    # exit 1 with exactly one line on stderr
+    for argv in (("trajectory", "cycle:102", "--horizon", "5"),
+                 ("trajectory", "bits:101", "--horizon", "10"),
+                 ("solve", "10a1")):
+        proc = cli(*argv)
+        lines = proc.stderr.splitlines()
+        if proc.returncode != 1 or len(lines) != 1 or not lines[0].startswith("error: "):
+            return f"{' '.join(argv)}: exit {proc.returncode}, stderr {proc.stderr!r}"
+    return ""
+
+
+def check_usage_errors() -> str:
+    # exit 64, one error line after the usage, nothing on stdout or in --out
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        for argv in (("frobnicate",),
+                     ("trajectory", "int:27", "--precision", "-1"),
+                     ("classify", "int:27", "--horizon", "3", "--window", "5"),
+                     ("solve", "11", "--count", "0"),
+                     ("--max-digits", "5", "analyze", "11")):
+            proc = cli(*argv, "--out", path)
+            errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+            if (proc.returncode != 64 or proc.stdout or len(errors) != 1
+                    or os.path.exists(path)):
+                return f"{' '.join(argv)}: exit {proc.returncode}, stderr {proc.stderr!r}"
+    return ""
+
+
+def check_success() -> str:
+    proc = cli("analyze", "1101001")
+    if proc.returncode != 0 or json.loads(proc.stdout)["N0"] != "11":
+        return f"analyze 1101001: exit {proc.returncode}"
+    return ""
+
+
+def check_digit_limit() -> str:
+    # X = P*a of 6000 ones has about 4670 decimal digits
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    proc = cli("analyze", SIX_THOUSAND_ONES)
+    if has_limit:
+        if (proc.returncode != 1 or len(proc.stderr.splitlines()) != 1
+                or "--max-digits" not in proc.stderr):
+            return f"default limit: exit {proc.returncode}, stderr {proc.stderr[:200]!r}"
+    elif proc.returncode != 0:
+        return f"no limit on this interpreter, yet exit {proc.returncode}"
+    proc = cli("--max-digits", "0", "analyze", SIX_THOUSAND_ONES)
+    if proc.returncode != 0 or len(json.loads(proc.stdout)["X"]) <= 4300:
+        return f"--max-digits 0: exit {proc.returncode}, stderr {proc.stderr[:200]!r}"
+    return ""
+
+
+def check_csv_oracle() -> str:
+    # the CSV carries a, b and K* from row to row; the oracle reads them
+    # from each row's closed forms
+    sys.path.insert(0, str(SRC))
+    from collatz_parity import iter_trajectory, parse_generator
+    from collatz_parity.report import TRAJECTORY_CSV_HEADER, trajectory_csv_line
+
+    proc = cli("trajectory", "int:27", "--horizon", "300")
+    rows = iter_trajectory(parse_generator("int:27"), 300)
+    expected = "\n".join([TRAJECTORY_CSV_HEADER, *map(trajectory_csv_line, rows), ""])
+    if proc.returncode != 0 or proc.stdout != expected:
+        return f"exit {proc.returncode}; the CSV differs from the closed-form rendering"
+    return ""
+
+
+CHECKS = {
+    "verify": check_verify,
+    "demos": check_demos,
+    "exit 0": check_success,
+    "exit 1, one error line": check_domain_errors,
+    "exit 64, nothing written": check_usage_errors,
+    "digit limit and --max-digits": check_digit_limit,
+    "trajectory CSV = closed forms": check_csv_oracle,
+}
+
+
+def main() -> int:
+    failed = 0
+    version = ".".join(map(str, sys.version_info[:3]))
+    for name, check in CHECKS.items():
+        try:
+            problem = check()
+        except Exception as exc:  # a crashing check is a failing check
+            problem = f"{type(exc).__name__}: {exc}"
+        failed += bool(problem)
+        print(f"FAIL {name}: {problem}" if problem else f"PASS {name}")
+    print(f"python {version}: {len(CHECKS) - failed} passed, {failed} failed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
