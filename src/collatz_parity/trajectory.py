@@ -12,8 +12,13 @@ for a finite vector; a row stores only n, P_j, N0_j and the one-positions:
   * the one-positions, extended on a 1 bit.
 
 The loop carries only P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j): O(1) big-int
-operations per row.  Other numbers are computed when read: a_j and b_j cost
-one modular power on first read, and X*_j (or K*_j, q*_j) costs m_j of them.
+operations per row.  That is not O(1) work per row: each row also copies its
+m_j one-positions, so keeping H rows costs O(H^2) memory.  Other numbers are
+computed when read: a_j and b_j cost one modular power on first read, and
+X*_j (with Y*_j, K*_j and q*_j, from one cached loop) costs m_j exact
+divisions by 3 and m_j products with 3^k, no modular power.  That loop takes
+about 3 ms at j = 2048, m_j = 1024, down from 62 ms with a modular power per
+one (Python 3.11, shared 2-core machine).
 The trajectory CSV reads none of these closed forms: `write_trajectory_csv`
 carries a_j, b_j and K*_j from row to row by the paper's halving ladder, in
 m_j small-integer steps per row and no modular power.

@@ -5,7 +5,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from collatz_parity import characteristics
 from collatz_parity import (
     ParityVector,
     ab_family_member,
@@ -232,6 +234,63 @@ def test_xstar_properties_random():
         # (theta_k, t_k) is the (a, b) pair of (k, n - j_k + 1)
         for r in dec.rows:
             assert (r.theta, r.t) == ab_recurrence(r.k, v.n - r.j + 1)[-1]
+
+
+# The length is drawn first, as in test_trajectory.py: plain st.lists averages
+# about 6 bits, far too short for the theta chain to run long.
+bit_lists = st.integers(1, 400).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(bit_lists)
+def test_xstar_rows_match_the_closed_form_solve(bits):
+    # each theta_k comes from the one before; the oracle solves each alone
+    v = ParityVector(tuple(bits))
+    cs = char_set(v)
+    if cs.m == 0:
+        assert cs.Xstar is None and cs.Ystar is None
+        with pytest.raises(ValueError):
+            xstar_decompose(v)
+        return
+    dec = xstar_decompose(v)
+    for r in dec.rows:
+        assert (r.theta, r.t) == characteristics._solve_ab(r.k, v.n - r.j + 1)
+        assert r.z == r.theta << (r.j - 1)
+    assert (cs.Xstar, cs.Ystar) == (dec.Xstar, dec.Ystar)
+    assert apply_vector(v, dec.Xstar) == dec.Ystar
+
+
+def test_xstar_rows_match_ab_recurrence_n_le_10():
+    for n in range(1, 11):
+        for mask in range(1, 1 << n):
+            v = ParityVector(tuple((mask >> i) & 1 for i in range(n)))
+            for r in xstar_decompose(v).rows:
+                assert (r.theta, r.t) == ab_recurrence(r.k, n - r.j + 1)[-1]
+
+
+def test_xstar_ystar_kstar_qstar_share_one_loop(monkeypatch):
+    calls = []
+    loop = characteristics._xstar
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(characteristics, "_xstar", counted)
+    cs = char_set(PV("1011010111"))
+    assert (cs.Xstar, cs.Ystar, cs.Kstar, cs.qstar) == (4409, 9422, 4, Fraction(4409, 1024))
+    assert len(calls) == 1
+
+
+def test_p_three_forms_agree():
+    rng = random.Random(17)
+    vectors = [ParityVector((0,) * n) for n in (1, 2, 400)]
+    vectors += [ParityVector(tuple(int(i == j) for i in range(n)))
+                for n, j in ((1, 0), (2, 0), (2, 1), (257, 128), (400, 0), (400, 399))]
+    vectors += [random_vector(rng, rng.randint(1, 400)) for _ in range(200)]
+    for v in vectors:
+        assert char_set(v).P == p_closed_form(v) == p_recurrence(v)[-1]
 
 
 def test_compose_p():

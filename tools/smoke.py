@@ -119,6 +119,31 @@ def check_csv_oracle() -> str:
     return ""
 
 
+def check_xstar_oracle() -> str:
+    # the CLI takes each theta_k from the one before; the oracle solves each
+    # from scratch, 3^k theta = -1 mod 2^L with L = n - j_k + 1
+    bits = format(3**189, "b")  # 300 bits, 151 of them ones
+    n = len(bits)
+    ones = [j for j, ch in enumerate(bits, start=1) if ch == "1"]
+    m = len(ones)
+    rows = []
+    for k, j in enumerate(ones, start=1):
+        L = n - j + 1
+        theta = (1 << L) - pow(3, -k, 1 << L)
+        rows.append({"k": k, "j": j, "theta": str(theta), "z": str(theta << (j - 1)),
+                     "t": str((3**k * theta + 1) >> L)})
+    xstar = sum(int(r["z"]) for r in rows)
+    ystar = sum(3 ** (m - r["k"]) * int(r["t"]) for r in rows)
+    P = sum(3 ** (m - k) << (j - 1) for k, j in enumerate(ones, start=1))
+    X = P * ((1 << n) - pow(3, -m, 1 << n))
+    expected = {"rows": rows, "Xstar": str(xstar), "Ystar": str(ystar),
+                "J": str((X - xstar) >> n)}
+    proc = cli("xstar", bits, "--json")
+    if proc.returncode != 0 or json.loads(proc.stdout) != expected:
+        return f"exit {proc.returncode}; the X* table differs from the closed forms"
+    return ""
+
+
 CHECKS = {
     "verify": check_verify,
     "demos": check_demos,
@@ -127,6 +152,7 @@ CHECKS = {
     "exit 64, nothing written": check_usage_errors,
     "digit limit and --max-digits": check_digit_limit,
     "trajectory CSV = closed forms": check_csv_oracle,
+    "xstar --json = closed forms": check_xstar_oracle,
 }
 
 
