@@ -21,7 +21,8 @@ from .report import (
     report_to_json,
     run_fixtures,
     write_trajectory_csv,
-    xstar_to_json_dict,
+    write_xstar_json,
+    write_xstar_table,
 )
 from .trajectory import DEFAULT_HORIZON, DEFAULT_WINDOW, classify, iter_trajectory
 
@@ -140,16 +141,7 @@ def _cmd_solve(args) -> int:
 def _cmd_xstar(args) -> int:
     dec = xstar_decompose(ParityVector.from_string(args.bits))
     with _open_out(args) as out:
-        if args.json:
-            json.dump(xstar_to_json_dict(dec), out, indent=2)
-            out.write("\n")
-            return 0
-        out.write(f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}\n")
-        for r in dec.rows:
-            out.write(f"{r.k:>3} {r.j:>5} {r.theta:>24} {r.z:>24} {r.t:>24}\n")
-        out.write(f"Xstar = {dec.Xstar}\n")
-        out.write(f"Ystar = {dec.Ystar}\n")
-        out.write(f"J = {dec.J}\n")
+        (write_xstar_json if args.json else write_xstar_table)(dec, out)
     return 0
 
 

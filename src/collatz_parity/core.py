@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 
@@ -60,14 +61,14 @@ class ParityVector:
     def __post_init__(self):
         if len(self.bits) == 0:
             raise ValueError("parity vector must be nonempty")
-        if any(b not in (0, 1) for b in self.bits):
+        if not {0, 1}.issuperset(self.bits):
             raise ValueError("parity vector bits must be 0 or 1")
 
     @classmethod
     def from_string(cls, s: str) -> "ParityVector":
-        if not s or any(ch not in "01" for ch in s):
+        if not s or s.strip("01"):
             raise ValueError(f"invalid bitstring {s!r}: need nonempty string of '0'/'1'")
-        return cls(tuple(int(ch) for ch in s))
+        return cls(tuple(map(int, s)))
 
     @property
     def n(self) -> int:
@@ -79,7 +80,7 @@ class ParityVector:
 
     def one_positions(self) -> tuple[int, ...]:
         """1-based positions j with e_j = 1, ascending."""
-        return tuple(i for i, b in enumerate(self.bits, start=1) if b)
+        return tuple(compress(range(1, len(self.bits) + 1), self.bits))
 
     def concat(self, other: "ParityVector") -> "ParityVector":
         return ParityVector(self.bits + other.bits)

@@ -11,10 +11,18 @@ rational cells are rounded from their known denominators 2^n, 3^m and
 2^n 3^m without building a Fraction.  `trajectory int:27 --horizon 1000`
 (2000) takes about 0.2 s (0.5 s) for a whole CLI call on a shared 2-core
 machine, Python 3.11.
+
+The X* table is written one row per `write`, in the layout `json.dump` with
+`indent=2` gives, since that encoder runs in pure Python and writes once per
+token (about 24,600 writes for 2048 bits with 1024 ones).  An in-process
+`xstar --json` call on such a vector takes about 21 ms instead of 30-37 ms;
+most of the rest is converting its big integers to decimal.  X*, Y* and J
+are converted first, so a digit-limit error writes nothing.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,16 +97,37 @@ def charset_to_json_dict(cs: CharacteristicSet) -> dict:
     }
 
 
-def xstar_to_json_dict(dec: XStarDecomposition) -> dict:
-    return {
-        "rows": [
-            {"k": r.k, "j": r.j, "theta": str(r.theta), "z": str(r.z), "t": str(r.t)}
-            for r in dec.rows
-        ],
-        "Xstar": str(dec.Xstar),
-        "Ystar": str(dec.Ystar),
-        "J": str(dec.J),
-    }
+def _xstar_totals(dec: XStarDecomposition) -> tuple[str, str, str]:
+    # X*, Y* and J as text, converted before anything is written.  Every
+    # theta_k <= z_k is at most X* and every t_k is at most Y*, all positive,
+    # so if these three convert under the interpreter's digit limit, so does
+    # every cell, and a digit-limit error leaves the output empty.
+    return str(dec.Xstar), str(dec.Ystar), str(dec.J)
+
+
+def write_xstar_json(dec: XStarDecomposition, out: IO[str]) -> None:
+    """The X* table as JSON, byte for byte as `json.dump(..., indent=2)` and a newline give it.
+
+    Integers other than k and j are decimal strings.  One write per row, and
+    nothing is written if a number is past the interpreter's digit limit.
+    """
+    xstar, ystar, J = _xstar_totals(dec)
+    out.write('{\n  "rows": [')
+    sep = "\n"
+    for r in dec.rows:  # xstar_decompose gives at least one row
+        out.write(f'{sep}    {{\n      "k": {r.k},\n      "j": {r.j},\n'
+                  f'      "theta": "{r.theta}",\n      "z": "{r.z}",\n      "t": "{r.t}"\n    }}')
+        sep = ",\n"
+    out.write(f'\n  ],\n  "Xstar": "{xstar}",\n  "Ystar": "{ystar}",\n  "J": "{J}"\n}}\n')
+
+
+def write_xstar_table(dec: XStarDecomposition, out: IO[str]) -> None:
+    """The X* table as fixed-width text; nothing is written if a number is past the digit limit."""
+    xstar, ystar, J = _xstar_totals(dec)
+    out.write(f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}\n")
+    for r in dec.rows:
+        out.write(f"{r.k:>3} {r.j:>5} {r.theta:>24} {r.z:>24} {r.t:>24}\n")
+    out.write(f"Xstar = {xstar}\nYstar = {ystar}\nJ = {J}\n")
 
 
 TRAJECTORY_CSV_HEADER = (
@@ -225,7 +254,9 @@ def _ab_results(inp: dict) -> dict:
 
 
 def _xstar_results(inp: dict) -> dict:
-    results = xstar_to_json_dict(xstar_decompose(_vector(inp)))
+    buf = io.StringIO()
+    write_xstar_json(xstar_decompose(_vector(inp)), buf)
+    results = json.loads(buf.getvalue())
     rows = results.pop("rows")
     for key in ("theta", "z", "t"):
         results[key] = [row[key] for row in rows]

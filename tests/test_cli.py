@@ -212,6 +212,22 @@ def test_digit_limit_is_an_error_naming_max_digits(capsys):
     assert err.startswith("error: ") and "--max-digits" in err and str(limit) in err
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+def test_xstar_past_the_digit_limit_writes_nothing(capsys, tmp_path, flags, to_file):
+    # Y* of 2000 ones has 958 digits, but the first t_k past 640 digits is
+    # at k = 1343, after rows that a writer converting row by row would write
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    path = tmp_path / "xstar.out"
+    out_flag = ["--out", str(path)] if to_file else []
+    code, out, err = run(capsys, "--max-digits", "640", "xstar", "1" * 2000, *flags, *out_flag)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "--max-digits" in err
+    if to_file:
+        assert path.read_text() == ""
+
+
 def test_max_digits_zero_lifts_the_limit(capsys):
     before = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
     code, out, err = run(capsys, "--max-digits", "0", "analyze", "1" * 6000)

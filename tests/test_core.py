@@ -70,6 +70,14 @@ def test_parity_vector_validation():
         ParityVector.from_string("")
 
 
+@pytest.mark.parametrize("bad", ["", "012", "01\n", " 01", "１"])
+def test_from_string_rejects_anything_but_ascii_0_and_1(bad):
+    # "１" is a fullwidth 1, which int() would accept
+    with pytest.raises(ValueError) as exc:
+        ParityVector.from_string(bad)
+    assert str(exc.value) == f"invalid bitstring {bad!r}: need nonempty string of '0'/'1'"
+
+
 def test_parity_vector_helpers():
     v = ParityVector.from_string("101101")
     assert v.n == 6 and v.ones == 4

@@ -20,7 +20,7 @@ from collatz_parity.report import (
     run_fixtures,
     trajectory_csv_line,
     write_trajectory_csv,
-    xstar_to_json_dict,
+    write_xstar_json,
 )
 from collatz_parity.characteristics import xstar_decompose
 
@@ -84,10 +84,47 @@ def test_analyze_json_contains_p_string():
     assert d["a"] == "79" and d["b"] == "50"
 
 
+def xstar_json_text(v: ParityVector) -> str:
+    out = io.StringIO()
+    write_xstar_json(xstar_decompose(v), out)
+    return out.getvalue()
+
+
 def test_xstar_json():
-    d = xstar_to_json_dict(xstar_decompose(PV("1011010111")))
+    d = json.loads(xstar_json_text(PV("1011010111")))
     assert d["Xstar"] == "4409" and d["Ystar"] == "9422" and d["J"] == "1214"
     assert d["rows"][0] == {"k": 1, "j": 1, "theta": "341", "z": "341", "t": "1"}
+
+
+def json_dump_layout(v: ParityVector) -> str:
+    # the document as json.dump(..., indent=2) wrote it before the streaming writer
+    dec = xstar_decompose(v)
+    doc = {
+        "rows": [{"k": r.k, "j": r.j, "theta": str(r.theta), "z": str(r.z), "t": str(r.t)}
+                 for r in dec.rows],
+        "Xstar": str(dec.Xstar), "Ystar": str(dec.Ystar), "J": str(dec.J),
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bits", ["1", "0001", "1000", "1" * 64, "1011010111"])
+def test_xstar_json_is_the_json_dump_layout(bits):
+    assert xstar_json_text(PV(bits)) == json_dump_layout(PV(bits))
+
+
+# the length first, then the bits, with at least one 1
+vectors_with_a_one = st.integers(1, 400).flatmap(
+    lambda n: st.tuples(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                        st.integers(0, n - 1)))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(vectors_with_a_one)
+def test_xstar_json_is_the_json_dump_layout_random(drawn):
+    bits, one = drawn
+    bits[one] = 1
+    v = ParityVector(tuple(bits))
+    assert xstar_json_text(v) == json_dump_layout(v)
 
 
 def test_trajectory_csv_header_and_shape():

@@ -139,7 +139,8 @@ def check_xstar_oracle() -> str:
     expected = {"rows": rows, "Xstar": str(xstar), "Ystar": str(ystar),
                 "J": str((X - xstar) >> n)}
     proc = cli("xstar", bits, "--json")
-    if proc.returncode != 0 or json.loads(proc.stdout) != expected:
+    # byte for byte: the CLI streams the layout json.dumps(..., indent=2) gives
+    if proc.returncode != 0 or proc.stdout != json.dumps(expected, indent=2) + "\n":
         return f"exit {proc.returncode}; the X* table differs from the closed forms"
     return ""
 
