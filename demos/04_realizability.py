@@ -29,8 +29,8 @@ def show(spec: str, horizon: int, window: int) -> None:
     if d is not None:
         print(f"  final row: m/n = {d.m_over_n} ~ {float(d.m_over_n):.4f}, "
               f"P/2^n ~ {float(d.P_over_2n):.4f}")
-        print(f"  nearest-integer distance of q:  {float(d.q_distance):.3e}")
-        print(f"  nearest-integer distance of q*: {float(d.qstar_distance):.3e}")
+        # q = X/2^n and q* = X*/2^n differ from r0 = N0/2^n by integers
+        print(f"  nearest-integer distance of q and q*: {float(d.int_distance):.3e}")
 
 
 print("== a stream that is realized by 27 ==")

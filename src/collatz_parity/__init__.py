@@ -1,9 +1,9 @@
 """Exact-arithmetic characteristic numbers of Collatz parity vectors.
 
-Finite parity vectors get their full characteristic set (n, m, P, c, a, b,
-alpha, beta, A, B, N0, X, Y, X*, Y*); infinite bit streams get order-j
-characteristic rows, the same CharacteristicSet for each prefix, and a
-horizon-bounded realizability verdict.
+Finite parity vectors get their characteristic set (n, m, P, N0, and c, a,
+b, alpha, beta, A, B, X, Y derived from them) and the X* decomposition;
+infinite bit streams get order-j rows, the same CharacteristicSet for each
+prefix, and a horizon-bounded realizability verdict.
 """
 
 from .core import (

@@ -14,12 +14,12 @@ all exact integers or rationals attached to v:
     X, Y      P*a and P*b; X realizes v and T^n(X) = Y
     X*, Y*    the odd-residue decomposition over one-positions; X* realizes v
 
-a and b, and with a N0, come from one closed-form solve, `_solve_ab`; the
-paper's halving recurrence `ab_recurrence` stays as its oracle.  X* takes each
-theta_k from the one before by an exact division by 3, with no modular power,
-and `char_set` sums P by Horner over the one-positions; the closed forms stay
-as their oracles.  Realizers of v are exactly the arithmetic progression
-N0 + 2^n * k.
+A CharacteristicSet stores n, m, P and N0, and the rest derive from them.  X*
+and Y* need the one-positions, so they come from the vector, by
+`xstar_decompose(v)`.  a and b, and with a N0, come from one closed-form
+solve, `_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
+oracle; X* takes each theta_k from the one before by an exact division by 3,
+and `char_set` sums P by Horner.  Realizers of v are exactly N0 + 2^n * k.
 """
 
 from __future__ import annotations
@@ -36,24 +36,16 @@ from .core import ParityVector
 class CharacteristicSet:
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
-    Only n, the one-positions j_1 < ... < j_m, P and N0 are stored; every other
-    number is computed on read.  a and b come from one solve, cached on first
-    read; they and the numbers that need them or the ones are None when m = 0
-    (the equation needs m >= 1).  Xstar and Ystar come from one loop over the
-    ones, cached on first read and shared by Kstar and qstar: per one, an exact
-    division by 3 and a product with 3^k, no modular power.  On a 2048-bit
-    vector, half of it ones, the loop takes about 3 ms; it took 62 ms when each
-    theta_k was solved by a modular power (Python 3.11, shared 2-core machine).
+    Only n, m, P and N0 are stored; every other number is computed on read.
+    a and b come from one solve, cached on first read; they and the numbers
+    that need them are None when m = 0 (the equation needs m >= 1).  X* needs
+    the one-positions, so `xstar_decompose` reads it from the vector.
     """
 
     n: int
-    one_positions: tuple[int, ...]
+    m: int
     P: int
     N0: int
-
-    @property
-    def m(self) -> int:
-        return len(self.one_positions)
 
     @property
     def c(self) -> int:
@@ -95,27 +87,10 @@ class CharacteristicSet:
     def Y(self) -> int | None:
         return None if self.a is None else self.P * self.b
 
-    @cached_property
-    def _stars(self) -> tuple[int, int] | tuple[None, None]:
-        return _xstar(self.one_positions, self.n) if self.m else (None, None)
-
-    @property
-    def Xstar(self) -> int | None:
-        return self._stars[0]
-
-    @property
-    def Ystar(self) -> int | None:
-        return self._stars[1]
-
     @property
     def K(self) -> int | None:
         """X = N0 + 2^n K."""
         return None if self.a is None else (self.X - self.N0) >> self.n
-
-    @property
-    def Kstar(self) -> int | None:
-        """X* = N0 + 2^n K*."""
-        return None if self.m == 0 else (self.Xstar - self.N0) >> self.n
 
     @property
     def f1(self) -> int | None:
@@ -133,10 +108,6 @@ class CharacteristicSet:
     @property
     def q(self) -> Fraction | None:
         return None if self.a is None else Fraction(self.X, 1 << self.n)
-
-    @property
-    def qstar(self) -> Fraction | None:
-        return None if self.m == 0 else Fraction(self.Xstar, 1 << self.n)
 
     @property
     def m_over_n(self) -> Fraction:
@@ -173,20 +144,10 @@ class CharacteristicSet:
             return None
         return abs(Fraction(self.a, 1 << self.n) - Fraction(self.b, 3**self.m))
 
-    @property
-    def q_int_distance(self) -> Fraction | None:
-        return None if self.a is None else _int_distance(self.q)
-
-    @property
-    def qstar_int_distance(self) -> Fraction | None:
-        return None if self.m == 0 else _int_distance(self.qstar)
-
     def check(self) -> None:
         """Re-verify the identities that tie the stored fields together; raises AssertionError."""
         pow2 = 1 << self.n
         pow3 = 3**self.m
-        ones = self.one_positions
-        assert all(i < j for i, j in zip((0,) + ones, ones + (self.n + 1,)))
         assert 1 <= self.N0 <= pow2 and (pow3 * self.N0 + self.P) % pow2 == 0
         if self.m == 0:
             assert self.P == 0 and self.a is None
@@ -239,15 +200,14 @@ class XStarDecomposition:
         assert lifted % pow2 == 0 and lifted // pow2 == self.Ystar
 
 
-def _xstar(ones: tuple[int, ...], n: int,
-           rows: list[XStarRow] | None = None) -> tuple[int, int]:
-    # X* and Y* over the one-positions of a length-n vector.  theta_k is
-    # -3^-k mod 2^L with L = n - j_k + 1, and L falls as k rises, so each theta
-    # comes from the one before with no modular power: reduce it mod 2^L, then
-    # divide it by 3 exactly mod 2^L, adding r * 2^L with r in {0, 1, 2} so
-    # that the sum is a multiple of 3 (2^L = (-1)^L mod 3 gives r).  The start
-    # theta_0 = -1 becomes 2^L - 1 under the first mask.  The per-one rows are
-    # built only when `rows` is given, for `xstar_decompose`.
+def _xstar(ones: tuple[int, ...], n: int) -> tuple[list[XStarRow], int, int]:
+    # The per-one rows, X* and Y* over the one-positions of a length-n vector.
+    # theta_k is -3^-k mod 2^L with L = n - j_k + 1, and L falls as k rises, so
+    # each theta comes from the one before with no modular power: reduce it mod
+    # 2^L, then divide it by 3 exactly mod 2^L, adding r * 2^L with r in
+    # {0, 1, 2} so that the sum is a multiple of 3 (2^L = (-1)^L mod 3 gives
+    # r).  The start theta_0 = -1 becomes 2^L - 1 under the first mask.
+    rows = []
     Xstar = 0
     Ystar = 0
     pow3 = 1
@@ -260,11 +220,10 @@ def _xstar(ones: tuple[int, ...], n: int,
         pow3 *= 3
         t = (pow3 * theta + 1) >> L
         z = theta << (j - 1)
-        if rows is not None:
-            rows.append(XStarRow(k, j, theta, z, t))
+        rows.append(XStarRow(k, j, theta, z, t))
         Xstar += z
         Ystar = 3 * Ystar + t
-    return Xstar, Ystar
+    return rows, Xstar, Ystar
 
 
 def p_recurrence(v: ParityVector) -> tuple[int, ...]:
@@ -377,12 +336,12 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
     which the congruence forces to be odd; t_k is the matching cofactor, and
     Y* = sum 3^{m-k} t_k satisfies T^n(X*) = Y*.
     """
-    cs = char_set(v)
-    if cs.m == 0:
+    ones = v.one_positions()
+    if not ones:
         raise ValueError("xstar_decompose requires at least one 1 bit (m >= 1)")
-    rows: list[XStarRow] = []
-    Xstar, Ystar = _xstar(cs.one_positions, cs.n, rows)
-    return XStarDecomposition(tuple(rows), Xstar, Ystar, J=(cs.X - Xstar) >> cs.n)
+    rows, Xstar, Ystar = _xstar(ones, v.n)
+    a, b = _solve_ab(len(ones), v.n)
+    return XStarDecomposition(tuple(rows), Xstar, Ystar, J=a * Ystar - b * Xstar)
 
 
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:
@@ -469,4 +428,4 @@ def char_set(v: ParityVector) -> CharacteristicSet:
     for j in ones:
         P = 3 * P + (1 << (j - 1))
     a = _solve_ab(len(ones), v.n)[0] if ones else 0
-    return CharacteristicSet(n=v.n, one_positions=ones, P=P, N0=P * a % pow2 or pow2)
+    return CharacteristicSet(n=v.n, m=len(ones), P=P, N0=P * a % pow2 or pow2)

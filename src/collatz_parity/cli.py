@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 
 from .characteristics import char_set, solve_n0, xstar_decompose
 from .core import ParityVector, parse_generator
@@ -27,6 +27,7 @@ from .report import (
 from .trajectory import DEFAULT_HORIZON, DEFAULT_WINDOW, classify, iter_trajectory
 
 USAGE_ERROR = 64
+_C_INT_MAX = 2**31 - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,6 +56,8 @@ def _max_digits(text: str) -> int:
     low = getattr(sys.int_info, "str_digits_check_threshold", 640)
     if value != 0 and value < low:
         raise argparse.ArgumentTypeError(f"must be 0 (no limit) or >= {low}, got {value}")
+    if value > _C_INT_MAX:  # sys.set_int_max_str_digits takes a C int
+        raise argparse.ArgumentTypeError(f"must be <= {_C_INT_MAX}, got {value}")
     return value
 
 
@@ -115,9 +118,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _OutFile(AbstractContextManager):
+    """The --out file, opened on the first write; a call that fails before then leaves it alone."""
+
+    def __init__(self, path: str):
+        self.path, self.file = path, None
+
+    def write(self, text: str) -> int:
+        if self.file is None:
+            self.file = open(self.path, "w", encoding="utf-8")
+        return self.file.write(text)
+
+    def __exit__(self, *exc):
+        if self.file is not None:
+            self.file.close()
+
+
 def _open_out(args):
     if getattr(args, "out", None):
-        return open(args.out, "w", encoding="utf-8")
+        return _OutFile(args.out)
     return nullcontext(sys.stdout)
 
 
@@ -176,10 +195,11 @@ def _cmd_classify(args) -> int:
                 "note": "horizon-bounded verdict; limits are not decidable from finitely many bits",
             }
             if d is not None:
+                distance = _frac_text(d.int_distance, args)
                 payload["diagnostics"] = {
                     "final_j": d.final_j,
-                    "q_int_distance": _frac_text(d.q_distance, args),
-                    "qstar_int_distance": _frac_text(d.qstar_distance, args),
+                    "q_int_distance": distance,
+                    "qstar_int_distance": distance,
                     "m_over_n": _frac_text(d.m_over_n, args),
                     "P_over_2n": _frac_text(d.P_over_2n, args),
                     "ones_in_window": d.ones_in_window,
@@ -187,21 +207,24 @@ def _cmd_classify(args) -> int:
             json.dump(payload, out, indent=2)
             out.write("\n")
             return 0
-        out.write(f"verdict: {verdict.kind} (horizon-bounded; horizon={verdict.horizon}, "
-                  f"window={verdict.window}, rows={verdict.rows_computed})\n")
+        # every line is built before the first write, so an error writes nothing
+        lines = [f"verdict: {verdict.kind} (horizon-bounded; horizon={verdict.horizon}, "
+                 f"window={verdict.window}, rows={verdict.rows_computed})\n"]
         if verdict.kind == "stabilized":
-            out.write(f"candidate: {verdict.candidate} (stable since row {verdict.stable_since})\n")
+            lines.append(f"candidate: {verdict.candidate} "
+                         f"(stable since row {verdict.stable_since})\n")
         elif verdict.kind == "growing":
-            out.write(f"distinct N0 values seen: {verdict.distinct_count}\n")
+            lines.append(f"distinct N0 values seen: {verdict.distinct_count}\n")
         if d is not None:
-            out.write(f"final row {d.final_j}: m/n = {_frac_text(d.m_over_n, args)}, "
-                      f"P/2^n = {_frac_text(d.P_over_2n, args)}\n")
-            if d.q_distance is not None:  # None when the final row has m = 0
-                out.write(f"nearest-integer distance: q = {_frac_text(d.q_distance, args)}, "
-                          f"q* = {_frac_text(d.qstar_distance, args)}\n")
+            lines.append(f"final row {d.final_j}: m/n = {_frac_text(d.m_over_n, args)}, "
+                         f"P/2^n = {_frac_text(d.P_over_2n, args)}\n")
+            if d.int_distance is not None:  # None when the final row has m = 0
+                distance = _frac_text(d.int_distance, args)
+                lines.append(f"nearest-integer distance: q = {distance}, q* = {distance}\n")
             if d.ones_in_window == 0:
-                out.write("warning: no 1 bits inside the final window "
-                          "(all-zero tail would break the infinite-ones assumption)\n")
+                lines.append("warning: no 1 bits inside the final window "
+                             "(all-zero tail would break the infinite-ones assumption)\n")
+        out.write("".join(lines))
     return 0
 
 

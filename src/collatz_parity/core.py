@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterator
 
 
@@ -127,16 +127,11 @@ class PrefixGenerator:
         """The first j bits as a parity vector."""
         if j < 1:
             raise ValueError(f"prefix length must be >= 1, got {j}")
-        out = []
-        it = self.bits()
-        for k in range(j):
-            try:
-                out.append(next(it))
-            except StopIteration:
-                raise BitStreamExhausted(
-                    f"bit source exhausted at position {k} (requested {j})", k
-                ) from None
-        return ParityVector(tuple(out))
+        bits = tuple(islice(self.bits(), j))
+        if len(bits) < j:
+            raise BitStreamExhausted(
+                f"bit source exhausted at position {len(bits)} (requested {j})", len(bits))
+        return ParityVector(bits)
 
     def spec_string(self) -> str:
         raise NotImplementedError

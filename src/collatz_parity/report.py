@@ -14,10 +14,8 @@ machine, Python 3.11.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
-token (about 24,600 writes for 2048 bits with 1024 ones).  An in-process
-`xstar --json` call on such a vector takes about 21 ms instead of 30-37 ms;
-most of the rest is converting its big integers to decimal.  X*, Y* and J
-are converted first, so a digit-limit error writes nothing.
+token (about 24,600 writes for 2048 bits with 1024 ones).  X*, Y* and J are
+converted first, so a digit-limit error writes nothing.
 """
 
 from __future__ import annotations
@@ -136,17 +134,15 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
-def trajectory_csv_line(row: CharacteristicSet, digits: int = DEFAULT_PRECISION,
-                        exact: bool = False,
-                        carried: tuple[int, int, int] | None = None) -> str:
+def trajectory_csv_line(row: CharacteristicSet, carried: tuple[int, int, int],
+                        digits: int = DEFAULT_PRECISION, exact: bool = False) -> str:
     """One CSV line for `row`.
 
     `carried` is (a, b, K*) as `write_trajectory_csv` carries them from row to
-    row; without it they are read from the row's closed forms.  The other
-    cells come from n, m, P and N0.
+    row (read only when m >= 1); the other cells come from n, m, P and N0.
     """
     n, m, P, N0 = row.n, row.m, row.P, row.N0
-    a, b, kstar = (row.a, row.b, row.Kstar) if carried is None else carried
+    a, b, kstar = carried
     pow2 = 1 << n
     pow3 = 3**m
 
@@ -224,7 +220,7 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
     """Write the header and one line per row; rows must be j = 1, 2, ... of one stream."""
     out.write(TRAJECTORY_CSV_HEADER + "\n")
     for row, carried in _halving_ladder(rows):
-        out.write(trajectory_csv_line(row, digits, exact, carried) + "\n")
+        out.write(trajectory_csv_line(row, carried, digits, exact) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -3,25 +3,21 @@
 For an infinite bit stream V the length-j prefix has its own characteristic
 set; those values as functions of j are the order-j characteristic numbers.
 Each row is a CharacteristicSet with n = j, the same type `char_set` returns
-for a finite vector; a row stores only n, P_j, N0_j and the one-positions:
+for a finite vector; a row stores only n, m_j, P_j and N0_j:
 
   * P_j by the one-step recurrence,
   * N0_j by lifting the residue from mod 2^j to mod 2^{j+1}: the lift that
     matches the parity of T^j(N0_j) keeps the vector realized (the dichotomy
     N0_{j+1} in {N0_j, N0_j + 2^j}),
-  * the one-positions, extended on a 1 bit.
+  * m_j as a counter, one more on a 1 bit.
 
 The loop carries only P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j): O(1) big-int
-operations per row.  That is not O(1) work per row: each row also copies its
-m_j one-positions, so keeping H rows costs O(H^2) memory.  Other numbers are
-computed when read: a_j and b_j cost one modular power on first read, and
-X*_j (with Y*_j, K*_j and q*_j, from one cached loop) costs m_j exact
-divisions by 3 and m_j products with 3^k, no modular power.  That loop takes
-about 3 ms at j = 2048, m_j = 1024, down from 62 ms with a modular power per
-one (Python 3.11, shared 2-core machine).
-The trajectory CSV reads none of these closed forms: `write_trajectory_csv`
-carries a_j, b_j and K*_j from row to row by the paper's halving ladder, in
-m_j small-integer steps per row and no modular power.
+operations per row on O(j)-bit integers, and a row holds O(j) bits.  a_j and
+b_j cost one modular power on first read.  X*_j needs the one-positions, so
+it comes from `xstar_decompose(gen.prefix(j))`; the classifier does without
+it, since X_j and X*_j are both N0_j mod 2^j.  The trajectory CSV reads none
+of these closed forms: `write_trajectory_csv` carries a_j, b_j and K*_j from
+row to row by the paper's halving ladder, with no modular power.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.
@@ -34,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .core import BitStreamExhausted, PrefixGenerator, collatz_step
-from .characteristics import CharacteristicSet
+from .characteristics import CharacteristicSet, _int_distance
 
 HALVED = "halved"
 HALVED_PLUS_HALF = "halved-plus-half"
@@ -62,7 +58,7 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
     pow2 = 1          # 2^{j-1} while processing row j
     N0 = 1
     u = 1             # T^{j}(N0_j) after each row
-    ones: tuple[int, ...] = ()
+    m = 0
     for j in range(1, horizon + 1):
         try:
             e = next(bits)
@@ -79,9 +75,9 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
         if e:
             P = 3 * P + pow2
             pow3m *= 3
-            ones += (j,)
+            m += 1
         pow2 <<= 1
-        yield CharacteristicSet(n=j, one_positions=ones, P=P, N0=N0)
+        yield CharacteristicSet(n=j, m=m, P=P, N0=N0)
 
 
 def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
@@ -107,14 +103,15 @@ def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
 class ClassifierDiagnostics:
     """Final-row diagnostics attached to a verdict.
 
-    q/qstar distances are the exact distance of X_j/2^j and X*_j/2^j to the
-    nearest integer; ones_in_window counts 1 bits inside the final window
-    (zero suggests an all-zero tail, outside the infinite-ones assumption).
+    int_distance is the exact distance of q_j = X_j/2^j and q*_j = X*_j/2^j
+    to the nearest integer, None when m_j = 0.  Both differ from r0_j =
+    N0_j/2^j by an integer, so it is read off r0_j.  ones_in_window counts 1
+    bits inside the final window (zero suggests an all-zero tail, outside the
+    infinite-ones assumption).
     """
 
     final_j: int
-    q_distance: Fraction | None
-    qstar_distance: Fraction | None
+    int_distance: Fraction | None
     m_over_n: Fraction
     P_over_2n: Fraction
     ones_in_window: int
@@ -174,8 +171,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
         )
     diag = ClassifierDiagnostics(
         final_j=last.n,
-        q_distance=last.q_int_distance,
-        qstar_distance=last.qstar_int_distance,
+        int_distance=_int_distance(last.r0) if last.m else None,
         m_over_n=last.m_over_n,
         P_over_2n=last.P_over_2n,
         ones_in_window=last.m - m_before_window,

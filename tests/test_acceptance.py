@@ -199,7 +199,9 @@ def test_criterion_5_trajectory_invariants():
                 v = gen.prefix(j)
                 assert rows[j - 1] == char_set(v)
                 if rows[j - 1].m:
-                    assert apply_vector(v, rows[j - 1].Xstar) == rows[j - 1].Ystar
+                    dec = xstar_decompose(v)
+                    assert apply_vector(v, dec.Xstar) == dec.Ystar
+                    assert (dec.Xstar - rows[j - 1].N0) % (1 << j) == 0
 
 
 def test_criterion_6_classifier_behavior():

@@ -1,5 +1,6 @@
 """Characteristic numbers of finite vectors against worked examples and oracles."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from collatz_parity import characteristics
 from collatz_parity import (
+    CharacteristicSet,
     ParityVector,
     ab_family_member,
     ab_recurrence,
@@ -55,6 +57,16 @@ def test_char_set_paper_examples():
     cs = char_set(PV("1011010111"))
     assert (cs.n, cs.m, cs.P, cs.a, cs.b, cs.X) == (10, 7, 5645, 221, 472, 1247545)
     assert cs.Y == 5645 * 472 == 2664440
+
+
+def test_char_set_stores_the_characteristic_numbers_only():
+    # X* belongs to the vector (xstar_decompose), not to the set
+    cs = char_set(PV("1011010111"))
+    assert [f.name for f in dataclasses.fields(cs)] == ["n", "m", "P", "N0"]
+    assert cs == CharacteristicSet(n=10, m=7, P=5645, N0=313)
+    for gone in ("one_positions", "Xstar", "Ystar", "Kstar", "qstar",
+                 "q_int_distance", "qstar_int_distance"):
+        assert not hasattr(cs, gone)
 
 
 def test_char_set_all_even():
@@ -249,7 +261,6 @@ def test_xstar_rows_match_the_closed_form_solve(bits):
     v = ParityVector(tuple(bits))
     cs = char_set(v)
     if cs.m == 0:
-        assert cs.Xstar is None and cs.Ystar is None
         with pytest.raises(ValueError):
             xstar_decompose(v)
         return
@@ -257,8 +268,10 @@ def test_xstar_rows_match_the_closed_form_solve(bits):
     for r in dec.rows:
         assert (r.theta, r.t) == characteristics._solve_ab(r.k, v.n - r.j + 1)
         assert r.z == r.theta << (r.j - 1)
-    assert (cs.Xstar, cs.Ystar) == (dec.Xstar, dec.Ystar)
     assert apply_vector(v, dec.Xstar) == dec.Ystar
+    # X* sits over N0, and J = (X - X*)/2^n against X = P*a
+    assert (dec.Xstar - cs.N0) % (1 << v.n) == 0
+    assert cs.X == dec.Xstar + (dec.J << v.n)
 
 
 def test_xstar_rows_match_ab_recurrence_n_le_10():
@@ -278,8 +291,11 @@ def test_xstar_ystar_kstar_qstar_share_one_loop(monkeypatch):
         return loop(*args)
 
     monkeypatch.setattr(characteristics, "_xstar", counted)
-    cs = char_set(PV("1011010111"))
-    assert (cs.Xstar, cs.Ystar, cs.Kstar, cs.qstar) == (4409, 9422, 4, Fraction(4409, 1024))
+    v = PV("1011010111")
+    dec = xstar_decompose(v)
+    kstar = (dec.Xstar - char_set(v).N0) >> v.n
+    qstar = Fraction(dec.Xstar, 1 << v.n)
+    assert (dec.Xstar, dec.Ystar, kstar, qstar) == (4409, 9422, 4, Fraction(4409, 1024))
     assert len(calls) == 1
 
 

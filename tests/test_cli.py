@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_parity.cli import main
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
@@ -188,6 +193,7 @@ def test_negative_precision_is_a_usage_error(capsys, tmp_path):
         (["classify", "int:27", "--horizon", "3", "--window", "5"], "--window"),
         (["solve", "11", "--count", "0"], "--count"),
         (["--max-digits", "1", "analyze", "11"], "--max-digits"),
+        (["--max-digits", "2147483648", "analyze", "11"], "--max-digits"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(path)])
@@ -220,12 +226,37 @@ def test_xstar_past_the_digit_limit_writes_nothing(capsys, tmp_path, flags, to_f
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
     path = tmp_path / "xstar.out"
+    path.write_text("keep\n")
     out_flag = ["--out", str(path)] if to_file else []
     code, out, err = run(capsys, "--max-digits", "640", "xstar", "1" * 2000, *flags, *out_flag)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and "--max-digits" in err
-    if to_file:
-        assert path.read_text() == ""
+    assert path.read_text() == "keep\n"  # the --out file is opened on the first write
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv", [
+    # X = P*a of 6000 ones has about 4670 digits
+    ["analyze", "1" * 6000],
+    # the distance line is the first past 4300 digits; the lines before it
+    # must not be written either
+    ["classify", "int:27", "--horizon", "50", "--window", "5", "--precision", "5000"],
+], ids=["analyze", "classify"])
+def test_a_call_past_the_digit_limit_writes_nothing(capsys, tmp_path, argv, to_file):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    path = tmp_path / "old.out"
+    path.write_text("keep\n")
+    out_flag = ["--out", str(path)] if to_file else []
+    code, out, err = run(capsys, *argv, *out_flag)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and "--max-digits" in err
+    assert path.read_text() == "keep\n"
+
+
+def test_max_digits_takes_any_c_int(capsys):
+    code, out, err = run(capsys, "--max-digits", str(2**31 - 1), "analyze", "11")
+    assert code == 0 and err == "" and json.loads(out)["N0"] == "3"
 
 
 def test_max_digits_zero_lifts_the_limit(capsys):
@@ -239,3 +270,112 @@ def test_max_digits_zero_lifts_the_limit(capsys):
     assert 10 ** (digits - 1) <= X < 10**digits and int(d["X"][-30:]) == X % 10**30
     if before is not None:  # the limit is the caller's again after the call
         assert sys.get_int_max_str_digits() == before
+
+
+# The CLI contract on argvs from a small grammar: every subcommand and a bogus
+# one, valid and malformed vectors, specs and flag values, --max-digits before
+# the command, and --out.  "@" in an argument stands for a fresh directory per
+# example, holding a small bit file, a failing and a malformed fixture corpus.
+def mostly(valid, invalid):
+    """`valid` three draws in four, `invalid` in the fourth."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+BAD_INTS = st.sampled_from(["-1", "0", "x"])
+ONES_AND_ZEROS = st.text("01", min_size=1, max_size=64)
+VECTORS = mostly(ONES_AND_ZEROS, st.sampled_from(["", "1x", "102", "bits:1x", "-1"]))
+SPECS = mostly(
+    st.one_of(
+        st.integers(1, 10**6).map(lambda N: f"int:{N}"),
+        ONES_AND_ZEROS.map(lambda bits: f"bits:{bits}"),
+        st.tuples(st.text("01", max_size=16), st.text("01", min_size=1, max_size=16)).map(
+            lambda hc: f"head:{hc[0]};cycle:{hc[1]}"),
+        st.just("file:@/bits.txt"),
+    ),
+    st.sampled_from(["int:0", "int:", "int:x", "bits:1x", "bits:", "head:1", "cycle:",
+                     "cycle:12", "file:@/missing", "nonsense"]),
+)
+SMALL = mostly(st.integers(1, 64).map(str), BAD_INTS)
+FLAG_VALUES = {
+    "--count": mostly(st.integers(1, 8).map(str), BAD_INTS),
+    "--horizon": SMALL,
+    "--window": SMALL,
+    # a precision of d digits builds 10^d before the digit-limit check, so none is large
+    "--precision": mostly(st.sampled_from(["0", "3", "5000"]), st.sampled_from(["-1", "x"])),
+    "--fixtures": st.sampled_from(["@/failing.jsonl", "@/malformed.jsonl", "@/missing"]),
+    "--json": None,
+    "--exact-rationals": None,
+    "--out": None,  # always @/out
+}
+COMMANDS = {
+    "analyze": ["--out"],
+    "solve": ["--count", "--out"],
+    "xstar": ["--json", "--out"],
+    "trajectory": ["--precision", "--exact-rationals", "--out"],
+    "classify": ["--window", "--json", "--precision", "--exact-rationals", "--out"],
+    "verify": ["--fixtures", "--json", "--out"],
+    "frobnicate": [],
+}
+MAX_DIGITS = mostly(st.sampled_from(["0", "640", "5000", str(2**31 - 1)]),
+                    st.sampled_from(["-1", "x", "1", str(2**31), "99999999999999999999"]))
+
+
+@st.composite
+def argvs(draw):
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--max-digits", draw(MAX_DIGITS)]
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv.append(command)
+    if command in ("analyze", "solve", "xstar"):
+        argv.append(draw(VECTORS))
+    elif command in ("trajectory", "classify"):
+        # --horizon is always given, to keep the default 256 rows out
+        argv += [draw(SPECS), "--horizon", draw(SMALL)]
+    # mostly the command's own flags, now and then one it does not take
+    own = COMMANDS[command] or ["--json"]
+    names = draw(st.lists(mostly(st.sampled_from(own), st.sampled_from(sorted(FLAG_VALUES))),
+                          max_size=3, unique=True))
+    for name in names:
+        argv.append(name)
+        if name == "--out":
+            argv.append("@/out")
+        elif FLAG_VALUES[name] is not None:
+            argv.append(draw(FLAG_VALUES[name]))
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(argvs())
+# classify builds its text before the first write: its distance line is past
+# the default 4300-digit limit, so nothing may be written
+@example(["classify", "int:27", "--horizon", "50", "--window", "5", "--precision", "5000"])
+@example(["classify", "int:27", "--horizon", "50", "--window", "5", "--precision", "5000",
+          "--out", "@/out"])
+def test_cli_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "bits.txt").write_text("1011\n0110\n")
+        Path(tmp, "failing.jsonl").write_text(
+            '{"id": "bad", "kind": "n0", "input": {"v": "101110", "count": 1}, '
+            '"expected": {"realizers": ["8"]}, "source": "made up"}\n')
+        Path(tmp, "malformed.jsonl").write_text("{not json\n")
+        out_path = Path(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main([arg.replace("@", tmp) for arg in argv])
+            except SystemExit as exc:
+                code = exc.code
+        out, err = stdout.getvalue(), stderr.getvalue().splitlines()
+        assert code in (0, 1, 2, 64)
+        if code == 0:
+            assert err == []
+            assert out == "" or "--out" not in argv
+        elif code == 1:
+            assert len(err) == 1 and err[0].startswith("error: ")
+            if "trajectory" not in argv:
+                # only the trajectory CSV streams; a failed call writes nothing
+                assert out == "" and not out_path.exists()
+        elif code == 64:
+            assert out == "" and not out_path.exists()
+            assert err and ": error: " in err[-1]

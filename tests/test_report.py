@@ -146,21 +146,31 @@ def test_trajectory_csv_deterministic():
     assert render() == render()
 
 
+def closed_form_carried(gen, row):
+    # (a, b, K*) from closed forms: the row's a and b, and K* from X* of the prefix
+    if row.m == 0:
+        return None, None, None
+    Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
+    return row.a, row.b, (Xstar - row.N0) >> row.n
+
+
 def test_trajectory_csv_empty_cells_before_first_one():
-    rows = list(iter_trajectory(parse_generator("bits:00101"), 5))
-    line1 = trajectory_csv_line(rows[0])
+    gen = parse_generator("bits:00101")
+    rows = list(iter_trajectory(gen, 5))
+    line1 = trajectory_csv_line(rows[0], closed_form_carried(gen, rows[0]))
     cells = line1.split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
     for name in ("a_j", "b_j", "q_j", "K_j", "Kstar_j", "f2_over_2n"):
         assert cells[header.index(name)] == ""
     # once a one arrives the cells fill in
-    line3 = trajectory_csv_line(rows[2])
+    line3 = trajectory_csv_line(rows[2], closed_form_carried(gen, rows[2]))
     assert line3.split(",")[header.index("a_j")] != ""
 
 
 def test_trajectory_csv_exact_mode():
-    rows = list(iter_trajectory(parse_generator("int:7"), 3))
-    line = trajectory_csv_line(rows[2], exact=True)
+    gen = parse_generator("int:7")
+    rows = list(iter_trajectory(gen, 3))
+    line = trajectory_csv_line(rows[2], closed_form_carried(gen, rows[2]), exact=True)
     cells = line.split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
     assert cells[header.index("r0_j")] == "7/8"
@@ -176,11 +186,13 @@ def test_trajectory_csv_rejects_rows_that_do_not_follow_on():
 
 @pytest.mark.parametrize("spec", ["int:27", "cycle:100", "head:1101;cycle:01"])
 def test_csv_equals_the_closed_form_rendering(spec):
-    rows = list(iter_trajectory(parse_generator(spec), 300))
+    gen = parse_generator(spec)
+    rows = list(iter_trajectory(gen, 300))
+    carried = [closed_form_carried(gen, row) for row in rows]
     for digits in (DEFAULT_PRECISION, 0, 3):
         out = io.StringIO()
         write_trajectory_csv(rows, out, digits)
-        closed_form = [trajectory_csv_line(row, digits) for row in rows]
+        closed_form = [trajectory_csv_line(row, c, digits) for row, c in zip(rows, carried)]
         assert out.getvalue().split("\n") == [TRAJECTORY_CSV_HEADER, *closed_form, ""]
 
 

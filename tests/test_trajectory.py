@@ -2,6 +2,7 @@
 
 import io
 import random
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -26,7 +27,9 @@ from collatz_parity import (
     iter_trajectory,
     lemma51_check,
     parse_generator,
+    xstar_decompose,
 )
+from collatz_parity.characteristics import _int_distance
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
 
 PV = ParityVector.from_string
@@ -80,10 +83,13 @@ def test_incremental_equals_from_scratch():
             v = gen.prefix(row.n)
             assert row == char_set(v)
             if row.m:
-                # a and b against the paper's halving recurrence, X* against
-                # the affine map: neither oracle shares code with the rows
+                # a and b against the paper's halving recurrence, X* of the
+                # prefix against the affine map and N0: neither oracle shares
+                # code with the rows
                 assert (row.a, row.b) == ab_recurrence(row.m, row.n)[-1]
-                assert apply_vector(v, row.Xstar) == row.Ystar
+                dec = xstar_decompose(v)
+                assert apply_vector(v, dec.Xstar) == dec.Ystar
+                assert (dec.Xstar - row.N0) % (1 << row.n) == 0
 
 
 # The length is drawn first: plain st.lists averages about 6 bits, and rows
@@ -101,13 +107,15 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
         cs = char_set(v)
         assert row == cs and (row.a, row.b) == (cs.a, cs.b)
         if row.m:
-            assert apply_vector(v, row.Xstar) == row.Ystar
+            dec = xstar_decompose(v)
+            assert apply_vector(v, dec.Xstar) == dec.Ystar
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(bit_lists)
 def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
-    rows = list(iter_trajectory(BitStreamGenerator(tuple(bits)), len(bits)))
+    gen = BitStreamGenerator(tuple(bits))
+    rows = list(iter_trajectory(gen, len(bits)))
     out = io.StringIO()
     write_trajectory_csv(rows, out)
     header = TRAJECTORY_CSV_HEADER.split(",")
@@ -118,8 +126,10 @@ def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
         if row.m == 0:
             assert a == b == kstar == ""
             continue
-        # against _solve_ab and _xstar, which share no code with the ladder
-        assert (int(a), int(b), int(kstar)) == (row.a, row.b, row.Kstar)
+        # against _solve_ab and the X* of the prefix, which share no code
+        # with the ladder
+        Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
+        assert (int(a), int(b), int(kstar)) == (row.a, row.b, (Xstar - row.N0) >> row.n)
         assert 0 <= int(kstar) < row.m
         if row.n % 16 == 0 or row.n == len(bits):
             assert (int(a), int(b)) == ab_recurrence(row.m, row.n)[-1]
@@ -155,6 +165,7 @@ def test_lemma51_rejects_non_consecutive():
 def test_row_identities():
     for gen in some_generators():
         rows = list(iter_trajectory(gen, 60))
+        assert [row.m for row in rows] == [sum(gen.prefix(row.n).bits) for row in rows]
         for row in rows:
             pow2 = 1 << row.n
             pow3 = 3**row.m
@@ -163,15 +174,15 @@ def test_row_identities():
             assert row.P == pow3 * row.alpha + row.beta and 0 <= row.beta < pow3
             assert row.P == pow2 * row.A + row.B and 0 <= row.B < pow2
             if row.m == 0:
-                assert row.a is None and row.X is None and row.Xstar is None
+                assert row.a is None and row.X is None
                 continue
             assert pow3 * row.a + 1 == pow2 * row.b
             assert row.X == row.P * row.a and row.Y == row.P * row.b
             # q = r0 + K exactly, and both particular points sit over N0
             assert row.q == row.r0 + row.K
             assert (row.X - row.N0) % pow2 == 0 and row.K >= 0
-            assert (row.Xstar - row.N0) % pow2 == 0 and row.Kstar >= 0
-            assert row.Xstar == row.N0 + pow2 * row.Kstar
+            Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
+            assert (Xstar - row.N0) % pow2 == 0 and Xstar >= row.N0
             # offset bounds for m >= 1
             assert pow3 - 2**row.m <= row.P <= (pow2 >> row.m) * (pow3 - 2**row.m)
             assert row.f1 * pow2 + row.f2 == row.B * row.a and 0 <= row.f2 < pow2
@@ -246,11 +257,44 @@ def test_classify_reports_diagnostics():
     verdict = classify(IntegerGenerator(27), 80, 20)
     d = verdict.diagnostics
     assert d.final_j == 80
-    # realizable stream: q is close to an integer (distance = r0 here)
-    assert d.q_distance == Fraction(27, 1 << 80)
-    assert d.qstar_distance is not None
+    # realizable stream: q and q* are close to an integer (distance = r0 here)
+    assert d.int_distance == Fraction(27, 1 << 80)
     assert d.m_over_n == Fraction(sum(IntegerGenerator(27).prefix(80).bits), 80)
     assert d.ones_in_window > 0
+
+
+# Infinite streams: a head (possibly empty) and a cycle, or the orbit of N.
+head_cycle_specs = st.tuples(st.text("01", max_size=12), st.text("01", min_size=1, max_size=12)
+                             ).map(lambda hc: f"head:{hc[0]};cycle:{hc[1]}")
+int_specs = st.integers(1, 10**12).map(lambda N: f"int:{N}")
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(st.one_of(head_cycle_specs, int_specs), st.integers(1, 96))
+def test_classify_distance_is_that_of_q_and_qstar(spec, j):
+    # the diagnostics read the distance off r0 = N0/2^j; the oracles compute
+    # X = P*a and X* of the length-j prefix from scratch
+    gen = parse_generator(spec)
+    d = classify(gen, j, 1).diagnostics
+    v = gen.prefix(j)
+    cs = char_set(v)
+    if cs.m == 0:
+        assert d.int_distance is None
+        return
+    assert d.int_distance == _int_distance(Fraction(cs.X, 1 << j))
+    assert d.int_distance == _int_distance(Fraction(xstar_decompose(v).Xstar, 1 << j))
+
+
+def test_kept_rows_hold_linear_memory():
+    # a row holds n, m, P and N0, O(j) bits in all: about 1.2 MB for these
+    # 4000 rows; O(j) one-positions per row would take O(H^2), about 16.5 MB
+    tracemalloc.start()
+    try:
+        rows = list(iter_trajectory(parse_generator("cycle:10"), 4000))
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 4000 and held < 4_000_000
 
 
 def test_classify_flags_zero_tail():

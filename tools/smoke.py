@@ -72,7 +72,9 @@ def check_usage_errors() -> str:
                      ("trajectory", "int:27", "--precision", "-1"),
                      ("classify", "int:27", "--horizon", "3", "--window", "5"),
                      ("solve", "11", "--count", "0"),
-                     ("--max-digits", "5", "analyze", "11")):
+                     ("--max-digits", "5", "analyze", "11"),
+                     # sys.set_int_max_str_digits takes a C int
+                     ("--max-digits", "2147483648", "analyze", "11")):
             proc = cli(*argv, "--out", path)
             errors = [line for line in proc.stderr.splitlines() if "error:" in line]
             if (proc.returncode != 64 or proc.stdout or len(errors) != 1
@@ -105,15 +107,19 @@ def check_digit_limit() -> str:
 
 
 def check_csv_oracle() -> str:
-    # the CSV carries a, b and K* from row to row; the oracle reads them
-    # from each row's closed forms
+    # the CSV carries a, b and K* from row to row; the oracle takes a and b
+    # from each row's closed form and K* from X* of the row's prefix
     sys.path.insert(0, str(SRC))
-    from collatz_parity import iter_trajectory, parse_generator
+    from collatz_parity import iter_trajectory, parse_generator, xstar_decompose
     from collatz_parity.report import TRAJECTORY_CSV_HEADER, trajectory_csv_line
 
     proc = cli("trajectory", "int:27", "--horizon", "300")
-    rows = iter_trajectory(parse_generator("int:27"), 300)
-    expected = "\n".join([TRAJECTORY_CSV_HEADER, *map(trajectory_csv_line, rows), ""])
+    gen = parse_generator("int:27")
+    lines = [TRAJECTORY_CSV_HEADER]
+    for row in iter_trajectory(gen, 300):  # 27 is odd: every row has m >= 1
+        Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
+        lines.append(trajectory_csv_line(row, (row.a, row.b, (Xstar - row.N0) >> row.n)))
+    expected = "\n".join([*lines, ""])
     if proc.returncode != 0 or proc.stdout != expected:
         return f"exit {proc.returncode}; the CSV differs from the closed-form rendering"
     return ""
