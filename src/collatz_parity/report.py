@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -57,8 +58,33 @@ def _round_half_even(p: int, q: int, digits: int) -> int:
     return scaled
 
 
+# No nonzero int/str digit limit is lower than this, and below it 10^digits
+# is cheap to build: str() of the rounded value then makes the same check.
+_LOWEST_DIGIT_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+
+def _check_digit_limit(p: int, q: int, digits: int) -> None:
+    """Raise the interpreter's digit-limit error if round(|p|/q * 10^digits) must pass it.
+
+    |p|/q > 2^e with e = bits(p) - bits(q) - 1, so the rounded value is at
+    least 10^(digits + e*log10(2)); this bound needs no 10^digits, which at
+    a precision of millions takes seconds to build.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    e = abs(p).bit_length() - q.bit_length() - 1
+    # e*log10(2) rounded down, from 0.30102 < log10(2) < 0.30103
+    if digits + e * (30102 if e >= 0 else 30103) // 100000 >= limit:
+        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion "
+                         f"at precision {digits}; use sys.set_int_max_str_digits() "
+                         "to increase the limit")
+
+
 def _fixed_point(p: int, q: int, digits: int) -> str:
     """p/q (q > 0) in fixed point with `digits` fractional digits, round-half-even."""
+    if p and digits >= _LOWEST_DIGIT_LIMIT:
+        _check_digit_limit(p, q, digits)
     scaled = _round_half_even(p, q, digits)
     sign = "-" if scaled < 0 else ""
     text = str(abs(scaled))

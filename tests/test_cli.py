@@ -1,15 +1,19 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
+import importlib
 import io
 import json
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from collatz_parity import cli
 from collatz_parity.cli import main
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
 from collatz_parity import char_set, ParityVector
@@ -254,6 +258,25 @@ def test_a_call_past_the_digit_limit_writes_nothing(capsys, tmp_path, argv, to_f
     assert path.read_text() == "keep\n"
 
 
+def test_a_huge_precision_fails_at_once(capsys):
+    # 10^4000000 alone takes seconds to build; the rounded value's digit count
+    # is bounded from bit lengths first.  Zero renders at any precision.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    argv = ["classify", "int:27", "--horizon", "50", "--window", "5", "--precision"]
+    _, _, err_5000 = run(capsys, *argv, "5000")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, "4000000")
+    assert time.perf_counter() - start < 0.2
+    assert code == 1 and out == "" and err == err_5000
+    assert "--max-digits" in err and len(err.splitlines()) == 1
+    code, out, err = run(capsys, "classify", "cycle:0", "--horizon", "40", "--window", "8",
+                         "--precision", "5000")
+    zero = "0." + "0" * 5000
+    assert code == 0 and err == ""
+    assert f"m/n = {zero}, P/2^n = {zero}\n" in out
+
+
 def test_max_digits_takes_any_c_int(capsys):
     code, out, err = run(capsys, "--max-digits", str(2**31 - 1), "analyze", "11")
     assert code == 0 and err == "" and json.loads(out)["N0"] == "3"
@@ -300,7 +323,7 @@ FLAG_VALUES = {
     "--count": mostly(st.integers(1, 8).map(str), BAD_INTS),
     "--horizon": SMALL,
     "--window": SMALL,
-    # a precision of d digits builds 10^d before the digit-limit check, so none is large
+    # under --max-digits 0 a precision of d digits builds 10^d, so none is large
     "--precision": mostly(st.sampled_from(["0", "3", "5000"]), st.sampled_from(["-1", "x"])),
     "--fixtures": st.sampled_from(["@/failing.jsonl", "@/malformed.jsonl", "@/missing"]),
     "--json": None,
@@ -345,6 +368,29 @@ def argvs(draw):
     return argv
 
 
+def _make_tmp(tmp: str) -> None:
+    """The files "@" arguments name: a bit file, a failing and a malformed corpus."""
+    Path(tmp, "bits.txt").write_text("1011\n0110\n")
+    Path(tmp, "failing.jsonl").write_text(
+        '{"id": "bad", "kind": "n0", "input": {"v": "101110", "count": 1}, '
+        '"expected": {"realizers": ["8"]}, "source": "made up"}\n')
+    Path(tmp, "malformed.jsonl").write_text("{not json\n")
+
+
+def _call(argv, tmp: str):
+    """main(argv) with "@" standing for `tmp`: exit code, stdout, stderr, --out bytes or None."""
+    out_path = Path(tmp, "out")
+    out_path.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            code = main([arg.replace("@", tmp) for arg in argv])
+        except SystemExit as exc:
+            code = exc.code
+    written = out_path.read_bytes() if out_path.exists() else None
+    return code, stdout.getvalue(), stderr.getvalue(), written
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(argvs())
 # classify builds its text before the first write: its distance line is past
@@ -354,19 +400,9 @@ def argvs(draw):
           "--out", "@/out"])
 def test_cli_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
-        Path(tmp, "bits.txt").write_text("1011\n0110\n")
-        Path(tmp, "failing.jsonl").write_text(
-            '{"id": "bad", "kind": "n0", "input": {"v": "101110", "count": 1}, '
-            '"expected": {"realizers": ["8"]}, "source": "made up"}\n')
-        Path(tmp, "malformed.jsonl").write_text("{not json\n")
-        out_path = Path(tmp, "out")
-        stdout, stderr = io.StringIO(), io.StringIO()
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            try:
-                code = main([arg.replace("@", tmp) for arg in argv])
-            except SystemExit as exc:
-                code = exc.code
-        out, err = stdout.getvalue(), stderr.getvalue().splitlines()
+        _make_tmp(tmp)
+        code, out, err, written = _call(argv, tmp)
+        err = err.splitlines()
         assert code in (0, 1, 2, 64)
         if code == 0:
             assert err == []
@@ -375,7 +411,59 @@ def test_cli_contract(argv):
             assert len(err) == 1 and err[0].startswith("error: ")
             if "trajectory" not in argv:
                 # only the trajectory CSV streams; a failed call writes nothing
-                assert out == "" and not out_path.exists()
+                assert out == "" and written is None
         elif code == 64:
-            assert out == "" and not out_path.exists()
+            assert out == "" and written is None
             assert err and ": error: " in err[-1]
+
+
+# main builds the parser of the one command argv names; the full parser of
+# every command must give the same bytes, exit code and --out file
+def _assert_scoped_equals_full(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        _make_tmp(tmp)
+        scoped = _call(argv, tmp)
+        with mock.patch.object(cli, "_command_of", lambda argv: None):
+            full = _call(argv, tmp)
+    assert scoped == full
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(argvs())
+def test_scoped_parser_equals_full_parser(argv):
+    _assert_scoped_equals_full(argv)
+
+
+@pytest.mark.parametrize("columns", ["80", "200"])
+@pytest.mark.parametrize("argv, command", [
+    (["-h"], None),
+    *[([name, "-h"], name) for name in sorted(cli._COMMANDS)],
+    ([], None),
+    (["frobnicate"], None),
+    (["frobnicate", "classify"], None),
+    (["--max-digits", "5000", "classify", "-h"], "classify"),
+    (["--max-digits=5000", "xstar", "-h"], "xstar"),
+    (["--max", "5000", "classify", "int:27"], None),  # an abbreviation takes the full parser
+    (["--max-digits", "1", "classify", "int:27"], "classify"),
+    (["classify", "int:27", "--horizon", "3", "--window", "5"], "classify"),
+    (["classify", "int:27", "--bogus"], "classify"),
+])
+def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, command,
+                                                             columns):
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help to the terminal width
+    assert cli._command_of(argv) == command
+    _assert_scoped_equals_full(argv)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_build_parser_keeps_every_command(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    full = cli.build_parser()
+    assert full.parse_args(["verify", "--json"]).command == "verify"
+    argvs = [call.argv for name in workloads.WORKLOADS
+             for call in workloads.make_calls(name, seed)]
+    assert {argv[0] for argv in argvs} == set(cli._COMMANDS) - {"verify"}
+    argvs.append(("verify", "--json", "--fixtures", "corpus.jsonl"))
+    for argv in argvs:
+        assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)

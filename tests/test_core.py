@@ -1,6 +1,9 @@
 """Shortcut map, parity vectors, and prefix generators."""
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from collatz_parity import (
     BitStreamExhausted,
@@ -150,3 +153,47 @@ def test_parse_generator_grammar(tmp_path):
 def test_parse_generator_rejects(bad):
     with pytest.raises(ValueError):
         parse_generator(bad)
+
+
+# parse_generator against streams built without it
+PROPERTY = settings(max_examples=200, derandomize=True, deadline=None, database=None)
+BITSTRINGS = st.text("01", min_size=1, max_size=40)
+
+
+@PROPERTY
+@given(st.integers(1, 2**80), st.integers(1, 120))
+def test_int_spec_prefixes_are_the_parity_vector(N, n):
+    prefix = parse_generator(f"int:{N}").prefix(n)
+    assert prefix == parity_vector(N, n)
+    assert prefix.bits == tuple(x & 1 for x in collatz_sequence(N, n))
+
+
+@PROPERTY
+@given(st.text("01", max_size=20), BITSTRINGS, st.integers(1, 120))
+def test_head_cycle_spec_prefixes_are_head_then_cycle(head, cycle, n):
+    stream = head + cycle * (n // len(cycle) + 1)
+    assert str(parse_generator(f"head:{head};cycle:{cycle}").prefix(n)) == stream[:n]
+
+
+@PROPERTY
+@given(BITSTRINGS)
+def test_bits_spec_yields_its_bits_then_runs_dry(bits):
+    gen = parse_generator(f"bits:{bits}")
+    assert "".join(map(str, gen.bits())) == bits
+    assert str(gen.prefix(len(bits))) == bits
+    with pytest.raises(BitStreamExhausted) as exc:
+        gen.prefix(len(bits) + 1)
+    assert exc.value.position == len(bits)
+
+
+# every spec but file:, which reads the file system
+WELL_FORMED = re.compile(r"int:0*[1-9][0-9]*|bits:[01]+|cycle:[01]+|head:[01]*;cycle:[01]+")
+
+
+@PROPERTY
+@given(st.tuples(st.sampled_from(["", "int:", "bits:", "cycle:", "head:", "head:1;cycle:"]),
+                 st.text("0129x;: abcdehilty", max_size=12)).map("".join)
+       .filter(lambda spec: not WELL_FORMED.fullmatch(spec) and not spec.startswith("file:")))
+def test_malformed_spec_is_a_value_error(spec):
+    with pytest.raises(ValueError):
+        parse_generator(spec)

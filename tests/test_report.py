@@ -2,6 +2,7 @@
 
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from collatz_parity.report import (
     DEFAULT_PRECISION,
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
+    _fixed_point,
     _round_half_even,
     charset_to_json_dict,
     format_rational,
@@ -61,6 +63,33 @@ def test_round_half_even_ties(u, digits, extra):
     assert (p * 10**digits) % q == q // 2
     expected = round(Fraction(p, q) * 10**digits)
     assert _round_half_even(p, q, digits) == expected and expected % 2 == 0
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(2, 2**600), st.integers(0, 2**5000), st.integers(-4000, 0),
+       st.integers(-4, 4), st.booleans())
+def test_fixed_point_refuses_only_what_str_would(p, low, e, offset, negative):
+    # 2^e < |p|/q < 2^(e+2), and the precision puts round(|p|/q * 10^digits)
+    # within a few digits of a 640-digit limit
+    bits = p.bit_length() - 1 - e
+    q = (1 << (bits - 1)) | (low & ((1 << (bits - 1)) - 1))
+    p = -p if negative else p
+    digits = 640 - e * 30103 // 100000 + offset
+    # the digit-limit check before 10^digits never refuses a value that renders
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = _fixed_point(p, q, digits)
+        scaled_digits = len(str(abs(_round_half_even(p, q, digits))))
+        sys.set_int_max_str_digits(640)
+        try:
+            assert _fixed_point(p, q, digits) == expected
+        except ValueError as exc:
+            assert "int_max_str_digits" in str(exc) and scaled_digits > 640
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_charset_json_round_trip():

@@ -6,18 +6,21 @@ from any directory:
     python3 tools/smoke.py
 
 It runs `verify`, every demo and a few CLI calls in child processes of the
-same interpreter, with this checkout's src/ on PYTHONPATH, and prints one
-PASS or FAIL line per check.  The exit status is 0 when every check passes
-and 1 otherwise.
+same interpreter, with this checkout's src/ on PYTHONPATH, checks in process
+that each command's own parser prints what the full parser prints, and
+prints one PASS or FAIL line per check.  The exit status is 0 when every
+check passes and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +154,43 @@ def check_xstar_oracle() -> str:
     return ""
 
 
+def parse_output(parser, argv: list[str]) -> tuple | None:
+    """(exit code, stdout, stderr) of parser.parse_args(argv) when it exits, else None."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+    return None
+
+
+def check_scoped_parsers() -> str:
+    # the CLI builds only the named command's parser; argparse's formatting
+    # differs across interpreters, and it must match the full parser's on each
+    sys.path.insert(0, str(SRC))
+    from collatz_parity import cli
+
+    columns = os.environ.get("COLUMNS")
+    try:
+        for width in ("80", "200"):
+            os.environ["COLUMNS"] = width  # argparse wraps to the terminal width
+            for name in cli._COMMANDS:
+                full, scoped = cli.build_parser(), cli.build_parser(name)
+                if scoped.format_usage() != full.format_usage():
+                    return f"{name}, width {width}: the usage lines differ"
+                # the command's help, a missing or an unknown argument
+                for argv in ([name, "-h"], [name, "--bogus"], [name, "0", "--bogus"]):
+                    if parse_output(scoped, argv) != parse_output(full, argv):
+                        return f"{' '.join(argv)}, width {width}: the output differs"
+    finally:
+        if columns is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = columns
+    return ""
+
+
 CHECKS = {
     "verify": check_verify,
     "demos": check_demos,
@@ -160,6 +200,7 @@ CHECKS = {
     "digit limit and --max-digits": check_digit_limit,
     "trajectory CSV = closed forms": check_csv_oracle,
     "xstar --json = closed forms": check_xstar_oracle,
+    "one command's parser = the full parser": check_scoped_parsers,
 }
 
 
