@@ -24,44 +24,51 @@ and `char_set` sums P by Horner.  Realizers of v are exactly N0 + 2^n * k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ParityVector
+from .core import ParityVector, Record
 
 
-@dataclass(frozen=True)
-class CharacteristicSet:
+class CharacteristicSet(Record):
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
     Only n, m, P and N0 are stored; every other number is computed on read.
-    a and b come from one solve, cached on first read; they and the numbers
-    that need them are None when m = 0 (the equation needs m >= 1).  X* needs
-    the one-positions, so `xstar_decompose` reads it from the vector.
+    a and b come from one solve, kept in the `_ab` slot on first read; they
+    and the numbers that need them are None when m = 0 (the equation needs
+    m >= 1).  X* needs the one-positions, so `xstar_decompose` reads it from
+    the vector.
     """
 
-    n: int
-    m: int
-    P: int
-    N0: int
+    __slots__ = ("n", "m", "P", "N0", "_ab")
+
+    def __init__(self, n: int, m: int, P: int, N0: int):
+        # one row per prefix: the slot setters, unrolled, are the cheapest store
+        set_n, set_m, set_P, set_N0 = self._setters
+        set_n(self, n)
+        set_m(self, m)
+        set_P(self, P)
+        set_N0(self, N0)
+
+    def _solution(self) -> tuple[int, int] | tuple[None, None]:
+        try:
+            return self._ab
+        except AttributeError:  # not read yet
+            ab = _solve_ab(self.m, self.n) if self.m else (None, None)
+            object.__setattr__(self, "_ab", ab)
+            return ab
 
     @property
     def c(self) -> int:
         return (1 << self.n) - 3**self.m
 
-    @cached_property
-    def _ab(self) -> tuple[int, int] | tuple[None, None]:
-        return _solve_ab(self.m, self.n) if self.m else (None, None)
-
     @property
     def a(self) -> int | None:
-        return self._ab[0]
+        return self._solution()[0]
 
     @property
     def b(self) -> int | None:
-        return self._ab[1]
+        return self._solution()[1]
 
     @property
     def alpha(self) -> int:
@@ -177,14 +184,13 @@ class XStarRow(NamedTuple):
     t: int        # (3^k * theta + 1) / 2^(n-j+1)
 
 
-@dataclass(frozen=True)
-class XStarDecomposition:
-    """Per-one-position decomposition of the particular point X*."""
+class XStarDecomposition(Record):
+    """Per-one-position decomposition of the particular point X*; X = X* + 2^n J."""
 
-    rows: tuple[XStarRow, ...]
-    Xstar: int
-    Ystar: int
-    J: int  # X = X* + 2^n * J
+    __slots__ = ("rows", "Xstar", "Ystar", "J")
+
+    def __init__(self, rows: tuple[XStarRow, ...], Xstar: int, Ystar: int, J: int):
+        self._init(rows, Xstar, Ystar, J)
 
     def check(self, v: ParityVector) -> None:
         n = v.n

@@ -7,12 +7,15 @@ The shortcut map consumes exactly one division by 2 per step:
 
 A parity vector records the parities (odd = 1) of consecutive iterates.
 All arithmetic is exact; integers are unbounded everywhere.
+
+The package's value types derive from `Record`, a plain immutable
+`__slots__` base: its classes are cheap to define at import time, and its
+instances cheap to construct.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import compress, islice
 from typing import Iterator
 
@@ -26,6 +29,59 @@ class BitStreamExhausted(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(message)
         self.position = position
+
+
+class Record:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields in `__slots__`; a slot whose name starts
+    with an underscore is a cache, not a field.  Its `__init__` validates
+    and stores the fields with `_init`, in `__slots__` order.  A record
+    compares equal only to a record of the same class with equal fields,
+    hashes its fields, has the repr `Name(field=value, ...)`, and rejects
+    assignment and deletion.  Copies and pickles are rebuilt by calling the
+    class on the fields, since slot state cannot be restored through the
+    refusing `__setattr__`.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _setters: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = [name for name in cls.__dict__.get("__slots__", ()) if not name.startswith("_")]
+        cls._fields = cls._fields + tuple(own)
+        # a slot descriptor's __set__ skips __setattr__, and is the cheapest way in
+        cls._setters = cls._setters + tuple(cls.__dict__[name].__set__ for name in own)
+
+    def _init(self, *values) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 def parity(N: int) -> int:
@@ -52,17 +108,17 @@ def collatz_sequence(N: int, n: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
-@dataclass(frozen=True)
-class ParityVector:
+class ParityVector(Record):
     """A finite, ordered sequence of bits; bit positions are 1-based."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if len(self.bits) == 0:
+    def __init__(self, bits: tuple[int, ...]):
+        if len(bits) == 0:
             raise ValueError("parity vector must be nonempty")
-        if not {0, 1}.issuperset(self.bits):
+        if not {0, 1}.issuperset(bits):
             raise ValueError("parity vector bits must be 0 or 1")
+        self._init(bits)
 
     @classmethod
     def from_string(cls, s: str) -> "ParityVector":
@@ -112,13 +168,15 @@ def parity_vector(N: int, n: int) -> ParityVector:
     return IntegerGenerator(N).prefix(n)
 
 
-class PrefixGenerator:
+class PrefixGenerator(Record):
     """Immutable spec for an infinite (or finite) stream of parity bits.
 
     `bits()` returns a fresh iterator each call, so re-running a spec
     reproduces the identical stream and concurrent consumers never share
     iterator state.
     """
+
+    __slots__ = ()
 
     def bits(self) -> Iterator[int]:
         raise NotImplementedError
@@ -137,15 +195,15 @@ class PrefixGenerator:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
 class IntegerGenerator(PrefixGenerator):
     """Emits the parity vector of the infinite sequence starting at N."""
 
-    N: int
+    __slots__ = ("N",)
 
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError(f"from-integer generator requires N >= 1, got {self.N}")
+    def __init__(self, N: int):
+        if N < 1:
+            raise ValueError(f"from-integer generator requires N >= 1, got {N}")
+        self._init(N)
 
     def bits(self) -> Iterator[int]:
         x = self.N
@@ -157,12 +215,13 @@ class IntegerGenerator(PrefixGenerator):
         return f"int:{self.N}"
 
 
-@dataclass(frozen=True)
 class HeadCycleGenerator(PrefixGenerator):
     """A finite head (possibly empty) followed by a cycle repeated forever."""
 
-    cycle: ParityVector
-    head: ParityVector | None = None
+    __slots__ = ("cycle", "head")
+
+    def __init__(self, cycle: ParityVector, head: ParityVector | None = None):
+        self._init(cycle, head)
 
     def bits(self) -> Iterator[int]:
         if self.head is not None:
@@ -176,18 +235,17 @@ class HeadCycleGenerator(PrefixGenerator):
         return f"head:{self.head};cycle:{self.cycle}"
 
 
-@dataclass(frozen=True)
 class BitStreamGenerator(PrefixGenerator):
     """A finite, explicitly listed bit stream (from a literal or a file)."""
 
-    data: tuple[int, ...]
-    origin: str = "bits"
+    __slots__ = ("data", "origin")
 
-    def __post_init__(self):
-        if len(self.data) == 0:
+    def __init__(self, data: tuple[int, ...], origin: str = "bits"):
+        if len(data) == 0:
             raise ValueError("bit-stream generator requires at least one bit")
-        if any(b not in (0, 1) for b in self.data):
+        if any(b not in (0, 1) for b in data):
             raise ValueError("bit-stream data must be 0/1")
+        self._init(data, origin)
 
     def bits(self) -> Iterator[int]:
         return iter(self.data)

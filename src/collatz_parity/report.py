@@ -9,8 +9,9 @@ The trajectory CSV carries a, b and K* from row to row by the paper's halving
 ladder: each row costs m small-integer steps and no modular power, and its
 rational cells are rounded from their known denominators 2^n, 3^m and
 2^n 3^m without building a Fraction.  `trajectory int:27 --horizon 1000`
-(2000) takes about 0.2 s (0.5 s) for a whole CLI call on a shared 2-core
-machine, Python 3.11.
+(2000) takes about 0.05 s (0.22-0.25 s) as an in-process `cli.main` call,
+best of 5, and 0.13-0.17 s (0.30-0.35 s) as a whole command-line run, median
+of 5, on a shared 2-core machine, Python 3.11.7.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -23,9 +24,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from typing import IO, Iterable, Iterator
 
 from .characteristics import (
@@ -41,7 +40,7 @@ from .characteristics import (
     solve_n0,
     xstar_decompose,
 )
-from .core import ParityVector, parse_generator
+from .core import ParityVector, Record, parse_generator
 from .trajectory import iter_trajectory
 
 DEFAULT_PRECISION = 12
@@ -316,30 +315,28 @@ _KIND_RESULTS = {
 FIXTURE_KINDS = tuple(_KIND_RESULTS)
 
 
-@dataclass(frozen=True)
-class FixtureCase:
+class FixtureCase(Record):
     """One self-contained worked example: re-runnable from its own fields alone."""
 
-    id: str
-    kind: str
-    input: dict
-    expected: dict
-    source: str
-    erratum: str | None = None
+    __slots__ = ("id", "kind", "input", "expected", "source", "erratum")
+
+    def __init__(self, id: str, kind: str, input: dict, expected: dict, source: str,
+                 erratum: str | None = None):
+        self._init(id, kind, input, expected, source, erratum)
 
 
-@dataclass(frozen=True)
-class FixtureResult:
-    id: str
-    kind: str
-    source: str
-    ok: bool
-    detail: str = ""
+class FixtureResult(Record):
+    __slots__ = ("id", "kind", "source", "ok", "detail")
+
+    def __init__(self, id: str, kind: str, source: str, ok: bool, detail: str = ""):
+        self._init(id, kind, source, ok, detail)
 
 
-@dataclass(frozen=True)
-class FixtureReport:
-    results: tuple[FixtureResult, ...]
+class FixtureReport(Record):
+    __slots__ = ("results",)
+
+    def __init__(self, results: tuple[FixtureResult, ...]):
+        self._init(results)
 
     @property
     def passed(self) -> int:
@@ -351,6 +348,9 @@ class FixtureReport:
 
 
 def default_fixture_path():
+    # imported here, not at the top: only `verify` reads the corpus, and this
+    # import alone is several ms of every call's start
+    from importlib import resources
     return resources.files("collatz_parity").joinpath("fixtures/paper.jsonl")
 
 

@@ -25,11 +25,10 @@ classifier says only what the computed rows support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .core import BitStreamExhausted, PrefixGenerator, collatz_step
+from .core import BitStreamExhausted, PrefixGenerator, Record, collatz_step
 from .characteristics import CharacteristicSet, _int_distance
 
 HALVED = "halved"
@@ -77,7 +76,7 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
             pow3m *= 3
             m += 1
         pow2 <<= 1
-        yield CharacteristicSet(n=j, m=m, P=P, N0=N0)
+        yield CharacteristicSet(j, m, P, N0)
 
 
 def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
@@ -99,8 +98,7 @@ def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
     )
 
 
-@dataclass(frozen=True)
-class ClassifierDiagnostics:
+class ClassifierDiagnostics(Record):
     """Final-row diagnostics attached to a verdict.
 
     int_distance is the exact distance of q_j = X_j/2^j and q*_j = X*_j/2^j
@@ -110,15 +108,14 @@ class ClassifierDiagnostics:
     infinite-ones assumption).
     """
 
-    final_j: int
-    int_distance: Fraction | None
-    m_over_n: Fraction
-    P_over_2n: Fraction
-    ones_in_window: int
+    __slots__ = ("final_j", "int_distance", "m_over_n", "P_over_2n", "ones_in_window")
+
+    def __init__(self, final_j: int, int_distance: Fraction | None, m_over_n: Fraction,
+                 P_over_2n: Fraction, ones_in_window: int):
+        self._init(final_j, int_distance, m_over_n, P_over_2n, ones_in_window)
 
 
-@dataclass(frozen=True)
-class RealizabilityVerdict:
+class RealizabilityVerdict(Record):
     """Horizon-bounded verdict on the prefix-realizer sequence N0_j.
 
     stabilized: N0_j constant over the final `window` rows (candidate = that value).
@@ -129,14 +126,15 @@ class RealizabilityVerdict:
                 streams, so a finite source gets none and no diagnostics.
     """
 
-    kind: str
-    horizon: int
-    window: int
-    rows_computed: int
-    candidate: int | None = None
-    stable_since: int | None = None
-    distinct_count: int | None = None
-    diagnostics: ClassifierDiagnostics | None = None
+    __slots__ = ("kind", "horizon", "window", "rows_computed", "candidate", "stable_since",
+                 "distinct_count", "diagnostics")
+
+    def __init__(self, kind: str, horizon: int, window: int, rows_computed: int,
+                 candidate: int | None = None, stable_since: int | None = None,
+                 distinct_count: int | None = None,
+                 diagnostics: ClassifierDiagnostics | None = None):
+        self._init(kind, horizon, window, rows_computed, candidate, stable_since,
+                   distinct_count, diagnostics)
 
 
 def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
@@ -193,17 +191,17 @@ ASYMPTOTIC_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(Record):
     """Last-row and max-over-tail summaries of exact per-row decay diagnostics.
 
     The tail is the second half of the rows, from row `tail_start`;
     max_over_tail ignores rows where a diagnostic is undefined (m = 0).
     """
 
-    tail_start: int
-    last: dict
-    max_over_tail: dict
+    __slots__ = ("tail_start", "last", "max_over_tail")
+
+    def __init__(self, tail_start: int, last: dict, max_over_tail: dict):
+        self._init(tail_start, last, max_over_tail)
 
 
 def asymptotic_report(rows: Iterable[CharacteristicSet]) -> AsymptoticReport:

@@ -1,6 +1,5 @@
 """Characteristic numbers of finite vectors against worked examples and oracles."""
 
-import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -62,7 +61,10 @@ def test_char_set_paper_examples():
 def test_char_set_stores_the_characteristic_numbers_only():
     # X* belongs to the vector (xstar_decompose), not to the set
     cs = char_set(PV("1011010111"))
-    assert [f.name for f in dataclasses.fields(cs)] == ["n", "m", "P", "N0"]
+    stored = [name for cls in type(cs).__mro__ for name in getattr(cls, "__slots__", ())]
+    assert not hasattr(cs, "__dict__")
+    assert [name for name in stored if not name.startswith("_")] == ["n", "m", "P", "N0"]
+    assert CharacteristicSet._fields == ("n", "m", "P", "N0")
     assert cs == CharacteristicSet(n=10, m=7, P=5645, N0=313)
     for gone in ("one_positions", "Xstar", "Ystar", "Kstar", "qstar",
                  "q_int_distance", "qstar_int_distance"):

@@ -3,12 +3,20 @@
 import io
 import json
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from collatz_parity import ParityVector, char_set, iter_trajectory, parse_generator
+from collatz_parity import (
+    CharacteristicSet,
+    ParityVector,
+    char_set,
+    iter_trajectory,
+    parse_generator,
+)
+from collatz_parity.cli import main
 from collatz_parity.report import (
     DEFAULT_PRECISION,
     TRAJECTORY_CSV_HEADER,
@@ -105,6 +113,20 @@ def test_charset_json_round_trip():
             value = getattr(cs, key)
             assert d[key] == (None if value is None else str(value))
         assert Fraction(int(d["r0_num"]), int(d["r0_den"])) == cs.r0
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=400))
+def test_analyze_json_rebuilds_the_characteristic_set(bits):
+    # n, m, P and N0 are all a reader of the JSON needs: the set they rebuild
+    # writes every other cell back byte for byte (a and b null when m = 0)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["analyze", "".join(map(str, bits))]) == 0
+    d = json.loads(out.getvalue())
+    cs = CharacteristicSet(*(int(d[key]) for key in ("n", "m", "P", "N0")))
+    assert cs == char_set(ParityVector(tuple(bits)))
+    assert json.dumps(charset_to_json_dict(cs), indent=2) + "\n" == out.getvalue()
 
 
 def test_analyze_json_contains_p_string():

@@ -7,9 +7,10 @@ from any directory:
 
 It runs `verify`, every demo and a few CLI calls in child processes of the
 same interpreter, with this checkout's src/ on PYTHONPATH, checks in process
-that each command's own parser prints what the full parser prints, and
-prints one PASS or FAIL line per check.  The exit status is 0 when every
-check passes and 1 otherwise.
+that each command's own parser prints what the full parser prints, checks
+that importing the CLI in a fresh `python -I` loads none of the modules it
+has no use for at start-up, and prints one PASS or FAIL line per check.
+The exit status is 0 when every check passes and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -28,6 +29,9 @@ SRC = ROOT / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 SIX_THOUSAND_ONES = "1" * 6000
+# modules the CLI's import must not load: dataclasses pulls in inspect, and
+# the fixture corpus's importlib.resources is for `verify` alone
+START_UP_EXCLUDED = ("dataclasses", "inspect", "importlib.resources")
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
@@ -191,6 +195,19 @@ def check_scoped_parsers() -> str:
     return ""
 
 
+def check_lean_import() -> str:
+    # a fresh interpreter as the benchmark starts one; site may have loaded
+    # any of these already, and only what the import adds counts
+    code = ("import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import collatz_parity.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)], capture_output=True,
+                          text=True, timeout=60)
+    if proc.returncode != 0:
+        return f"exit {proc.returncode}: {proc.stderr.strip()[-200:]}"
+    added = [name for name in proc.stdout.split() if name in START_UP_EXCLUDED]
+    return f"the import loads {', '.join(added)}" if added else ""
+
+
 CHECKS = {
     "verify": check_verify,
     "demos": check_demos,
@@ -201,6 +218,7 @@ CHECKS = {
     "trajectory CSV = closed forms": check_csv_oracle,
     "xstar --json = closed forms": check_xstar_oracle,
     "one command's parser = the full parser": check_scoped_parsers,
+    "the CLI's import loads no dataclasses, inspect or importlib.resources": check_lean_import,
 }
 
 
