@@ -24,8 +24,8 @@ and `char_set` sums P by Horner.  Realizers of v are exactly N0 + 2^n * k.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .core import ParityVector, Record
 
@@ -176,12 +176,13 @@ def _int_distance(x: Fraction) -> Fraction:
     return min(frac, 1 - frac)
 
 
-class XStarRow(NamedTuple):
-    k: int        # 1-based index of the one among the ones
-    j: int        # 1-based position of that one in the vector
-    theta: int    # least positive solution of 3^k * theta = -1 (mod 2^(n-j+1)); odd
-    z: int        # 2^(j-1) * theta
-    t: int        # (3^k * theta + 1) / 2^(n-j+1)
+XStarRow = namedtuple("XStarRow", [
+    "k",      # 1-based index of the one among the ones
+    "j",      # 1-based position of that one in the vector
+    "theta",  # least positive solution of 3^k * theta = -1 (mod 2^(n-j+1)); odd
+    "z",      # 2^(j-1) * theta
+    "t",      # (3^k * theta + 1) / 2^(n-j+1)
+])
 
 
 class XStarDecomposition(Record):
@@ -367,11 +368,7 @@ def repeat_p(u: ParityVector, k: int) -> int:
     return q
 
 
-class OmegaExtremes(NamedTuple):
-    min_vector: ParityVector
-    min_p: int
-    max_vector: ParityVector
-    max_p: int
+OmegaExtremes = namedtuple("OmegaExtremes", ["min_vector", "min_p", "max_vector", "max_p"])
 
 
 def omega_extremes(n: int, m: int) -> OmegaExtremes:
@@ -427,11 +424,14 @@ def char_set(v: ParityVector) -> CharacteristicSet:
 
     P by Horner over the one-positions (P = 3P + 2^{j-1}), and N0 = P * a
     mod 2^n (0 mapped to 2^n) from one solve for a; N0 = 2^n when m = 0.
+    The solved (a, b) fills the set's cache.
     """
     ones = v.one_positions()
     pow2 = 1 << v.n
     P = 0
     for j in ones:
         P = 3 * P + (1 << (j - 1))
-    a = _solve_ab(len(ones), v.n)[0] if ones else 0
-    return CharacteristicSet(n=v.n, m=len(ones), P=P, N0=P * a % pow2 or pow2)
+    ab = _solve_ab(len(ones), v.n) if ones else (None, None)
+    cs = CharacteristicSet(n=v.n, m=len(ones), P=P, N0=P * (ab[0] or 0) % pow2 or pow2)
+    object.__setattr__(cs, "_ab", ab)
+    return cs

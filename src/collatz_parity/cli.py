@@ -2,14 +2,13 @@
 
 Exit status: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 
-Each call builds the argparse parser of the one command its argv names, not
+Each call builds the flags of the one command argparse dispatches to, not
 all six: argparse sets up a help formatter and looks up messages once per
-argument, so the full parser takes about 1.5 ms to build and one command's
-0.3-0.5 ms (Python 3.11.7, timeit best of 7, shared 2-core machine).  An argv
-that names no command up front (-h, no command, an unknown one) gets the
-full parser, for its help and its errors.  No parser is kept between calls:
-a command-line run builds one anyway, and there the saving is small next to
-the interpreter's start.
+argument, so every command's flags take about 1.5 ms to build and one
+command's 0.3-0.5 ms (Python 3.11.7, timeit best of 7, shared 2-core
+machine).  The top-level help and errors need only the command names and
+help lines.  No parser is kept between calls: a command-line run builds one
+anyway, and there the saving is small next to the interpreter's start.
 """
 
 from __future__ import annotations
@@ -126,6 +125,8 @@ def _solve_flags(p):
 def _cmd_solve(args) -> int:
     v = ParityVector.from_string(args.bits)
     n0 = solve_n0(v)
+    # the last realizer is the largest: converted first, a digit-limit error writes nothing
+    str(n0 + ((args.count - 1) << v.n))
     with _open_out(args) as out:
         for j in range(args.count):
             out.write(f"{n0 + (j << v.n)}\n")
@@ -255,40 +256,34 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser: every subcommand, or with `command` that one alone.
+class _Command:
+    """A command's parser, built with its flags when argparse dispatches to it.
 
-    The parser of one command parses that command's argv as the full parser
-    does, and its usage line names every command, as the full one does; it
-    costs a quarter to a third as much to build.
+    argparse's `add_parser` hands its keyword arguments (prog and the flag
+    builder) to the parser class, and argparse calls nothing on a command's
+    parser but `parse_known_args`.
     """
+
+    def __init__(self, add_flags, **kwargs):
+        self.add_flags, self.kwargs = add_flags, kwargs
+
+    def parse_known_args(self, args=None, namespace=None):
+        parser = _Parser(**self.kwargs)
+        self.add_flags(parser)
+        return parser.parse_known_args(args, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser; a command's flags are added when a call reaches the command."""
     parser = _Parser(prog="collatz-parity",
                      description="Characteristic numbers of Collatz parity vectors")
     parser.add_argument("--max-digits", type=_max_digits, metavar="N",
                         help="most decimal digits an integer may have in input or output, "
                              "0 for no limit (default: the interpreter's limit, 4300)")
-    # the full parser keeps argparse's own metavar: "required: command" and
-    # "invalid choice" errors name the dest, not the brace list
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        if command is None or name == command:
-            add_flags(subs.add_parser(name, help=help_text))
+        subs.add_parser(name, help=help_text, add_flags=add_flags)
     return parser
-
-
-def _command_of(argv: list[str]) -> str | None:
-    """The subcommand argv names where no top-level option can take it, else None.
-
-    That is argv[0], or the token right after `--max-digits N` or
-    `--max-digits=N`.  Anything else (no command, an unknown one, -h, an
-    abbreviated --max) needs the full parser for its help or its error.
-    """
-    first = argv[0] if argv else ""
-    i = 2 if first == "--max-digits" else 1 if first.startswith("--max-digits=") else 0
-    if i < len(argv) and argv[i] in _COMMANDS:
-        return argv[i]
-    return None
 
 
 @contextmanager
@@ -319,7 +314,7 @@ def _error_text(exc: Exception) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(_command_of(argv))
+    parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "classify" and args.window > args.horizon:
         parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")

@@ -16,8 +16,8 @@ instances cheap to construct.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator
 from itertools import compress, islice
-from typing import Iterator
 
 
 class BitStreamExhausted(ValueError):

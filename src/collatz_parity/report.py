@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import IO, Iterable, Iterator
 
 from .characteristics import (
     CharacteristicSet,
@@ -42,6 +43,10 @@ from .characteristics import (
 )
 from .core import ParityVector, Record, parse_generator
 from .trajectory import iter_trajectory
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # IO is for annotations only; typing costs ms of every call's start
+    from typing import IO
 
 DEFAULT_PRECISION = 12
 
@@ -347,21 +352,14 @@ class FixtureReport(Record):
         return sum(1 for r in self.results if not r.ok)
 
 
-def default_fixture_path():
-    # imported here, not at the top: only `verify` reads the corpus, and this
-    # import alone is several ms of every call's start
-    from importlib import resources
-    return resources.files("collatz_parity").joinpath("fixtures/paper.jsonl")
+def default_fixture_path() -> str:
+    return os.path.join(os.path.dirname(__file__), "fixtures", "paper.jsonl")
 
 
 def load_fixtures(path=None) -> list[FixtureCase]:
     """Load a JSONL fixture corpus; malformed lines are reported with their number."""
-    src = default_fixture_path() if path is None else path
-    if isinstance(src, str):
-        with open(src, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = src.read_text(encoding="utf-8")
+    with open(default_fixture_path() if path is None else path, encoding="utf-8") as fh:
+        text = fh.read()
     cases = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

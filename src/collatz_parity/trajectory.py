@@ -25,8 +25,8 @@ classifier says only what the computed rows support.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .core import BitStreamExhausted, PrefixGenerator, Record, collatz_step
 from .characteristics import CharacteristicSet, _int_distance

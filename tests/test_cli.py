@@ -13,7 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatz_parity import cli
+from collatz_parity import characteristics, cli
 from collatz_parity.cli import main
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
 from collatz_parity import char_set, ParityVector
@@ -32,6 +32,15 @@ def test_analyze(capsys):
     cs = char_set(ParityVector.from_string("1101001"))
     cs.check()
     assert json.loads(out) == charset_to_json_dict(cs)
+
+
+def test_analyze_solves_for_a_and_b_once(capsys):
+    # char_set solves for a to get N0 and keeps (a, b) for the JSON's a, b, X and Y
+    solve_ab = characteristics._solve_ab
+    with mock.patch.object(characteristics, "_solve_ab", wraps=solve_ab) as counted:
+        code, out, _ = run(capsys, "analyze", "1011010111")
+    assert code == 0 and json.loads(out)["a"] == "221"
+    assert counted.call_count == 1
 
 
 def test_analyze_rejects_garbage(capsys):
@@ -245,7 +254,9 @@ def test_xstar_past_the_digit_limit_writes_nothing(capsys, tmp_path, flags, to_f
     # the distance line is the first past 4300 digits; the lines before it
     # must not be written either
     ["classify", "int:27", "--horizon", "50", "--window", "5", "--precision", "5000"],
-], ids=["analyze", "classify"])
+    # N0 of a 14283-bit vector has 4300 digits, and the third realizer 4301
+    ["solve", "1" + "0" * 14282, "--count", "40"],
+], ids=["analyze", "classify", "solve"])
 def test_a_call_past_the_digit_limit_writes_nothing(capsys, tmp_path, argv, to_file):
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
@@ -417,15 +428,40 @@ def test_cli_contract(argv):
             assert err and ": error: " in err[-1]
 
 
-# main builds the parser of the one command argv names; the full parser of
-# every command must give the same bytes, exit code and --out file
+# main builds a command's flags only when argparse dispatches to the command;
+# argparse's default parser class, given the same keyword arguments, builds
+# every command's flags up front and must give the same bytes, exit code and
+# --out file
+def _eager_command(add_flags, **kwargs):
+    parser = cli._Parser(**kwargs)
+    add_flags(parser)
+    return parser
+
+
 def _assert_scoped_equals_full(argv):
     with tempfile.TemporaryDirectory() as tmp:
         _make_tmp(tmp)
         scoped = _call(argv, tmp)
-        with mock.patch.object(cli, "_command_of", lambda argv: None):
+        with mock.patch.object(cli, "_Command", _eager_command):
             full = _call(argv, tmp)
     assert scoped == full
+
+
+def _count_flag_builds(monkeypatch) -> list:
+    """Wrap each flag builder in cli._COMMANDS; the list names each command whose flags are built."""
+    built = []
+    for name, (help_text, add_flags, run) in list(cli._COMMANDS.items()):
+        def counting(parser, name=name, add_flags=add_flags):
+            built.append(name)
+            add_flags(parser)
+        monkeypatch.setitem(cli._COMMANDS, name, (help_text, counting, run))
+    return built
+
+
+def _bench_calls(monkeypatch, seed):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    workloads = importlib.import_module("workloads")
+    return [call for name in workloads.WORKLOADS for call in workloads.make_calls(name, seed)]
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -434,6 +470,7 @@ def test_scoped_parser_equals_full_parser(argv):
     _assert_scoped_equals_full(argv)
 
 
+# command: the one command whose flags the call may build, None for none
 @pytest.mark.parametrize("columns", ["80", "200"])
 @pytest.mark.parametrize("argv, command", [
     (["-h"], None),
@@ -443,7 +480,7 @@ def test_scoped_parser_equals_full_parser(argv):
     (["frobnicate", "classify"], None),
     (["--max-digits", "5000", "classify", "-h"], "classify"),
     (["--max-digits=5000", "xstar", "-h"], "xstar"),
-    (["--max", "5000", "classify", "int:27"], None),  # an abbreviation takes the full parser
+    (["--max", "5000", "classify", "int:27"], "classify"),
     (["--max-digits", "1", "classify", "int:27"], "classify"),
     (["classify", "int:27", "--horizon", "3", "--window", "5"], "classify"),
     (["classify", "int:27", "--bogus"], "classify"),
@@ -451,19 +488,34 @@ def test_scoped_parser_equals_full_parser(argv):
 def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, command,
                                                              columns):
     monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help to the terminal width
-    assert cli._command_of(argv) == command
     _assert_scoped_equals_full(argv)
+    built = _count_flag_builds(monkeypatch)
+    with tempfile.TemporaryDirectory() as tmp:
+        _call(argv, tmp)
+    assert built in ([], [command])
+
+
+def test_a_call_builds_only_the_flags_of_its_command(monkeypatch, tmp_path):
+    cases = [([*call.argv, "--out", "@/out"], call.argv[0])
+             for call in _bench_calls(monkeypatch, 1)]
+    cases += [(["-h"], None), ([], None), (["frobnicate"], None),
+              (["--max", "5000", "classify", "int:27"], "classify"),
+              (["--max-digits", "5000", "xstar", "-h"], "xstar")]
+    built = _count_flag_builds(monkeypatch)
+    for argv, command in cases:
+        built.clear()
+        _call(argv, str(tmp_path))
+        assert built == ([] if command is None else [command]), argv
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_build_parser_keeps_every_command(monkeypatch, seed):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    workloads = importlib.import_module("workloads")
-    full = cli.build_parser()
-    assert full.parse_args(["verify", "--json"]).command == "verify"
-    argvs = [call.argv for name in workloads.WORKLOADS
-             for call in workloads.make_calls(name, seed)]
+    argvs = [call.argv for call in _bench_calls(monkeypatch, seed)]
     assert {argv[0] for argv in argvs} == set(cli._COMMANDS) - {"verify"}
     argvs.append(("verify", "--json", "--fixtures", "corpus.jsonl"))
+    scoped = cli.build_parser()
+    assert scoped.parse_args(["verify", "--json"]).command == "verify"
+    with mock.patch.object(cli, "_Command", _eager_command):
+        full = cli.build_parser()
     for argv in argvs:
-        assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+        assert scoped.parse_args(argv) == full.parse_args(argv)

@@ -7,9 +7,11 @@ from any directory:
 
 It runs `verify`, every demo and a few CLI calls in child processes of the
 same interpreter, with this checkout's src/ on PYTHONPATH, checks in process
-that each command's own parser prints what the full parser prints, checks
-that importing the CLI in a fresh `python -I` loads none of the modules it
-has no use for at start-up, and prints one PASS or FAIL line per check.
+that the CLI's parser, which builds a command's flags when argparse reaches
+the command, parses and prints what a parser built in full up front does,
+checks that importing the CLI in a fresh `python -I` loads none of the
+modules it has no use for at start-up, and prints one PASS or FAIL line per
+check.
 The exit status is 0 when every check passes and 1 otherwise.
 """
 
@@ -23,15 +25,17 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 SIX_THOUSAND_ONES = "1" * 6000
-# modules the CLI's import must not load: dataclasses pulls in inspect, and
-# the fixture corpus's importlib.resources is for `verify` alone
-START_UP_EXCLUDED = ("dataclasses", "inspect", "importlib.resources")
+# modules the CLI's import must not load: dataclasses pulls in inspect,
+# importlib.resources is of no use for a path next to the package, and the
+# package's annotations need no typing at run time
+START_UP_EXCLUDED = ("dataclasses", "inspect", "importlib.resources", "typing")
 
 
 def run(*args: str) -> subprocess.CompletedProcess:
@@ -158,35 +162,43 @@ def check_xstar_oracle() -> str:
     return ""
 
 
-def parse_output(parser, argv: list[str]) -> tuple | None:
-    """(exit code, stdout, stderr) of parser.parse_args(argv) when it exits, else None."""
+def parse_output(parser, argv: list[str]):
+    """(exit code, stdout, stderr) of parser.parse_args(argv) when it exits, else the namespace."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
-            parser.parse_args(argv)
+            return parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code, stdout.getvalue(), stderr.getvalue()
-    return None
 
 
-def check_scoped_parsers() -> str:
-    # the CLI builds only the named command's parser; argparse's formatting
-    # differs across interpreters, and it must match the full parser's on each
+def check_lazy_parser() -> str:
+    # the CLI's parser relies on argparse handing add_parser's keyword
+    # arguments to the parser class and calling only parse_known_args on a
+    # command's parser, and argparse's formatting differs across interpreters
     sys.path.insert(0, str(SRC))
     from collatz_parity import cli
 
+    def eager_command(add_flags, **kwargs):  # argparse's own parser class, flags added at once
+        parser = cli._Parser(**kwargs)
+        add_flags(parser)
+        return parser
+
+    argvs = [["-h"], [], ["frobnicate"], ["--max", "5000", "classify", "int:27"],
+             ["--max-digits", "1", "classify", "int:27"], ["--max-digits=5000", "xstar", "-h"],
+             ["classify", "int:27", "--horizon", "192", "--window", "32", "--json"]]
+    for name in cli._COMMANDS:  # the command's help, a missing, an unknown, an extra argument
+        argvs += [[name, "-h"], [name], [name, "--bogus"], [name, "0", "--bogus"], [name, "0", "0"]]
     columns = os.environ.get("COLUMNS")
     try:
         for width in ("80", "200"):
             os.environ["COLUMNS"] = width  # argparse wraps to the terminal width
-            for name in cli._COMMANDS:
-                full, scoped = cli.build_parser(), cli.build_parser(name)
-                if scoped.format_usage() != full.format_usage():
-                    return f"{name}, width {width}: the usage lines differ"
-                # the command's help, a missing or an unknown argument
-                for argv in ([name, "-h"], [name, "--bogus"], [name, "0", "--bogus"]):
-                    if parse_output(scoped, argv) != parse_output(full, argv):
-                        return f"{' '.join(argv)}, width {width}: the output differs"
+            lazy = [parse_output(cli.build_parser(), argv) for argv in argvs]
+            with mock.patch.object(cli, "_Command", eager_command):
+                eager = [parse_output(cli.build_parser(), argv) for argv in argvs]
+            for argv, got, expected in zip(argvs, lazy, eager):
+                if got != expected:
+                    return f"{' '.join(argv)}, width {width}: the output differs"
     finally:
         if columns is None:
             os.environ.pop("COLUMNS", None)
@@ -217,8 +229,9 @@ CHECKS = {
     "digit limit and --max-digits": check_digit_limit,
     "trajectory CSV = closed forms": check_csv_oracle,
     "xstar --json = closed forms": check_xstar_oracle,
-    "one command's parser = the full parser": check_scoped_parsers,
-    "the CLI's import loads no dataclasses, inspect or importlib.resources": check_lean_import,
+    "the lazy parser = one built up front": check_lazy_parser,
+    "the CLI's import loads no dataclasses, inspect, importlib.resources or typing":
+        check_lean_import,
 }
 
 
