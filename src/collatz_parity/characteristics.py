@@ -19,7 +19,8 @@ and Y* need the one-positions, so they come from the vector, by
 `xstar_decompose(v)`.  a and b, and with a N0, come from one closed-form
 solve, `_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
 oracle; X* takes each theta_k from the one before by an exact division by 3,
-and `char_set` sums P by Horner.  Realizers of v are exactly N0 + 2^n * k.
+and every function here sums P by Horner, with the weighted sum
+`p_closed_form` as its oracle.  Realizers of v are exactly N0 + 2^n * k.
 """
 
 from __future__ import annotations
@@ -246,6 +247,14 @@ def p_recurrence(v: ParityVector) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _horner_p(v: ParityVector) -> int:
+    """P by Horner over the one-positions, P = 3P + 2^{j-1}: no power of 3 per one."""
+    P = 0
+    for j in v.one_positions():
+        P = 3 * P + (1 << (j - 1))
+    return P
+
+
 def p_closed_form(v: ParityVector) -> int:
     """P as the weighted sum 3^{m-i} * 2^{j_i - 1} over the one-positions j_1 < ... < j_m."""
     ones = v.one_positions()
@@ -290,7 +299,7 @@ def g_of(v: ParityVector, N: int) -> Fraction:
     """The affine value (3^m N + P) / 2^n as an exact reduced rational."""
     if N < 1:
         raise ValueError(f"g_of requires N >= 1, got {N}")
-    return Fraction(3**v.ones * N + p_closed_form(v), 1 << v.n)
+    return Fraction(3**v.ones * N + _horner_p(v), 1 << v.n)
 
 
 def is_member(v: ParityVector, N: int) -> bool:
@@ -300,13 +309,13 @@ def is_member(v: ParityVector, N: int) -> bool:
     """
     if N < 1:
         raise ValueError(f"is_member requires N >= 1, got {N}")
-    return (3**v.ones * N + p_closed_form(v)) & ((1 << v.n) - 1) == 0
+    return (3**v.ones * N + _horner_p(v)) & ((1 << v.n) - 1) == 0
 
 
 def apply_vector(v: ParityVector, N: int) -> int:
     """T^n(N) = (3^m N + P) / 2^n for a realizer N of v."""
     pow2 = 1 << v.n
-    num = 3**v.ones * N + p_closed_form(v)
+    num = 3**v.ones * N + _horner_p(v)
     if N < 1 or num % pow2 != 0:
         n0 = solve_n0(v)
         raise ValueError(
@@ -353,7 +362,7 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
 
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:
     """P of the concatenation v1 || v2, from the parts: 3^{m(v2)} P(v1) + 2^{n(v1)} P(v2)."""
-    return 3**v2.ones * p_closed_form(v1) + (1 << v1.n) * p_closed_form(v2)
+    return 3**v2.ones * _horner_p(v1) + (1 << v1.n) * _horner_p(v2)
 
 
 def repeat_p(u: ParityVector, k: int) -> int:
@@ -361,7 +370,7 @@ def repeat_p(u: ParityVector, k: int) -> int:
     if k < 1:
         raise ValueError(f"repeat count must be >= 1, got {k}")
     m, n = u.ones, u.n
-    num = p_closed_form(u) * (3 ** (k * m) - (1 << (k * n)))
+    num = _horner_p(u) * (3 ** (k * m) - (1 << (k * n)))
     den = 3**m - (1 << n)  # never zero: powers of 2 and 3 only meet at 1
     q, r = divmod(num, den)
     assert r == 0
@@ -396,7 +405,7 @@ def cycle_fixed_point(u: ParityVector) -> Fraction:
     An infinite repetition of u is realizable by an integer only if this value
     is a positive integer.  m = 0 gives 0: no positive fixed point.
     """
-    return Fraction(p_closed_form(u), (1 << u.n) - 3**u.ones)
+    return Fraction(_horner_p(u), (1 << u.n) - 3**u.ones)
 
 
 def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> int:
@@ -413,7 +422,7 @@ def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> 
         raise ValueError(f"x1={x1} does not realize v1")
     if not is_member(v2, x2):
         raise ValueError(f"x2={x2} does not realize v2")
-    num = 3 ** (v2.ones - v1.ones) * x2 * p_closed_form(v1) - x1 * p_closed_form(v2)
+    num = 3 ** (v2.ones - v1.ones) * x2 * _horner_p(v1) - x1 * _horner_p(v2)
     q, r = divmod(num, 1 << v1.n)
     assert r == 0, "congruence witness must be an exact integer"
     return q
@@ -426,12 +435,10 @@ def char_set(v: ParityVector) -> CharacteristicSet:
     mod 2^n (0 mapped to 2^n) from one solve for a; N0 = 2^n when m = 0.
     The solved (a, b) fills the set's cache.
     """
-    ones = v.one_positions()
+    m = v.ones
     pow2 = 1 << v.n
-    P = 0
-    for j in ones:
-        P = 3 * P + (1 << (j - 1))
-    ab = _solve_ab(len(ones), v.n) if ones else (None, None)
-    cs = CharacteristicSet(n=v.n, m=len(ones), P=P, N0=P * (ab[0] or 0) % pow2 or pow2)
+    P = _horner_p(v)
+    ab = _solve_ab(m, v.n) if m else (None, None)
+    cs = CharacteristicSet(n=v.n, m=m, P=P, N0=P * (ab[0] or 0) % pow2 or pow2)
     object.__setattr__(cs, "_ab", ab)
     return cs

@@ -21,6 +21,7 @@ from contextlib import AbstractContextManager, contextmanager, nullcontext
 from .characteristics import char_set, solve_n0, xstar_decompose
 from .core import ParityVector, parse_generator
 from .report import (
+    _LOWEST_DIGIT_LIMIT,
     DEFAULT_PRECISION,
     charset_to_json_dict,
     format_rational,
@@ -32,7 +33,8 @@ from .report import (
     write_xstar_json,
     write_xstar_table,
 )
-from .trajectory import DEFAULT_HORIZON, DEFAULT_WINDOW, classify, iter_trajectory
+from .trajectory import (DEFAULT_HORIZON, DEFAULT_WINDOW, GROWING, STABILIZED, classify,
+                         iter_trajectory)
 
 USAGE_ERROR = 64
 _C_INT_MAX = 2**31 - 1
@@ -61,9 +63,9 @@ def _positive_int(text: str) -> int:
 
 def _max_digits(text: str) -> int:
     value = int(text)
-    low = getattr(sys.int_info, "str_digits_check_threshold", 640)
-    if value != 0 and value < low:
-        raise argparse.ArgumentTypeError(f"must be 0 (no limit) or >= {low}, got {value}")
+    if value != 0 and value < _LOWEST_DIGIT_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (no limit) or >= {_LOWEST_DIGIT_LIMIT}, got {value}")
     if value > _C_INT_MAX:  # sys.set_int_max_str_digits takes a C int
         raise argparse.ArgumentTypeError(f"must be <= {_C_INT_MAX}, got {value}")
     return value
@@ -209,10 +211,10 @@ def _cmd_classify(args) -> int:
         # every line is built before the first write, so an error writes nothing
         lines = [f"verdict: {verdict.kind} (horizon-bounded; horizon={verdict.horizon}, "
                  f"window={verdict.window}, rows={verdict.rows_computed})\n"]
-        if verdict.kind == "stabilized":
+        if verdict.kind == STABILIZED:
             lines.append(f"candidate: {verdict.candidate} "
                          f"(stable since row {verdict.stable_since})\n")
-        elif verdict.kind == "growing":
+        elif verdict.kind == GROWING:
             lines.append(f"distinct N0 values seen: {verdict.distinct_count}\n")
         if d is not None:
             lines.append(f"final row {d.final_j}: m/n = {_frac_text(d.m_over_n, args)}, "

@@ -6,12 +6,15 @@ decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
 The trajectory CSV carries a, b and K* from row to row by the paper's halving
-ladder: each row costs m small-integer steps and no modular power, and its
+ladder: each row costs m big-integer steps and no modular power, and its
 rational cells are rounded from their known denominators 2^n, 3^m and
-2^n 3^m without building a Fraction.  `trajectory int:27 --horizon 1000`
-(2000) takes about 0.05 s (0.22-0.25 s) as an in-process `cli.main` call,
-best of 5, and 0.13-0.17 s (0.30-0.35 s) as a whole command-line run, median
-of 5, on a shared 2-core machine, Python 3.11.7.
+2^n 3^m without building a Fraction.  The ladder's cofactors t_k < 3^k are
+not small: on `int:27` the largest has 162 bits at n = 192 and 1595 at
+n = 2000, where they hold about 800,000 bits, so a row takes O(m^2) bit
+operations.  `trajectory int:27 --horizon 1000` (2000) takes 0.05-0.08 s
+(0.19-0.31 s) as an in-process `cli.main` call, best of 5, and 0.13-0.17 s
+(0.26-0.43 s) as a whole command-line run from a fresh `python -I`, median
+of 5; five runs each on a shared 2-core machine, Python 3.11.7.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -25,7 +28,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from fractions import Fraction
 
 from .characteristics import (
@@ -164,39 +167,9 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
-def trajectory_csv_line(row: CharacteristicSet, carried: tuple[int, int, int],
-                        digits: int = DEFAULT_PRECISION, exact: bool = False) -> str:
-    """One CSV line for `row`.
-
-    `carried` is (a, b, K*) as `write_trajectory_csv` carries them from row to
-    row (read only when m >= 1); the other cells come from n, m, P and N0.
-    """
-    n, m, P, N0 = row.n, row.m, row.P, row.N0
-    a, b, kstar = carried
-    pow2 = 1 << n
-    pow3 = 3**m
-
-    def frac(p: int, q: int) -> str:
-        return str(Fraction(p, q)) if exact else _fixed_point(p, q, digits)
-
-    if m:
-        X = P * a
-        a_b = f"{a},{b}"
-        q_K_Kstar = f"{frac(X, pow2)},{(X - N0) >> n},{kstar}"
-        f2 = frac(X & (pow2 - 1), pow2)  # B*a = P*a mod 2^n
-    else:
-        a_b, q_K_Kstar, f2 = ",", ",,", ""
-    cells = [
-        str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), frac(N0, pow2),
-        q_K_Kstar, frac(m, n), frac(P, pow2), frac(P, pow2 * pow3), frac(P // pow3, pow2),
-        frac(P >> n, pow3), f2,
-    ]
-    return ",".join(cells)
-
-
-def _halving_ladder(rows: Iterable[CharacteristicSet]
-                    ) -> Iterator[tuple[CharacteristicSet, tuple[int, int, int]]]:
-    """Each row with its (a, b, K*), carried from the previous row by the halving ladder.
+def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
+                         digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
+    """Write the header and one line per row, carrying a, b and K* by the halving ladder.
 
     The rows must be j = 1, 2, ... of one stream; only the change in m (the
     bit e) and whether N0 lifted (d) are read from them.  One ladder step,
@@ -208,11 +181,17 @@ def _halving_ladder(rows: Iterable[CharacteristicSet]
         t_k of its theta_k, and every t_k takes a step per row.  X* gains
         2^n for each odd t_k (L of them) and 2^n on a 1 bit, N0 gains 2^n
         when it lifts, so K* = (K* + L + e - d)/2.  A new t_k is (3^k + 1)/2.
-    Each row costs m small-integer steps and no modular power.
+    Each row costs m big-integer steps and no modular power: t_k < 3^k, so
+    the steps take O(m^2) bit operations.  The other cells come from n, m,
+    P and N0, with the 2^n and 3^m the ladder carries.
     """
+    def frac(p: int, q: int) -> str:
+        return str(Fraction(p, q)) if exact else _fixed_point(p, q, digits)
+
+    out.write(TRAJECTORY_CSV_HEADER + "\n")
     n, m, N0 = 0, 0, 1
     a, b, kstar = 0, 1, -1   # 3^0 a + 1 = 2^0 b; X*_0 = 0 = N0_0 - 1
-    pow2, pow3 = 1, 1        # 2^n, 3^m of the previous row
+    pow2, pow3 = 1, 1        # 2^n, 3^m
     ts: list[int] = []       # t_k for k = 1..m
     pow3s: list[int] = []    # 3^k for k = 1..m
     for row in rows:
@@ -241,16 +220,20 @@ def _halving_ladder(rows: Iterable[CharacteristicSet]
         else:
             b >>= 1
         pow2 <<= 1
-        n, m, N0 = row.n, row.m, row.N0
-        yield row, (a, b, kstar)
+        n, m, P, N0 = row.n, row.m, row.P, row.N0
 
-
-def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
-                         digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
-    """Write the header and one line per row; rows must be j = 1, 2, ... of one stream."""
-    out.write(TRAJECTORY_CSV_HEADER + "\n")
-    for row, carried in _halving_ladder(rows):
-        out.write(trajectory_csv_line(row, carried, digits, exact) + "\n")
+        if m:
+            X = P * a
+            a_b = f"{a},{b}"
+            q_K_Kstar = f"{frac(X, pow2)},{(X - N0) >> n},{kstar}"
+            f2 = frac(X & (pow2 - 1), pow2)  # B*a = P*a mod 2^n
+        else:
+            a_b, q_K_Kstar, f2 = ",", ",,", ""
+        out.write(",".join([
+            str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), frac(N0, pow2),
+            q_K_Kstar, frac(m, n), frac(P, pow2), frac(P, pow2 * pow3), frac(P // pow3, pow2),
+            frac(P >> n, pow3), f2,
+        ]) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,20 @@ def test_p_three_forms_agree():
         assert char_set(v).P == p_closed_form(v) == p_recurrence(v)[-1]
 
 
+def test_library_functions_sum_p_by_horner(monkeypatch):
+    # the weighted sum makes one power of 3 per one; it is the tests' oracle only
+    def oracle_only(v):
+        raise AssertionError("p_closed_form called outside the tests")
+
+    monkeypatch.setattr(characteristics, "p_closed_form", oracle_only)
+    v = PV("1101001")
+    assert g_of(v, 11) == 8 and is_member(v, 11) and apply_vector(v, 11) == 8
+    assert compose_p(PV("1101"), PV("001")) == 133
+    assert repeat_p(PV("100"), 2) == 11
+    assert cycle_fixed_point(PV("100")) == Fraction(1, 5)
+    assert congruence_witness(v, v, 11, 139) == 133
+
+
 def test_compose_p():
     assert compose_p(PV("1101"), PV("001")) == 133
     assert 3 * 23 + 16 * 4 == 133  # the two parts of the example

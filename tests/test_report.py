@@ -28,7 +28,6 @@ from collatz_parity.report import (
     load_fixtures,
     render_report_text,
     run_fixtures,
-    trajectory_csv_line,
     write_trajectory_csv,
     write_xstar_json,
 )
@@ -197,34 +196,60 @@ def test_trajectory_csv_deterministic():
     assert render() == render()
 
 
-def closed_form_carried(gen, row):
-    # (a, b, K*) from closed forms: the row's a and b, and K* from X* of the prefix
-    if row.m == 0:
-        return None, None, None
-    Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
-    return row.a, row.b, (Xstar - row.N0) >> row.n
+# the cells that are integers and rationals of the row, in CSV order; K* is
+# the one cell that needs the prefix itself
+_INTEGER_CELLS = ("n", "m", "P", "c", "a", "b", "N0")
+_RATIONAL_CELLS = ("m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n", "A_over_3m",
+                   "f2_over_2n")
+
+
+def closed_form_line(gen, row, digits=DEFAULT_PRECISION, exact=False):
+    """Row j's CSV line from its closed-form properties and the X* of its prefix.
+
+    It shares only the rounding `_fixed_point` with the writer, through
+    `format_rational`; a cell is empty where its property is None (m = 0).
+    """
+    def cell(name, render=str):
+        value = getattr(row, name)
+        return "" if value is None else render(value)
+
+    def rational(name):
+        return cell(name, lambda x: format_rational(x, digits, exact))
+
+    kstar = ""
+    if row.m:
+        kstar = str((xstar_decompose(gen.prefix(row.n)).Xstar - row.N0) >> row.n)
+    return ",".join([str(row.n), *map(cell, _INTEGER_CELLS), rational("r0"), rational("q"),
+                     cell("K"), kstar, *map(rational, _RATIONAL_CELLS)])
+
+
+def csv_lines(rows, digits=DEFAULT_PRECISION, exact=False):
+    out = io.StringIO()
+    write_trajectory_csv(rows, out, digits, exact)
+    return out.getvalue().split("\n")
 
 
 def test_trajectory_csv_empty_cells_before_first_one():
     gen = parse_generator("bits:00101")
     rows = list(iter_trajectory(gen, 5))
-    line1 = trajectory_csv_line(rows[0], closed_form_carried(gen, rows[0]))
-    cells = line1.split(",")
+    lines = csv_lines(rows)
+    cells = lines[1].split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
     for name in ("a_j", "b_j", "q_j", "K_j", "Kstar_j", "f2_over_2n"):
         assert cells[header.index(name)] == ""
     # once a one arrives the cells fill in
-    line3 = trajectory_csv_line(rows[2], closed_form_carried(gen, rows[2]))
-    assert line3.split(",")[header.index("a_j")] != ""
+    assert lines[3].split(",")[header.index("a_j")] != ""
+    assert lines[1:-1] == [closed_form_line(gen, row) for row in rows]
 
 
 def test_trajectory_csv_exact_mode():
     gen = parse_generator("int:7")
     rows = list(iter_trajectory(gen, 3))
-    line = trajectory_csv_line(rows[2], closed_form_carried(gen, rows[2]), exact=True)
+    line = csv_lines(rows, exact=True)[3]
     cells = line.split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
     assert cells[header.index("r0_j")] == "7/8"
+    assert line == closed_form_line(gen, rows[2], exact=True)
 
 
 def test_trajectory_csv_rejects_rows_that_do_not_follow_on():
@@ -239,12 +264,10 @@ def test_trajectory_csv_rejects_rows_that_do_not_follow_on():
 def test_csv_equals_the_closed_form_rendering(spec):
     gen = parse_generator(spec)
     rows = list(iter_trajectory(gen, 300))
-    carried = [closed_form_carried(gen, row) for row in rows]
-    for digits in (DEFAULT_PRECISION, 0, 3):
-        out = io.StringIO()
-        write_trajectory_csv(rows, out, digits)
-        closed_form = [trajectory_csv_line(row, c, digits) for row, c in zip(rows, carried)]
-        assert out.getvalue().split("\n") == [TRAJECTORY_CSV_HEADER, *closed_form, ""]
+    for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (3, False),
+                          (DEFAULT_PRECISION, True)):
+        closed_form = [closed_form_line(gen, row, digits, exact) for row in rows]
+        assert csv_lines(rows, digits, exact) == [TRAJECTORY_CSV_HEADER, *closed_form, ""]
 
 
 def test_load_fixtures_default_corpus():

@@ -31,6 +31,7 @@ from collatz_parity import (
 )
 from collatz_parity.characteristics import _int_distance
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
+from test_report import closed_form_line
 
 PV = ParityVector.from_string
 
@@ -121,15 +122,13 @@ def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
     header = TRAJECTORY_CSV_HEADER.split(",")
     columns = [header.index(name) for name in ("a_j", "b_j", "Kstar_j")]
     for row, line in zip(rows, out.getvalue().splitlines()[1:], strict=True):
-        cells = line.split(",")
-        a, b, kstar = (cells[i] for i in columns)
+        # every cell against the row's closed-form properties and the X* of
+        # the prefix, which share no code with the ladder
+        assert line == closed_form_line(gen, row)
+        a, b, kstar = (line.split(",")[i] for i in columns)
         if row.m == 0:
             assert a == b == kstar == ""
             continue
-        # against _solve_ab and the X* of the prefix, which share no code
-        # with the ladder
-        Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
-        assert (int(a), int(b), int(kstar)) == (row.a, row.b, (Xstar - row.N0) >> row.n)
         assert 0 <= int(kstar) < row.m
         if row.n % 16 == 0 or row.n == len(bits):
             assert (int(a), int(b)) == ab_recurrence(row.m, row.n)[-1]

@@ -6,8 +6,11 @@ from any directory:
     python3 tools/smoke.py
 
 It runs `verify`, every demo and a few CLI calls in child processes of the
-same interpreter, with this checkout's src/ on PYTHONPATH, checks in process
-that the CLI's parser, which builds a command's flags when argparse reaches
+same interpreter, with this checkout's src/ on PYTHONPATH, checks the
+`trajectory` CSV and the `xstar --json` table byte for byte against
+renderings built from closed forms (every CSV cell from the row's own
+properties, none through the CSV writer), checks in process that the CLI's
+parser, which builds a command's flags when argparse reaches
 the command, parses and prints what a parser built in full up front does,
 checks that importing the CLI in a fresh `python -I` loads none of the
 modules it has no use for at start-up, and prints one PASS or FAIL line per
@@ -118,18 +121,26 @@ def check_digit_limit() -> str:
 
 
 def check_csv_oracle() -> str:
-    # the CSV carries a, b and K* from row to row; the oracle takes a and b
-    # from each row's closed form and K* from X* of the row's prefix
+    # the CSV carries a, b and K* from row to row by the halving ladder; the
+    # oracle renders every cell from the row's closed-form properties, and
+    # K* from X* of the row's prefix
     sys.path.insert(0, str(SRC))
     from collatz_parity import iter_trajectory, parse_generator, xstar_decompose
-    from collatz_parity.report import TRAJECTORY_CSV_HEADER, trajectory_csv_line
+    from collatz_parity.report import TRAJECTORY_CSV_HEADER, format_rational
 
     proc = cli("trajectory", "int:27", "--horizon", "300")
     gen = parse_generator("int:27")
+    integers = ("n", "m", "P", "c", "a", "b", "N0")
+    rationals = ("m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n", "A_over_3m",
+                 "f2_over_2n")
     lines = [TRAJECTORY_CSV_HEADER]
-    for row in iter_trajectory(gen, 300):  # 27 is odd: every row has m >= 1
+    for row in iter_trajectory(gen, 300):  # 27 is odd: no property is None
         Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
-        lines.append(trajectory_csv_line(row, (row.a, row.b, (Xstar - row.N0) >> row.n)))
+        cells = [str(row.n), *(str(getattr(row, name)) for name in integers),
+                 format_rational(row.r0), format_rational(row.q), str(row.K),
+                 str((Xstar - row.N0) >> row.n),
+                 *(format_rational(getattr(row, name)) for name in rationals)]
+        lines.append(",".join(cells))
     expected = "\n".join([*lines, ""])
     if proc.returncode != 0 or proc.stdout != expected:
         return f"exit {proc.returncode}; the CSV differs from the closed-form rendering"
