@@ -6,15 +6,18 @@ decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
 The trajectory CSV carries a, b and K* from row to row by the paper's halving
-ladder: each row costs m big-integer steps and no modular power, and its
-rational cells are rounded from their known denominators 2^n, 3^m and
-2^n 3^m without building a Fraction.  The ladder's cofactors t_k < 3^k are
-not small: on `int:27` the largest has 162 bits at n = 192 and 1595 at
-n = 2000, where they hold about 800,000 bits, so a row takes O(m^2) bit
-operations.  `trajectory int:27 --horizon 1000` (2000) takes 0.05-0.08 s
-(0.19-0.31 s) as an in-process `cli.main` call, best of 5, and 0.13-0.17 s
-(0.26-0.43 s) as a whole command-line run from a fresh `python -I`, median
-of 5; five runs each on a shared 2-core machine, Python 3.11.7.
+ladder, with no modular power.  K*'s ladder goes 64 rows at a time: per
+64-row block there is one multiply-and-shift per carried one-position, plus
+per-row steps only for the ones that appeared in that block.  The rational
+cells are rounded from their known denominators 2^n, 3^m and 2^n 3^m by one
+renderer built per call, without building a Fraction.  The ladder's
+cofactors t_k < 3^k are not small: on `int:27` the largest has 162 bits at
+n = 192 and 1595 at n = 2000, where they hold about 800,000 bits, so a block
+takes O(m^2) bit operations.  `trajectory int:27 --horizon 1000` (2000)
+takes 0.023-0.037 s (0.089-0.131 s) as an in-process `cli.main` call, best
+of 5, and 0.09-0.12 s (0.17-0.21 s) as a whole command-line run from a fresh
+`python -I` writing to /dev/null, median of 5; five runs each on a shared
+2-core machine, Python 3.11.7.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -28,7 +31,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .characteristics import (
@@ -54,17 +57,6 @@ if TYPE_CHECKING:  # IO is for annotations only; typing costs ms of every call's
 DEFAULT_PRECISION = 12
 
 
-def _round_half_even(p: int, q: int, digits: int) -> int:
-    """round(p/q * 10^digits) for q > 0, ties to even, in integer arithmetic."""
-    if digits < 0:
-        raise ValueError(f"precision must be >= 0, got {digits}")
-    scaled, rem = divmod(p * 10**digits, q)
-    twice = rem << 1
-    if twice > q or (twice == q and scaled & 1):
-        scaled += 1
-    return scaled
-
-
 # No nonzero int/str digit limit is lower than this, and below it 10^digits
 # is cheap to build: str() of the rounded value then makes the same check.
 _LOWEST_DIGIT_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
@@ -88,17 +80,47 @@ def _check_digit_limit(p: int, q: int, digits: int) -> None:
                          "to increase the limit")
 
 
-def _fixed_point(p: int, q: int, digits: int) -> str:
-    """p/q (q > 0) in fixed point with `digits` fractional digits, round-half-even."""
-    if p and digits >= _LOWEST_DIGIT_LIMIT:
-        _check_digit_limit(p, q, digits)
-    scaled = _round_half_even(p, q, digits)
-    sign = "-" if scaled < 0 else ""
-    text = str(abs(scaled))
-    if digits == 0:
-        return sign + text
-    text = text.rjust(digits + 1, "0")
-    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+def _fixed_point_renderer(digits: int) -> Callable[[int, int], str]:
+    """A function of (p, q), q > 0: p/q in fixed point with `digits` fractional digits.
+
+    It rounds half to even in integer arithmetic, with 10^digits and the pad
+    width built once.  From the lowest digit limit up, each nonzero value is
+    first bounded against the interpreter's limit, and 10^digits is built
+    only when a value has passed, so a precision of millions fails at once.
+    """
+    if digits < 0:
+        raise ValueError(f"precision must be >= 0, got {digits}")
+    if digits >= _LOWEST_DIGIT_LIMIT:
+        render = None
+
+        def checked(p: int, q: int) -> str:
+            nonlocal render
+            if p:
+                _check_digit_limit(p, q, digits)
+            if render is None:
+                render = _rounder(digits)
+            return render(p, q)
+        return checked
+    return _rounder(digits)
+
+
+def _rounder(digits: int) -> Callable[[int, int], str]:
+    """`_fixed_point_renderer` without the digit-limit bound."""
+    scale, width = 10**digits, digits + 1
+
+    def render(p: int, q: int) -> str:
+        scaled, rem = divmod(p * scale, q)
+        twice = rem << 1
+        if twice > q or (twice == q and scaled & 1):
+            scaled += 1
+        if not digits:
+            return str(scaled)
+        if scaled < 0:
+            text = str(-scaled).rjust(width, "0")
+            return f"-{text[:-digits]}.{text[-digits:]}"
+        text = str(scaled).rjust(width, "0")
+        return f"{text[:-digits]}.{text[-digits:]}"
+    return render
 
 
 def format_rational(x: Fraction, digits: int = DEFAULT_PRECISION, exact: bool = False) -> str:
@@ -110,7 +132,7 @@ def format_rational(x: Fraction, digits: int = DEFAULT_PRECISION, exact: bool = 
     if exact:
         return str(x)
     x = Fraction(x)
-    return _fixed_point(x.numerator, x.denominator, digits)
+    return _fixed_point_renderer(digits)(x.numerator, x.denominator)
 
 
 def _opt(x: int | None) -> str | None:
@@ -167,6 +189,14 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
+# The K* ladder moves each carried cofactor this many rows at a time, and
+# 3^-1 mod 2^64 is exactly (2^65 + 1)/3, since 3 (2^65 + 1)/3 = 2 * 2^64 + 1.
+_LADDER_BLOCK = 64
+_BLOCK_MASK = (1 << _LADDER_BLOCK) - 1
+_INV3 = ((2 << _LADDER_BLOCK) + 1) // 3
+_BLOCK_FORMAT = f"0{_LADDER_BLOCK}b"   # a multiplier's bits, row 63 of the block first
+
+
 def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
     """Write the header and one line per row, carrying a, b and K* by the halving ladder.
@@ -178,29 +208,49 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
       * (a, b): on a 1 bit, a = (a + k 2^n)/3 and b += k 3^m first, with
         k in {0, 1, 2} the value that makes the division exact; then a step.
       * K*, where X* = N0 + 2^n K*: each one-position k carries the cofactor
-        t_k of its theta_k, and every t_k takes a step per row.  X* gains
-        2^n for each odd t_k (L of them) and 2^n on a 1 bit, N0 gains 2^n
-        when it lifts, so K* = (K* + L + e - d)/2.  A new t_k is (3^k + 1)/2.
-    Each row costs m big-integer steps and no modular power: t_k < 3^k, so
-    the steps take O(m^2) bit operations.  The other cells come from n, m,
-    P and N0, with the 2^n and 3^m the ladder carries.
+        t_k of its theta_k, and every t_k takes a step per row, to
+        (t_k + 3^k)/2 if odd, else t_k/2.  X* gains 2^n for each odd t_k (L
+        of them) and 2^n on a 1 bit, N0 gains 2^n when it lifts, so
+        K* = (K* + L + e - d)/2.  A new t_k is (3^k + 1)/2.
+    The ladder goes 64 rows at a time.  At a block's start each carried t_k
+    gets c_k = -t_k 3^-k mod 2^64, the one multiplier that makes t_k + c_k 3^k
+    divisible by 2^64: bit r of c_k is the parity of t_k at row r of the
+    block, the block's 64 values of L are the column sums of the c_k, and
+    t_k becomes (t_k + c_k 3^k)/2^64.  -3^-k mod 2^64, kept per one, comes
+    from -3^-(k-1) by a product with (2^65 + 1)/3.  A t_k new in a block
+    takes its steps one row at a time until the next block's start.  So a
+    block costs one multiply-and-shift per carried one-position and no
+    modular power, plus per-row steps for the ones that appeared in it;
+    t_k < 3^k, so a block takes O(m^2) bit operations.  The other cells come
+    from n, m, P and N0, with the 2^n and 3^m the ladder carries, through a
+    renderer built once.
     """
-    def frac(p: int, q: int) -> str:
-        return str(Fraction(p, q)) if exact else _fixed_point(p, q, digits)
+    render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
     n, m, N0 = 0, 0, 1
     a, b, kstar = 0, 1, -1   # 3^0 a + 1 = 2^0 b; X*_0 = 0 = N0_0 - 1
-    pow2, pow3 = 1, 1        # 2^n, 3^m
-    ts: list[int] = []       # t_k for k = 1..m
+    pow2, pow3, ninv3 = 1, 1, _BLOCK_MASK   # 2^n, 3^m, -3^-m mod 2^64
+    ts: list[int] = []       # t_k for k = 1..m; those from index `carried` on are new in the block
     pow3s: list[int] = []    # 3^k for k = 1..m
+    ninvs: list[int] = []    # -3^-k mod 2^64 for k = 1..m
+    carried = 0
     for row in rows:
         e = row.m - m
         if row.n != n + 1 or e not in (0, 1):
             raise ValueError(f"rows must be consecutive from j = 1, got j={row.n} "
                              f"(m={row.m}) after j={n} (m={m})")
-        odd = 0
-        for i, t in enumerate(ts):
+        r = n % _LADDER_BLOCK
+        if not r:
+            cs = [(t & _BLOCK_MASK) * ninv & _BLOCK_MASK for t, ninv in zip(ts, ninvs)]
+            ts = [(t + c * p) >> _LADDER_BLOCK for t, c, p in zip(ts, cs, pow3s)]
+            # bit r of c_k is character 63 - r of its binary string
+            bits = "".join([format(c, _BLOCK_FORMAT) for c in cs])
+            odds = [bits[i::_LADDER_BLOCK].count("1") for i in range(_LADDER_BLOCK - 1, -1, -1)]
+            carried = len(ts)
+        odd = odds[r]
+        for i in range(carried, len(ts)):
+            t = ts[i]
             if t & 1:
                 odd += 1
                 ts[i] = (t + pow3s[i]) >> 1
@@ -212,8 +262,10 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
             a = (a + k * pow2) // 3
             b += k * pow3
             pow3 *= 3
+            ninv3 = ninv3 * _INV3 & _BLOCK_MASK
             ts.append((pow3 + 1) >> 1)
             pow3s.append(pow3)
+            ninvs.append(ninv3)
         if b & 1:
             a += pow2
             b = (b + pow3) >> 1
@@ -222,17 +274,20 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
         pow2 <<= 1
         n, m, P, N0 = row.n, row.m, row.P, row.N0
 
+        r0 = render(N0, pow2)
         if m:
             X = P * a
             a_b = f"{a},{b}"
-            q_K_Kstar = f"{frac(X, pow2)},{(X - N0) >> n},{kstar}"
-            f2 = frac(X & (pow2 - 1), pow2)  # B*a = P*a mod 2^n
+            q_K_Kstar = f"{render(X, pow2)},{(X - N0) >> n},{kstar}"
+            # (X mod 2^n)/2^n, and X = P a = N0 (mod 2^n) with N0 < 2^n once
+            # a one has come, since 2^n realizes n zeros
+            f2 = r0
         else:
             a_b, q_K_Kstar, f2 = ",", ",,", ""
         out.write(",".join([
-            str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), frac(N0, pow2),
-            q_K_Kstar, frac(m, n), frac(P, pow2), frac(P, pow2 * pow3), frac(P // pow3, pow2),
-            frac(P >> n, pow3), f2,
+            str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), r0,
+            q_K_Kstar, render(m, n), render(P, pow2), render(P, pow2 * pow3),
+            render(P // pow3, pow2), render(P >> n, pow3), f2,
         ]) + "\n")
 
 

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 from collatz_parity import characteristics, cli
 from collatz_parity.cli import main
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
-from collatz_parity import char_set, ParityVector
+from collatz_parity import char_set, iter_trajectory, parse_generator, ParityVector
+from test_report import closed_form_line
 
 
 def run(capsys, *argv):
@@ -193,6 +194,18 @@ def test_exhausted_bit_source_is_a_one_line_error(capsys):
     assert err.startswith("error: bit source exhausted") and len(err.splitlines()) == 1
 
 
+def test_a_source_that_runs_dry_past_the_first_block(capsys):
+    # the CSV writer's K* ladder goes 64 rows at a time; the 100 rows before
+    # the source runs dry are written, and each is its closed-form line
+    spec = "bits:" + format(3**70, "b")[:100]
+    code, out, err = run(capsys, "trajectory", spec, "--horizon", "150")
+    assert code == 1
+    assert err.startswith("error: bit source exhausted") and len(err.splitlines()) == 1
+    gen = parse_generator(spec)
+    expected = [closed_form_line(gen, row) for row in iter_trajectory(gen, 100)]
+    assert out.split("\n") == [TRAJECTORY_CSV_HEADER, *expected, ""]
+
+
 def test_negative_precision_is_a_usage_error(capsys, tmp_path):
     # and so are a horizon, window or count below 1
     path = tmp_path / "rows.csv"
@@ -274,13 +287,15 @@ def test_a_huge_precision_fails_at_once(capsys):
     # is bounded from bit lengths first.  Zero renders at any precision.
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
-    argv = ["classify", "int:27", "--horizon", "50", "--window", "5", "--precision"]
-    _, _, err_5000 = run(capsys, *argv, "5000")
-    start = time.perf_counter()
-    code, out, err = run(capsys, *argv, "4000000")
-    assert time.perf_counter() - start < 0.2
-    assert code == 1 and out == "" and err == err_5000
-    assert "--max-digits" in err and len(err.splitlines()) == 1
+    for argv, before_error in (
+            (["classify", "int:27", "--horizon", "50", "--window", "5"], ""),
+            (["trajectory", "int:27", "--horizon", "50"], TRAJECTORY_CSV_HEADER + "\n")):
+        _, out_5000, err_5000 = run(capsys, *argv, "--precision", "5000")
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--precision", "4000000")
+        assert time.perf_counter() - start < 0.2
+        assert code == 1 and out == out_5000 == before_error and err == err_5000
+        assert "--max-digits" in err and len(err.splitlines()) == 1
     code, out, err = run(capsys, "classify", "cycle:0", "--horizon", "40", "--window", "8",
                          "--precision", "5000")
     zero = "0." + "0" * 5000

@@ -21,8 +21,7 @@ from collatz_parity.report import (
     DEFAULT_PRECISION,
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
-    _fixed_point,
-    _round_half_even,
+    _fixed_point_renderer,
     charset_to_json_dict,
     format_rational,
     load_fixtures,
@@ -56,10 +55,19 @@ def test_format_rational_exact():
     assert format_rational(Fraction(10), exact=True) == "10"
 
 
+def rounded(p, q, digits):
+    """round(p/q * 10^digits) as the renderer gives it, read back from its text."""
+    text = _fixed_point_renderer(digits)(p, q)
+    whole, point, fraction = text.partition(".")
+    assert len(fraction) == digits and bool(point) == bool(digits)
+    assert whole.lstrip("-") == str(abs(int(whole)))  # no pad left before the point
+    return int(whole + fraction)
+
+
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
 @given(st.integers(-10**30, 10**30) | st.just(0), st.integers(1, 10**20), st.integers(0, 12))
 def test_round_half_even_matches_fraction(p, q, digits):
-    assert _round_half_even(p, q, digits) == round(Fraction(p, q) * 10**digits)
+    assert rounded(p, q, digits) == round(Fraction(p, q) * 10**digits)
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -69,7 +77,7 @@ def test_round_half_even_ties(u, digits, extra):
     p, q = (2 * u + 1) << extra, 1 << (digits + 1 + extra)
     assert (p * 10**digits) % q == q // 2
     expected = round(Fraction(p, q) * 10**digits)
-    assert _round_half_even(p, q, digits) == expected and expected % 2 == 0
+    assert rounded(p, q, digits) == expected and expected % 2 == 0
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
@@ -88,11 +96,11 @@ def test_fixed_point_refuses_only_what_str_would(p, low, e, offset, negative):
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
-        expected = _fixed_point(p, q, digits)
-        scaled_digits = len(str(abs(_round_half_even(p, q, digits))))
+        expected = _fixed_point_renderer(digits)(p, q)
+        scaled_digits = len(str(abs(rounded(p, q, digits))))
         sys.set_int_max_str_digits(640)
         try:
-            assert _fixed_point(p, q, digits) == expected
+            assert _fixed_point_renderer(digits)(p, q) == expected
         except ValueError as exc:
             assert "int_max_str_digits" in str(exc) and scaled_digits > 640
     finally:
@@ -206,8 +214,9 @@ _RATIONAL_CELLS = ("m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n", "A_o
 def closed_form_line(gen, row, digits=DEFAULT_PRECISION, exact=False):
     """Row j's CSV line from its closed-form properties and the X* of its prefix.
 
-    It shares only the rounding `_fixed_point` with the writer, through
-    `format_rational`; a cell is empty where its property is None (m = 0).
+    It shares only the rounding `_fixed_point_renderer` with the writer,
+    through `format_rational`; a cell is empty where its property is None
+    (m = 0).
     """
     def cell(name, render=str):
         value = getattr(row, name)

@@ -112,8 +112,14 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
             assert apply_vector(v, dec.Xstar) == dec.Ystar
 
 
+# Up to 200 bits, so that the CSV writer's K* ladder, which goes 64 rows at
+# a time, crosses the block boundaries at rows 65 and 129.
+long_bit_lists = st.integers(1, 200).flatmap(
+    lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(bit_lists)
+@given(long_bit_lists)
 def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
     gen = BitStreamGenerator(tuple(bits))
     rows = list(iter_trajectory(gen, len(bits)))

@@ -27,6 +27,8 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -123,27 +125,37 @@ def check_digit_limit() -> str:
 def check_csv_oracle() -> str:
     # the CSV carries a, b and K* from row to row by the halving ladder; the
     # oracle renders every cell from the row's closed-form properties, and
-    # K* from X* of the row's prefix
+    # K* from X* of the row's prefix, at the default precision, at 0 and as
+    # exact p/q, the three ways the writer renders a rational cell.  It
+    # rounds with Fraction's round(), half to even, and places the point
+    # with Decimal, so it shares no rounding code with the writer either.
     sys.path.insert(0, str(SRC))
     from collatz_parity import iter_trajectory, parse_generator, xstar_decompose
-    from collatz_parity.report import TRAJECTORY_CSV_HEADER, format_rational
+    from collatz_parity.report import DEFAULT_PRECISION, TRAJECTORY_CSV_HEADER
 
-    proc = cli("trajectory", "int:27", "--horizon", "300")
+    def render(x: Fraction, digits: int, exact: bool) -> str:
+        return str(x) if exact else f"{Decimal(f'{round(x * 10**digits)}E-{digits}'):f}"
+
     gen = parse_generator("int:27")
     integers = ("n", "m", "P", "c", "a", "b", "N0")
-    rationals = ("m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n", "A_over_3m",
-                 "f2_over_2n")
-    lines = [TRAJECTORY_CSV_HEADER]
+    rationals = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
+                 "A_over_3m", "f2_over_2n")
+    rows = []
     for row in iter_trajectory(gen, 300):  # 27 is odd: no property is None
         Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
-        cells = [str(row.n), *(str(getattr(row, name)) for name in integers),
-                 format_rational(row.r0), format_rational(row.q), str(row.K),
-                 str((Xstar - row.N0) >> row.n),
-                 *(format_rational(getattr(row, name)) for name in rationals)]
-        lines.append(",".join(cells))
-    expected = "\n".join([*lines, ""])
-    if proc.returncode != 0 or proc.stdout != expected:
-        return f"exit {proc.returncode}; the CSV differs from the closed-form rendering"
+        rows.append(([str(row.n), *(str(getattr(row, name)) for name in integers)],
+                     [getattr(row, name) for name in rationals],
+                     [str(row.K), str((Xstar - row.N0) >> row.n)]))
+    for flags, digits, exact in (((), DEFAULT_PRECISION, False), (("--precision", "0"), 0, False),
+                                 (("--exact-rationals",), DEFAULT_PRECISION, True)):
+        lines = [TRAJECTORY_CSV_HEADER]
+        for integer_cells, values, k_cells in rows:
+            r0, q, *ratios = (render(x, digits, exact) for x in values)
+            lines.append(",".join([*integer_cells, r0, q, *k_cells, *ratios]))
+        proc = cli("trajectory", "int:27", "--horizon", "300", *flags)
+        if proc.returncode != 0 or proc.stdout != "\n".join([*lines, ""]):
+            return (f"{' '.join(flags) or 'default precision'}: exit {proc.returncode}; "
+                    "the CSV differs from the closed-form rendering")
     return ""
 
 
