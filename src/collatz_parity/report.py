@@ -6,18 +6,9 @@ decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
 The trajectory CSV carries a, b and K* from row to row by the paper's halving
-ladder, with no modular power.  K*'s ladder goes 64 rows at a time: per
-64-row block there is one multiply-and-shift per carried one-position, plus
-per-row steps only for the ones that appeared in that block.  The rational
-cells are rounded from their known denominators 2^n, 3^m and 2^n 3^m by one
-renderer built per call, without building a Fraction.  The ladder's
-cofactors t_k < 3^k are not small: on `int:27` the largest has 162 bits at
-n = 192 and 1595 at n = 2000, where they hold about 800,000 bits, so a block
-takes O(m^2) bit operations.  `trajectory int:27 --horizon 1000` (2000)
-takes 0.023-0.037 s (0.089-0.131 s) as an in-process `cli.main` call, best
-of 5, and 0.09-0.12 s (0.17-0.21 s) as a whole command-line run from a fresh
-`python -I` writing to /dev/null, median of 5; five runs each on a shared
-2-core machine, Python 3.11.7.
+ladder, with no modular power, and rounds its rational cells from their
+known denominators by one renderer built per call; `write_trajectory_csv`
+states how and what it costs.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -212,15 +203,17 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
         (t_k + 3^k)/2 if odd, else t_k/2.  X* gains 2^n for each odd t_k (L
         of them) and 2^n on a 1 bit, N0 gains 2^n when it lifts, so
         K* = (K* + L + e - d)/2.  A new t_k is (3^k + 1)/2.
-    The ladder goes 64 rows at a time.  At a block's start each carried t_k
-    gets c_k = -t_k 3^-k mod 2^64, the one multiplier that makes t_k + c_k 3^k
+    The ladder goes 64 rows at a time.  At a block's start each t_k gets
+    c_k = -t_k 3^-k mod 2^64, the one multiplier that makes t_k + c_k 3^k
     divisible by 2^64: bit r of c_k is the parity of t_k at row r of the
     block, the block's 64 values of L are the column sums of the c_k, and
-    t_k becomes (t_k + c_k 3^k)/2^64.  -3^-k mod 2^64, kept per one, comes
-    from -3^-(k-1) by a product with (2^65 + 1)/3.  A t_k new in a block
-    takes its steps one row at a time until the next block's start.  So a
-    block costs one multiply-and-shift per carried one-position and no
-    modular power, plus per-row steps for the ones that appeared in it;
+    t_k becomes (t_k + c_k 3^k)/2^64.  A one that comes at row r of a block
+    enters as if carried from the block's start, as t_k 2^(r+1), which is
+    even on rows 0..r, and gets the same multiply-and-shift, its c_k's bits
+    joining the block's counts.  -3^-k mod 2^64, kept per one, comes from
+    -3^-(k-1) by a product with (2^65 + 1)/3.  So a block costs one
+    multiply-and-shift per one-position carried into it and one per one new
+    in it, with no modular power, and a row's own ladder work is O(1);
     t_k < 3^k, so a block takes O(m^2) bit operations.  The other cells come
     from n, m, P and N0, with the 2^n and 3^m the ladder carries, through a
     renderer built once.
@@ -231,10 +224,9 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
     n, m, N0 = 0, 0, 1
     a, b, kstar = 0, 1, -1   # 3^0 a + 1 = 2^0 b; X*_0 = 0 = N0_0 - 1
     pow2, pow3, ninv3 = 1, 1, _BLOCK_MASK   # 2^n, 3^m, -3^-m mod 2^64
-    ts: list[int] = []       # t_k for k = 1..m; those from index `carried` on are new in the block
+    ts: list[int] = []       # t_k for k = 1..m, each at the start of the next block
     pow3s: list[int] = []    # 3^k for k = 1..m
     ninvs: list[int] = []    # -3^-k mod 2^64 for k = 1..m
-    carried = 0
     for row in rows:
         e = row.m - m
         if row.n != n + 1 or e not in (0, 1):
@@ -247,23 +239,18 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
             # bit r of c_k is character 63 - r of its binary string
             bits = "".join([format(c, _BLOCK_FORMAT) for c in cs])
             odds = [bits[i::_LADDER_BLOCK].count("1") for i in range(_LADDER_BLOCK - 1, -1, -1)]
-            carried = len(ts)
-        odd = odds[r]
-        for i in range(carried, len(ts)):
-            t = ts[i]
-            if t & 1:
-                odd += 1
-                ts[i] = (t + pow3s[i]) >> 1
-            else:
-                ts[i] = t >> 1
-        kstar = (kstar + odd + e - (row.N0 != N0)) >> 1
+        kstar = (kstar + odds[r] + e - (row.N0 != N0)) >> 1
         if e:
             k = -(a % 3) * (pow2 % 3) % 3   # 2^n is its own inverse mod 3
             a = (a + k * pow2) // 3
             b += k * pow3
             pow3 *= 3
             ninv3 = ninv3 * _INV3 & _BLOCK_MASK
-            ts.append((pow3 + 1) >> 1)
+            t = ((pow3 + 1) >> 1) << (r + 1)   # the new t_k, as carried from the block's start
+            c = (t & _BLOCK_MASK) * ninv3 & _BLOCK_MASK
+            for i in range(r + 1, _LADDER_BLOCK):   # bits 0..r of c are 0
+                odds[i] += c >> i & 1
+            ts.append((t + c * pow3) >> _LADDER_BLOCK)
             pow3s.append(pow3)
             ninvs.append(ninv3)
         if b & 1:
@@ -411,6 +398,10 @@ def load_fixtures(path=None) -> list[FixtureCase]:
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed fixture at line {lineno}: {exc}") from None
+        if not (all(isinstance(x, str) for x in (case.id, case.kind, case.source))
+                and isinstance(case.erratum, (str, type(None)))):
+            raise ValueError(f"malformed fixture at line {lineno}: id, kind and source must be "
+                             "strings, and erratum a string or null")
         if case.kind not in FIXTURE_KINDS:
             raise ValueError(f"malformed fixture at line {lineno}: unknown kind {case.kind!r}")
         if not (isinstance(case.input, dict) and isinstance(case.expected, dict)):

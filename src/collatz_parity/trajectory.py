@@ -17,10 +17,8 @@ b_j cost one modular power on first read.  X*_j needs the one-positions, so
 it comes from `xstar_decompose(gen.prefix(j))`; the classifier does without
 it, since X_j and X*_j are both N0_j mod 2^j.  The trajectory CSV reads none
 of these closed forms: `write_trajectory_csv` carries a_j, b_j and K*_j from
-row to row by the paper's halving ladder, with no modular power.  K*'s
-ladder goes 64 rows at a time: per 64-row block there is one
-multiply-and-shift per carried one-position, plus per-row steps only for
-the ones that appeared in that block.
+row to row by the paper's halving ladder, with no modular power; its
+docstring states how and what it costs.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.

@@ -172,6 +172,16 @@ def test_verify_failure_exit_code(capsys, tmp_path):
     assert "FAIL bad" in out
 
 
+def test_verify_on_a_corpus_with_mixed_id_types_is_a_one_line_error(capsys, tmp_path):
+    path, out = tmp_path / "fixtures.jsonl", tmp_path / "report.txt"
+    case = {"kind": "n0", "input": {"v": "1", "count": 1}, "expected": {"realizers": ["1"]},
+            "source": "x"}
+    path.write_text(json.dumps({"id": 1, **case}) + "\n" + json.dumps({"id": "a", **case}) + "\n")
+    code, stdout, err = run(capsys, "verify", "--fixtures", str(path), "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: malformed fixture at line 1")
+
+
 def test_usage_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -269,10 +269,18 @@ def test_trajectory_csv_rejects_rows_that_do_not_follow_on():
     write_trajectory_csv([rows[0], char_set(PV("10"))], io.StringIO())  # prefixes of one stream
 
 
-@pytest.mark.parametrize("spec", ["int:27", "cycle:100", "head:1101;cycle:01"])
+# cycle:1 has a one on every row, so every ladder block takes in new ones at
+# offsets 0 to 63; the bits: spec has ones only at rows 1, 64, 65, 128 and
+# 129, at offsets 63 and 0 on both sides of two block boundaries
+_ONES_AT_BLOCK_EDGES = "bits:" + "".join("1" if j in (1, 64, 65, 128, 129) else "0"
+                                         for j in range(1, 201))
+
+
+@pytest.mark.parametrize("spec", ["int:27", "cycle:100", "head:1101;cycle:01", "cycle:1",
+                                  pytest.param(_ONES_AT_BLOCK_EDGES, id="ones-at-block-edges")])
 def test_csv_equals_the_closed_form_rendering(spec):
     gen = parse_generator(spec)
-    rows = list(iter_trajectory(gen, 300))
+    rows = list(iter_trajectory(gen, 200 if spec == _ONES_AT_BLOCK_EDGES else 300))
     for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (3, False),
                           (DEFAULT_PRECISION, True)):
         closed_form = [closed_form_line(gen, row, digits, exact) for row in rows]
@@ -313,6 +321,22 @@ def test_load_fixtures_rejects_the_old_string_format(tmp_path):
                     '"expected": {"realizers": ["1"]}, "source": "x"}\n'
                     '{"id": "b", "kind": "n0", "input": "1", "expected": "1", "source": "x"}\n')
     with pytest.raises(ValueError, match="line 2: input and expected must be JSON objects"):
+        load_fixtures(str(path))
+
+
+_GOOD_CASE = {"id": "a", "kind": "n0", "input": {"v": "1", "count": 1},
+              "expected": {"realizers": ["1"]}, "source": "x"}
+
+
+@pytest.mark.parametrize("field, value", [("id", 1), ("id", None), ("kind", ["n0"]),
+                                          ("source", ["x"]), ("source", 1), ("erratum", 5),
+                                          ("erratum", ["x"])])
+def test_load_fixtures_rejects_fields_that_are_not_strings(tmp_path, field, value):
+    # run_fixtures sorts by id and the report prints kind and source as text
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(_GOOD_CASE) + "\n"
+                    + json.dumps({**_GOOD_CASE, "id": "b", field: value}) + "\n")
+    with pytest.raises(ValueError, match="line 2: id, kind and source must be strings"):
         load_fixtures(str(path))
 
 

@@ -69,14 +69,22 @@ def check_demos() -> str:
 
 
 def check_domain_errors() -> str:
-    # exit 1 with exactly one line on stderr
-    for argv in (("trajectory", "cycle:102", "--horizon", "5"),
-                 ("trajectory", "bits:101", "--horizon", "10"),
-                 ("solve", "10a1")):
-        proc = cli(*argv)
-        lines = proc.stderr.splitlines()
-        if proc.returncode != 1 or len(lines) != 1 or not lines[0].startswith("error: "):
-            return f"{' '.join(argv)}: exit {proc.returncode}, stderr {proc.stderr!r}"
+    # exit 1 with exactly one line on stderr; a corpus whose ids are an int
+    # and a string is refused when it is read, before it is sorted by id
+    case = {"kind": "n0", "input": {"v": "1", "count": 1}, "expected": {"realizers": ["1"]},
+            "source": "x"}
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = os.path.join(tmp, "mixed-ids.jsonl")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write(f'{json.dumps({"id": 1, **case})}\n{json.dumps({"id": "a", **case})}\n')
+        for argv in (("trajectory", "cycle:102", "--horizon", "5"),
+                     ("trajectory", "bits:101", "--horizon", "10"),
+                     ("solve", "10a1"),
+                     ("verify", "--fixtures", corpus)):
+            proc = cli(*argv)
+            lines = proc.stderr.splitlines()
+            if proc.returncode != 1 or len(lines) != 1 or not lines[0].startswith("error: "):
+                return f"{' '.join(argv)}: exit {proc.returncode}, stderr {proc.stderr!r}"
     return ""
 
 
@@ -129,6 +137,8 @@ def check_csv_oracle() -> str:
     # exact p/q, the three ways the writer renders a rational cell.  It
     # rounds with Fraction's round(), half to even, and places the point
     # with Decimal, so it shares no rounding code with the writer either.
+    # cycle:1 has a one on every row, so each of the ladder's 64-row blocks
+    # takes in new ones at every offset.
     sys.path.insert(0, str(SRC))
     from collatz_parity import iter_trajectory, parse_generator, xstar_decompose
     from collatz_parity.report import DEFAULT_PRECISION, TRAJECTORY_CSV_HEADER
@@ -136,26 +146,28 @@ def check_csv_oracle() -> str:
     def render(x: Fraction, digits: int, exact: bool) -> str:
         return str(x) if exact else f"{Decimal(f'{round(x * 10**digits)}E-{digits}'):f}"
 
-    gen = parse_generator("int:27")
     integers = ("n", "m", "P", "c", "a", "b", "N0")
     rationals = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
                  "A_over_3m", "f2_over_2n")
-    rows = []
-    for row in iter_trajectory(gen, 300):  # 27 is odd: no property is None
-        Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
-        rows.append(([str(row.n), *(str(getattr(row, name)) for name in integers)],
-                     [getattr(row, name) for name in rationals],
-                     [str(row.K), str((Xstar - row.N0) >> row.n)]))
-    for flags, digits, exact in (((), DEFAULT_PRECISION, False), (("--precision", "0"), 0, False),
-                                 (("--exact-rationals",), DEFAULT_PRECISION, True)):
-        lines = [TRAJECTORY_CSV_HEADER]
-        for integer_cells, values, k_cells in rows:
-            r0, q, *ratios = (render(x, digits, exact) for x in values)
-            lines.append(",".join([*integer_cells, r0, q, *k_cells, *ratios]))
-        proc = cli("trajectory", "int:27", "--horizon", "300", *flags)
-        if proc.returncode != 0 or proc.stdout != "\n".join([*lines, ""]):
-            return (f"{' '.join(flags) or 'default precision'}: exit {proc.returncode}; "
-                    "the CSV differs from the closed-form rendering")
+    for spec in ("int:27", "cycle:1"):
+        gen = parse_generator(spec)
+        rows = []
+        for row in iter_trajectory(gen, 300):  # both start with a 1: no property is None
+            Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
+            rows.append(([str(row.n), *(str(getattr(row, name)) for name in integers)],
+                         [getattr(row, name) for name in rationals],
+                         [str(row.K), str((Xstar - row.N0) >> row.n)]))
+        for flags, digits, exact in (((), DEFAULT_PRECISION, False),
+                                     (("--precision", "0"), 0, False),
+                                     (("--exact-rationals",), DEFAULT_PRECISION, True)):
+            lines = [TRAJECTORY_CSV_HEADER]
+            for integer_cells, values, k_cells in rows:
+                r0, q, *ratios = (render(x, digits, exact) for x in values)
+                lines.append(",".join([*integer_cells, r0, q, *k_cells, *ratios]))
+            proc = cli("trajectory", spec, "--horizon", "300", *flags)
+            if proc.returncode != 0 or proc.stdout != "\n".join([*lines, ""]):
+                return (f"{spec} {' '.join(flags) or 'at the default precision'}: exit "
+                        f"{proc.returncode}; the CSV differs from the closed-form rendering")
     return ""
 
 
