@@ -34,5 +34,5 @@ print("q_j = r0_j + K_j and the characteristic equation hold exactly; checked.")
 
 print("\n-- the same rows as CSV (what the `trajectory` subcommand streams) --")
 buf = io.StringIO()
-write_trajectory_csv(rows, buf, digits=6)
+write_trajectory_csv(gen, 8, buf, digits=6)
 print(buf.getvalue().rstrip())

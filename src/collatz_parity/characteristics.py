@@ -147,10 +147,8 @@ class CharacteristicSet(Record):
 
     @property
     def ab_gap(self) -> Fraction | None:
-        """|a/2^n - b/3^m|; the two ratios become equivalent for large prefixes."""
-        if self.a is None:
-            return None
-        return abs(Fraction(self.a, 1 << self.n) - Fraction(self.b, 3**self.m))
+        """|a/2^n - b/3^m| = 1/(2^n 3^m) by 3^m a + 1 = 2^n b: the ratios become equivalent."""
+        return None if self.m == 0 else Fraction(1, (1 << self.n) * 3**self.m)
 
     def check(self) -> None:
         """Re-verify the identities that tie the stored fields together; raises AssertionError."""

@@ -33,8 +33,7 @@ from .report import (
     write_xstar_json,
     write_xstar_table,
 )
-from .trajectory import (DEFAULT_HORIZON, DEFAULT_WINDOW, GROWING, STABILIZED, classify,
-                         iter_trajectory)
+from .trajectory import DEFAULT_HORIZON, DEFAULT_WINDOW, GROWING, STABILIZED, classify
 
 USAGE_ERROR = 64
 _C_INT_MAX = 2**31 - 1
@@ -160,7 +159,7 @@ def _cmd_trajectory(args) -> int:
     gen = parse_generator(args.spec)
     with _open_out(args) as out:
         write_trajectory_csv(
-            iter_trajectory(gen, args.horizon), out,
+            gen, args.horizon, out,
             digits=args.precision, exact=args.exact_rationals,
         )
     return 0

@@ -5,10 +5,10 @@ JSON numbers).  Rationals render either exactly as ``p/q`` or as fixed-point
 decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
-The trajectory CSV carries a, b and K* from row to row by the paper's halving
-ladder, with no modular power, and rounds its rational cells from their
-known denominators by one renderer built per call; `write_trajectory_csv`
-states how and what it costs.
+The trajectory CSV reads its rows from the step iterator that feeds `classify`
+too, carries a, b and K* by the paper's halving ladder, with no modular power,
+and rounds its rational cells from their known denominators by one renderer
+built per call; `write_trajectory_csv` states how and what it costs.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -38,8 +38,8 @@ from .characteristics import (
     solve_n0,
     xstar_decompose,
 )
-from .core import ParityVector, Record, parse_generator
-from .trajectory import iter_trajectory
+from .core import ParityVector, PrefixGenerator, Record, parse_generator
+from .trajectory import _steps, iter_trajectory
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # IO is for annotations only; typing costs ms of every call's start
@@ -188,14 +188,14 @@ _INV3 = ((2 << _LADDER_BLOCK) + 1) // 3
 _BLOCK_FORMAT = f"0{_LADDER_BLOCK}b"   # a multiplier's bits, row 63 of the block first
 
 
-def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
+def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
-    """Write the header and one line per row, carrying a, b and K* by the halving ladder.
+    """Write the header and rows 1..horizon of `gen`, carrying a, b and K* by the halving ladder.
 
-    The rows must be j = 1, 2, ... of one stream; only the change in m (the
-    bit e) and whether N0 lifted (d) are read from them.  One ladder step,
-    as in `ab_recurrence`, takes a solution of 3^m a + 1 = 2^n b to n + 1:
-    if b is odd, a += 2^n and b = (b + 3^m)/2, else b = b/2.
+    The rows come from the step iterator that feeds `iter_trajectory` and
+    `classify` too, with the bit e, whether N0 lifted (d), 2^n and 3^m.  One
+    ladder step, as in `ab_recurrence`, takes a solution of 3^m a + 1 = 2^n b
+    to n + 1: if b is odd, a += 2^n and b = (b + 3^m)/2, else b = b/2.
       * (a, b): on a 1 bit, a = (a + k 2^n)/3 and b += k 3^m first, with
         k in {0, 1, 2} the value that makes the division exact; then a step.
       * K*, where X* = N0 + 2^n K*: each one-position k carries the cofactor
@@ -215,36 +215,30 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
     multiply-and-shift per one-position carried into it and one per one new
     in it, with no modular power, and a row's own ladder work is O(1);
     t_k < 3^k, so a block takes O(m^2) bit operations.  The other cells come
-    from n, m, P and N0, with the 2^n and 3^m the ladder carries, through a
-    renderer built once.
+    from n, m, P, N0, 2^n and 3^m through a renderer built once.
     """
     render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
-    n, m, N0 = 0, 0, 1
     a, b, kstar = 0, 1, -1   # 3^0 a + 1 = 2^0 b; X*_0 = 0 = N0_0 - 1
-    pow2, pow3, ninv3 = 1, 1, _BLOCK_MASK   # 2^n, 3^m, -3^-m mod 2^64
+    ninv3 = _BLOCK_MASK      # -3^-m mod 2^64
     ts: list[int] = []       # t_k for k = 1..m, each at the start of the next block
     pow3s: list[int] = []    # 3^k for k = 1..m
     ninvs: list[int] = []    # -3^-k mod 2^64 for k = 1..m
-    for row in rows:
-        e = row.m - m
-        if row.n != n + 1 or e not in (0, 1):
-            raise ValueError(f"rows must be consecutive from j = 1, got j={row.n} "
-                             f"(m={row.m}) after j={n} (m={m})")
-        r = n % _LADDER_BLOCK
+    for n, m, P, N0, e, d, pow2, pow3 in _steps(gen, horizon):
+        half = pow2 >> 1   # 2^(n-1): the ladder takes row n - 1 to row n
+        r = (n - 1) % _LADDER_BLOCK
         if not r:
             cs = [(t & _BLOCK_MASK) * ninv & _BLOCK_MASK for t, ninv in zip(ts, ninvs)]
             ts = [(t + c * p) >> _LADDER_BLOCK for t, c, p in zip(ts, cs, pow3s)]
             # bit r of c_k is character 63 - r of its binary string
             bits = "".join([format(c, _BLOCK_FORMAT) for c in cs])
             odds = [bits[i::_LADDER_BLOCK].count("1") for i in range(_LADDER_BLOCK - 1, -1, -1)]
-        kstar = (kstar + odds[r] + e - (row.N0 != N0)) >> 1
+        kstar = (kstar + odds[r] + e - d) >> 1
         if e:
-            k = -(a % 3) * (pow2 % 3) % 3   # 2^n is its own inverse mod 3
-            a = (a + k * pow2) // 3
-            b += k * pow3
-            pow3 *= 3
+            k = -(a % 3) * (half % 3) % 3   # 2^n is its own inverse mod 3
+            a = (a + k * half) // 3
+            b += k * pow3 // 3               # k 3^(m-1), exact
             ninv3 = ninv3 * _INV3 & _BLOCK_MASK
             t = ((pow3 + 1) >> 1) << (r + 1)   # the new t_k, as carried from the block's start
             c = (t & _BLOCK_MASK) * ninv3 & _BLOCK_MASK
@@ -254,12 +248,10 @@ def write_trajectory_csv(rows: Iterable[CharacteristicSet], out: IO[str],
             pow3s.append(pow3)
             ninvs.append(ninv3)
         if b & 1:
-            a += pow2
+            a += half
             b = (b + pow3) >> 1
         else:
             b >>= 1
-        pow2 <<= 1
-        n, m, P, N0 = row.n, row.m, row.P, row.N0
 
         r0 = render(N0, pow2)
         if m:

@@ -11,14 +11,14 @@ for a finite vector; a row stores only n, m_j, P_j and N0_j:
     N0_{j+1} in {N0_j, N0_j + 2^j}),
   * m_j as a counter, one more on a 1 bit.
 
-The loop carries only P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j): O(1) big-int
-operations per row on O(j)-bit integers, and a row holds O(j) bits.  a_j and
-b_j cost one modular power on first read.  X*_j needs the one-positions, so
-it comes from `xstar_decompose(gen.prefix(j))`; the classifier does without
-it, since X_j and X*_j are both N0_j mod 2^j.  The trajectory CSV reads none
-of these closed forms: `write_trajectory_csv` carries a_j, b_j and K*_j from
-row to row by the paper's halving ladder, with no modular power; its
-docstring states how and what it costs.
+One step iterator, `_steps`, carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j),
+O(1) big-int operations per row on O(j)-bit integers, for `iter_trajectory` (a
+row holds O(j) bits), `classify` and the CSV writer.  a_j and b_j cost one
+modular power on first read.  X*_j needs the one-positions, so it comes from
+`xstar_decompose(gen.prefix(j))`; the classifier does without it, since X_j
+and X*_j are both N0_j mod 2^j.  The CSV reads none of these closed forms:
+`write_trajectory_csv` carries a_j, b_j and K*_j by the paper's halving
+ladder, with no modular power; its docstring says how and at what cost.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.
@@ -43,12 +43,11 @@ DEFAULT_HORIZON = 256
 DEFAULT_WINDOW = 32
 
 
-def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[CharacteristicSet]:
-    """Stream rows for j = 1..horizon: the characteristic set of each length-j prefix.
+def _steps(gen: PrefixGenerator, horizon: int) -> Iterator[tuple]:
+    """Rows j = 1..horizon as (j, m_j, P_j, N0_j, e, d, 2^j, 3^{m_j}).
 
-    A finite bit source that runs dry raises BitStreamExhausted whose
-    `position` is the last complete row index; rows up to it have already
-    been yielded.
+    e is bit j and d whether N0 lifted at row j, from N0_0 = 1 at row 1; a
+    source that runs dry raises BitStreamExhausted as `iter_trajectory` states.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -68,7 +67,8 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
                 f"(requested horizon {horizon})",
                 j - 1,
             ) from None
-        if (u & 1) != e:
+        d = (u & 1) != e
+        if d:
             N0 += pow2
             u += pow3m
         u = collatz_step(u)
@@ -77,6 +77,17 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
             pow3m *= 3
             m += 1
         pow2 <<= 1
+        yield j, m, P, N0, e, d, pow2, pow3m
+
+
+def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[CharacteristicSet]:
+    """Stream rows for j = 1..horizon: the characteristic set of each length-j prefix.
+
+    A finite bit source that runs dry raises BitStreamExhausted whose
+    `position` is the last complete row index; rows up to it have already
+    been yielded.
+    """
+    for j, m, P, N0, _e, _d, _pow2, _pow3m in _steps(gen, horizon):
         yield CharacteristicSet(j, m, P, N0)
 
 
@@ -145,7 +156,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     The verdict claims nothing beyond the computed rows: a stream may change
     N0 right after the horizon, so "stabilized" is evidence, not proof, and a
     source that runs dry before `horizon` rows is "inconclusive".  The rows
-    are streamed; only the last one and a few counters are kept.
+    are streamed; only the last row's state and a few counters are kept.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -154,20 +165,19 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     changes = 0
     last_change = None
     m_before_window = 0
-    last = None
     try:
-        for row in iter_trajectory(gen, horizon):
-            # N0_j is non-decreasing; a change at row j means N0_j != N0_{j-1}.
-            if last is not None and row.N0 != last.N0:
+        for j, m, P, N0, _e, d, _pow2, _pow3m in _steps(gen, horizon):
+            # a change is N0_j != N0_{j-1}: row 1's lift from N0_0 = 1 is none
+            if d and j > 1:
                 changes += 1
-                last_change = row.n
-            if row.n == horizon - window:
-                m_before_window = row.m
-            last = row
+                last_change = j
+            if j == horizon - window:
+                m_before_window = m
     except BitStreamExhausted as exc:
         return RealizabilityVerdict(
             kind=INCONCLUSIVE, horizon=horizon, window=window, rows_computed=exc.position
         )
+    last = CharacteristicSet(j, m, P, N0)
     diag = ClassifierDiagnostics(
         final_j=last.n,
         int_distance=_int_distance(last.r0) if last.m else None,

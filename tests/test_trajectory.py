@@ -7,7 +7,7 @@ import types
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_parity import (
     BitStreamExhausted,
@@ -31,7 +31,9 @@ from collatz_parity import (
 )
 from collatz_parity.characteristics import _int_distance
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
+from collatz_parity.trajectory import _steps
 from test_report import closed_form_line
+from test_smoke import _smoke_module
 
 PV = ParityVector.from_string
 
@@ -124,7 +126,7 @@ def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
     gen = BitStreamGenerator(tuple(bits))
     rows = list(iter_trajectory(gen, len(bits)))
     out = io.StringIO()
-    write_trajectory_csv(rows, out)
+    write_trajectory_csv(gen, len(bits), out)
     header = TRAJECTORY_CSV_HEADER.split(",")
     columns = [header.index(name) for name in ("a_j", "b_j", "Kstar_j")]
     for row, line in zip(rows, out.getvalue().splitlines()[1:], strict=True):
@@ -138,6 +140,41 @@ def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
         assert 0 <= int(kstar) < row.m
         if row.n % 16 == 0 or row.n == len(bits):
             assert (int(a), int(b)) == ab_recurrence(row.m, row.n)[-1]
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(long_bit_lists)
+def test_steps_carry_the_bit_the_lift_and_both_powers(bits):
+    # each field against the stream itself and the char_set of the prefix;
+    # d compares N0 with the row before, and with N0_0 = 1 at row 1
+    gen = BitStreamGenerator(tuple(bits))
+    steps = list(_steps(gen, len(bits)))
+    assert len(steps) == len(bits)
+    prev_N0 = 1
+    for j, (n, m, P, N0, e, d, pow2, pow3) in enumerate(steps, start=1):
+        cs = char_set(gen.prefix(j))
+        assert (n, m, P, N0) == (j, cs.m, cs.P, cs.N0)
+        assert e == bits[j - 1]
+        assert d == (N0 != prev_N0)
+        assert pow2 == 2**j and pow3 == 3**m
+        prev_N0 = N0
+    # the source runs dry: the same position as iter_trajectory gives
+    with pytest.raises(BitStreamExhausted) as from_steps:
+        list(_steps(gen, len(bits) + 64))
+    with pytest.raises(BitStreamExhausted) as from_rows:
+        list(iter_trajectory(gen, len(bits) + 64))
+    assert from_steps.value.position == from_rows.value.position == len(bits)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(long_bit_lists)
+def test_ab_gap_is_one_over_2n_3m(bits):
+    # the oracle is the definition, from the solved a and b
+    for row in iter_trajectory(BitStreamGenerator(tuple(bits)), len(bits)):
+        if row.m == 0:
+            assert row.ab_gap is None
+        else:
+            assert row.ab_gap == abs(Fraction(row.a, 1 << row.n) - Fraction(row.b, 3**row.m))
 
 
 def test_lemma51_table1_cases():
@@ -288,6 +325,41 @@ def test_classify_distance_is_that_of_q_and_qstar(spec, j):
         return
     assert d.int_distance == _int_distance(Fraction(cs.X, 1 << j))
     assert d.int_distance == _int_distance(Fraction(xstar_decompose(v).Xstar, 1 << j))
+
+
+# the smoke script's oracle: the char_set of every prefix, N0 diffed row to row
+classify_oracle = _smoke_module().classify_oracle
+
+# Both first bits: a first 0 lifts N0 from N0_0 = 1 at row 1, which is no change.
+pinned_specs = st.one_of(
+    st.sampled_from(["cycle:0", "cycle:01", "cycle:1", "cycle:10"]),
+    int_specs,
+    st.tuples(st.sampled_from("01"), st.text("01", max_size=12),
+              st.text("01", min_size=1, max_size=12)
+              ).map(lambda t: f"head:{t[0]}{t[1]};cycle:{t[2]}"),
+    st.text("01", min_size=1, max_size=150).map(lambda bits: f"bits:{bits}"),
+)
+horizon_and_window = st.integers(1, 150).flatmap(
+    lambda h: st.tuples(st.just(h), st.integers(1, h)))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pinned_specs, horizon_and_window)
+@example("cycle:0", (40, 10))
+@example("cycle:0", (40, 40))
+@example("cycle:01", (40, 10))
+@example("cycle:01", (40, 40))
+@example("int:27", (120, 32))
+@example("head:0110;cycle:100", (90, 20))
+@example("head:1011;cycle:01", (90, 90))
+@example("bits:" + "10" * 50, (150, 32))
+def test_classify_equals_the_prefix_oracle(spec, horizon_window):
+    horizon, window = horizon_window
+    gen = parse_generator(spec)
+    v = classify(gen, horizon, window)
+    ones = None if v.diagnostics is None else v.diagnostics.ones_in_window
+    got = (v.kind, v.candidate, v.stable_since, v.distinct_count, v.rows_computed, ones)
+    assert got == classify_oracle(gen, horizon, window)
 
 
 def test_kept_rows_hold_linear_memory():

@@ -7,9 +7,11 @@ from any directory:
 
 It runs `verify`, every demo and a few CLI calls in child processes of the
 same interpreter, with this checkout's src/ on PYTHONPATH, checks the
-`trajectory` CSV and the `xstar --json` table byte for byte against
-renderings built from closed forms (every CSV cell from the row's own
-properties, none through the CSV writer), checks in process that the CLI's
+`trajectory` CSV (of fixed specs and of 30 seeded random ones) and the
+`xstar --json` table byte for byte against renderings built from closed
+forms (every CSV cell from the row's own properties, none through the CSV
+writer), checks `classify` against the N0 of every prefix, diffed row to
+row, on fixed and seeded random specs, checks in process that the CLI's
 parser, which builds a command's flags when argparse reaches
 the command, parses and prints what a parser built in full up front does,
 checks that importing the CLI in a fresh `python -I` loads none of the
@@ -23,6 +25,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -130,44 +133,143 @@ def check_digit_limit() -> str:
     return ""
 
 
-def check_csv_oracle() -> str:
-    # the CSV carries a, b and K* from row to row by the halving ladder; the
-    # oracle renders every cell from the row's closed-form properties, and
-    # K* from X* of the row's prefix, at the default precision, at 0 and as
-    # exact p/q, the three ways the writer renders a rational cell.  It
-    # rounds with Fraction's round(), half to even, and places the point
-    # with Decimal, so it shares no rounding code with the writer either.
-    # cycle:1 has a one on every row, so each of the ladder's 64-row blocks
-    # takes in new ones at every offset.
+# the CSV carries a, b and K* from row to row by the halving ladder; the
+# oracle renders every cell from the row's closed-form properties, and K*
+# from X* of the row's prefix, at the default precision, at 0 and as exact
+# p/q, the three ways the writer renders a rational cell.  It rounds with
+# Fraction's round(), half to even, and places the point with Decimal, so it
+# shares no rounding code with the writer either.  A cell is empty where its
+# property is None (m = 0).
+CSV_MODES = (((), None, False), (("--precision", "0"), 0, False),
+             (("--exact-rationals",), None, True))
+CSV_INTEGERS = ("n", "m", "P", "c", "a", "b", "N0")
+CSV_RATIONALS = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
+                 "A_over_3m", "f2_over_2n")
+
+
+def closed_form_rows(spec: str, horizon: int) -> list:
+    """Per row: its integer cells, its rational values and its K and K* cells."""
     sys.path.insert(0, str(SRC))
     from collatz_parity import iter_trajectory, parse_generator, xstar_decompose
+
+    def text(x) -> str:
+        return "" if x is None else str(x)
+
+    gen = parse_generator(spec)
+    rows = []
+    for row in iter_trajectory(gen, horizon):
+        kstar = ""
+        if row.m:
+            kstar = str((xstar_decompose(gen.prefix(row.n)).Xstar - row.N0) >> row.n)
+        rows.append(([str(row.n), *(text(getattr(row, name)) for name in CSV_INTEGERS)],
+                     [getattr(row, name) for name in CSV_RATIONALS],
+                     [text(row.K), kstar]))
+    return rows
+
+
+def closed_form_csv(rows: list, digits: int | None, exact: bool) -> str:
+    sys.path.insert(0, str(SRC))
     from collatz_parity.report import DEFAULT_PRECISION, TRAJECTORY_CSV_HEADER
 
-    def render(x: Fraction, digits: int, exact: bool) -> str:
+    digits = DEFAULT_PRECISION if digits is None else digits
+
+    def render(x: Fraction | None) -> str:
+        if x is None:
+            return ""
         return str(x) if exact else f"{Decimal(f'{round(x * 10**digits)}E-{digits}'):f}"
 
-    integers = ("n", "m", "P", "c", "a", "b", "N0")
-    rationals = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
-                 "A_over_3m", "f2_over_2n")
+    lines = [TRAJECTORY_CSV_HEADER]
+    for integer_cells, values, k_cells in rows:
+        r0, q, *ratios = map(render, values)
+        lines.append(",".join([*integer_cells, r0, q, *k_cells, *ratios]))
+    return "\n".join([*lines, ""])
+
+
+def check_csv_oracle() -> str:
+    # cycle:1 has a one on every row, so each of the ladder's 64-row blocks
+    # takes in new ones at every offset
     for spec in ("int:27", "cycle:1"):
-        gen = parse_generator(spec)
-        rows = []
-        for row in iter_trajectory(gen, 300):  # both start with a 1: no property is None
-            Xstar = xstar_decompose(gen.prefix(row.n)).Xstar
-            rows.append(([str(row.n), *(str(getattr(row, name)) for name in integers)],
-                         [getattr(row, name) for name in rationals],
-                         [str(row.K), str((Xstar - row.N0) >> row.n)]))
-        for flags, digits, exact in (((), DEFAULT_PRECISION, False),
-                                     (("--precision", "0"), 0, False),
-                                     (("--exact-rationals",), DEFAULT_PRECISION, True)):
-            lines = [TRAJECTORY_CSV_HEADER]
-            for integer_cells, values, k_cells in rows:
-                r0, q, *ratios = (render(x, digits, exact) for x in values)
-                lines.append(",".join([*integer_cells, r0, q, *k_cells, *ratios]))
+        rows = closed_form_rows(spec, 300)
+        for flags, digits, exact in CSV_MODES:
             proc = cli("trajectory", spec, "--horizon", "300", *flags)
-            if proc.returncode != 0 or proc.stdout != "\n".join([*lines, ""]):
+            if proc.returncode != 0 or proc.stdout != closed_form_csv(rows, digits, exact):
                 return (f"{spec} {' '.join(flags) or 'at the default precision'}: exit "
                         f"{proc.returncode}; the CSV differs from the closed-form rendering")
+    return ""
+
+
+def random_specs(rng: random.Random, count: int) -> list[str]:
+    """int:N and head+cycle specs in turn; heads start with a 0 or a 1 in turn."""
+    specs = []
+    for i in range(count):
+        if i % 2:
+            head = "01"[i // 2 % 2] + "".join(rng.choice("01") for _ in range(rng.randint(0, 11)))
+            cycle = "".join(rng.choice("01") for _ in range(rng.randint(1, 12)))
+            specs.append(f"head:{head};cycle:{cycle}")
+        else:
+            specs.append(f"int:{rng.randrange(1, 2 ** rng.randint(1, 64))}")
+    return specs
+
+
+def check_csv_random() -> str:
+    # seeded stand-in for the pytest property: 30 random specs, each at a
+    # horizon up to 200 (past two of the ladder's block boundaries) and in
+    # one of the three rendering modes
+    rng = random.Random(16)
+    for i, spec in enumerate(random_specs(rng, 30)):
+        horizon = rng.randint(1, 200)
+        flags, digits, exact = CSV_MODES[i % len(CSV_MODES)]
+        proc = cli("trajectory", spec, "--horizon", str(horizon), *flags)
+        expected = closed_form_csv(closed_form_rows(spec, horizon), digits, exact)
+        if proc.returncode != 0 or proc.stdout != expected:
+            return (f"{spec} --horizon {horizon} {' '.join(flags)}: exit {proc.returncode}; "
+                    "the CSV differs from the closed-form rendering")
+    return ""
+
+
+def classify_oracle(gen, horizon: int, window: int) -> tuple:
+    """(kind, candidate, stable_since, distinct_count, rows_computed, ones_in_window).
+
+    From the char_set of every prefix, with N0 diffed between consecutive
+    rows; row 1 has no row before it, so it is no change.
+    """
+    from collatz_parity import BitStreamExhausted, char_set
+
+    rows = []
+    for j in range(1, horizon + 1):
+        try:
+            rows.append(char_set(gen.prefix(j)))
+        except BitStreamExhausted:
+            return "inconclusive", None, None, None, j - 1, None
+    changes = [cur.n for prev, cur in zip(rows, rows[1:]) if cur.N0 != prev.N0]
+    ones = rows[-1].m - (rows[horizon - window - 1].m if horizon > window else 0)
+    if changes and changes[-1] > horizon - window:
+        return "growing", None, None, len({row.N0 for row in rows}), horizon, ones
+    return "stabilized", rows[-1].N0, changes[-1] if changes else 1, None, horizon, ones
+
+
+def check_classify_oracle() -> str:
+    # every field of the verdict that the rows decide, on cycle:0 and
+    # cycle:01 (a lift at row 1 only, which is no change, shows when the
+    # window is the whole horizon), random specs, and a bits: source that
+    # runs dry before the horizon or lasts it
+    sys.path.insert(0, str(SRC))
+    from collatz_parity import classify, parse_generator
+
+    rng = random.Random(17)
+    specs = ["cycle:0", "cycle:01", *random_specs(rng, 30),
+             "bits:" + "".join(rng.choice("01") for _ in range(100))]
+    for spec in specs:
+        gen = parse_generator(spec)
+        for horizon in (rng.randint(1, 150), 40):
+            for window in (rng.randint(1, horizon), horizon):
+                v = classify(gen, horizon, window)
+                ones = None if v.diagnostics is None else v.diagnostics.ones_in_window
+                got = (v.kind, v.candidate, v.stable_since, v.distinct_count,
+                       v.rows_computed, ones)
+                expected = classify_oracle(gen, horizon, window)
+                if got != expected:
+                    return f"{spec} --horizon {horizon} --window {window}: {got} != {expected}"
     return ""
 
 
@@ -263,6 +365,8 @@ CHECKS = {
     "exit 64, nothing written": check_usage_errors,
     "digit limit and --max-digits": check_digit_limit,
     "trajectory CSV = closed forms": check_csv_oracle,
+    "trajectory CSV of 30 random specs = closed forms": check_csv_random,
+    "classify = the N0 of every prefix": check_classify_oracle,
     "xstar --json = closed forms": check_xstar_oracle,
     "the lazy parser = one built up front": check_lazy_parser,
     "the CLI's import loads no dataclasses, inspect, importlib.resources or typing":
