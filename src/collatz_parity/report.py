@@ -6,9 +6,9 @@ decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
 The trajectory CSV reads its rows from the step iterator that feeds `classify`
-too, carries a, b and K* by the paper's halving ladder, with no modular power,
-and rounds its rational cells from their known denominators by one renderer
-built per call; `write_trajectory_csv` states how and what it costs.
+too, carries a and b by the paper's halving ladder and K* by the bit columns
+of the X* terms, with no modular power, and rounds its rational cells by one
+renderer built per call; `write_trajectory_csv` states how and what it costs.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -180,73 +180,72 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
-# The K* ladder moves each carried cofactor this many rows at a time, and
-# 3^-1 mod 2^64 is exactly (2^65 + 1)/3, since 3 (2^65 + 1)/3 = 2 * 2^64 + 1.
-_LADDER_BLOCK = 64
-_BLOCK_MASK = (1 << _LADDER_BLOCK) - 1
-_INV3 = ((2 << _LADDER_BLOCK) + 1) // 3
-_BLOCK_FORMAT = f"0{_LADDER_BLOCK}b"   # a multiplier's bits, row 63 of the block first
+def _add_columns(counts: list[int], z: int) -> None:
+    """Add z to the bit-sliced column counts: bit c of counts[i] is bit i of column c's count."""
+    for i, level in enumerate(counts):   # ripple carry: the sum bit stays, the carry goes up
+        counts[i] = level ^ z
+        z &= level
+        if not z:
+            return
+    counts.append(z)
 
 
 def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
-    """Write the header and rows 1..horizon of `gen`, carrying a, b and K* by the halving ladder.
+    """Write the header and rows 1..horizon of `gen`, carrying a, b and K* row to row.
 
     The rows come from the step iterator that feeds `iter_trajectory` and
-    `classify` too, with the bit e, whether N0 lifted (d), 2^n and 3^m.  One
-    ladder step, as in `ab_recurrence`, takes a solution of 3^m a + 1 = 2^n b
-    to n + 1: if b is odd, a += 2^n and b = (b + 3^m)/2, else b = b/2.
-      * (a, b): on a 1 bit, a = (a + k 2^n)/3 and b += k 3^m first, with
-        k in {0, 1, 2} the value that makes the division exact; then a step.
-      * K*, where X* = N0 + 2^n K*: each one-position k carries the cofactor
-        t_k of its theta_k, and every t_k takes a step per row, to
-        (t_k + 3^k)/2 if odd, else t_k/2.  X* gains 2^n for each odd t_k (L
-        of them) and 2^n on a 1 bit, N0 gains 2^n when it lifts, so
-        K* = (K* + L + e - d)/2.  A new t_k is (3^k + 1)/2.
-    The ladder goes 64 rows at a time.  At a block's start each t_k gets
-    c_k = -t_k 3^-k mod 2^64, the one multiplier that makes t_k + c_k 3^k
-    divisible by 2^64: bit r of c_k is the parity of t_k at row r of the
-    block, the block's 64 values of L are the column sums of the c_k, and
-    t_k becomes (t_k + c_k 3^k)/2^64.  A one that comes at row r of a block
-    enters as if carried from the block's start, as t_k 2^(r+1), which is
-    even on rows 0..r, and gets the same multiply-and-shift, its c_k's bits
-    joining the block's counts.  -3^-k mod 2^64, kept per one, comes from
-    -3^-(k-1) by a product with (2^65 + 1)/3.  So a block costs one
-    multiply-and-shift per one-position carried into it and one per one new
-    in it, with no modular power, and a row's own ladder work is O(1);
-    t_k < 3^k, so a block takes O(m^2) bit operations.  The other cells come
-    from n, m, P, N0, 2^n and 3^m through a renderer built once.
+    `classify` too, with the bit e, whether N0 lifted (d), 2^n and 3^m.
+      * (a, b), by the halving ladder of `ab_recurrence`, which takes a
+        solution of 3^m a + 1 = 2^n b to n + 1: if b is odd, a += 2^n and
+        b = (b + 3^m)/2, else b = b/2.  On a 1 bit, a = (a + k 2^n)/3 and
+        b += k 3^m first, with k in {0, 1, 2} the value that makes the
+        division exact.
+      * K*, where X* = N0 + 2^n K*.  X* sums z_k = 2^(j_k - 1) theta_k over
+        the one-positions j_k, and theta_k is the 2-adic w_k = -3^-k cut to
+        n - j_k + 1 bits, so z_k = 2^(j_k - 1) w_k mod 2^n gains only bit
+        n - 1 at row n.  If L of the z_k have that bit, a new one's
+        z_k = 2^(n - 1) among them, K* = (K* + L - d)/2, as N0 gains 2^(n - 1) d.
+    The count of each bit column of the z_k is held bit-sliced: bit c of
+    counts[i] is bit i of column c's count, so L takes one bit of each of
+    O(log m) ints.  They cover columns 0..W - 1, with W = min(64, horizon)
+    at first, doubled and capped at the horizon when row n passes it.  Each
+    widening recounts every kept one-position, with w_k mod 2^W from
+    w_(k-1) by one exact division by 3, and a later one costs one division
+    and one add.  So W <= max(64, 2n) at any horizon, and K* costs O(W log m)
+    bit operations per one and O(log m) word operations per row, with no
+    modular power.  The other cells come from n, m, P, N0, 2^n and 3^m
+    through a renderer built once.
     """
+    if horizon < 1:   # the step iterator checks only on its first row, after the header
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
     a, b, kstar = 0, 1, -1   # 3^0 a + 1 = 2^0 b; X*_0 = 0 = N0_0 - 1
-    ninv3 = _BLOCK_MASK      # -3^-m mod 2^64
-    ts: list[int] = []       # t_k for k = 1..m, each at the start of the next block
-    pow3s: list[int] = []    # 3^k for k = 1..m
-    ninvs: list[int] = []    # -3^-k mod 2^64 for k = 1..m
+    ones: list[int] = []     # the one-positions j_k
+    width = 0                # the columns counted, set on row 1
     for n, m, P, N0, e, d, pow2, pow3 in _steps(gen, horizon):
         half = pow2 >> 1   # 2^(n-1): the ladder takes row n - 1 to row n
-        r = (n - 1) % _LADDER_BLOCK
-        if not r:
-            cs = [(t & _BLOCK_MASK) * ninv & _BLOCK_MASK for t, ninv in zip(ts, ninvs)]
-            ts = [(t + c * p) >> _LADDER_BLOCK for t, c, p in zip(ts, cs, pow3s)]
-            # bit r of c_k is character 63 - r of its binary string
-            bits = "".join([format(c, _BLOCK_FORMAT) for c in cs])
-            odds = [bits[i::_LADDER_BLOCK].count("1") for i in range(_LADDER_BLOCK - 1, -1, -1)]
-        kstar = (kstar + odds[r] + e - d) >> 1
         if e:
+            ones.append(n)
             k = -(a % 3) * (half % 3) % 3   # 2^n is its own inverse mod 3
             a = (a + k * half) // 3
             b += k * pow3 // 3               # k 3^(m-1), exact
-            ninv3 = ninv3 * _INV3 & _BLOCK_MASK
-            t = ((pow3 + 1) >> 1) << (r + 1)   # the new t_k, as carried from the block's start
-            c = (t & _BLOCK_MASK) * ninv3 & _BLOCK_MASK
-            for i in range(r + 1, _LADDER_BLOCK):   # bits 0..r of c are 0
-                odds[i] += c >> i & 1
-            ts.append((t + c * pow3) >> _LADDER_BLOCK)
-            pow3s.append(pow3)
-            ninvs.append(ninv3)
+        if n > width:
+            width = min(max(2 * width, 64), horizon)
+            mask = (1 << width) - 1
+            counts, counted, w = [], 0, -1   # counts has z_1..z_counted, w = w_counted
+        for j in ones[counted:]:
+            # exact w/3 mod 2^width as in `_xstar`: 2^width = (-1)^width mod 3 gives r
+            r = (w if width & 1 else -w) % 3
+            w = (w + (r << width)) // 3
+            _add_columns(counts, w << (j - 1) & mask)
+        counted = m
+        L = 0
+        for level in reversed(counts):
+            L = L << 1 | level >> (n - 1) & 1
+        kstar = (kstar + L - d) >> 1
         if b & 1:
             a += half
             b = (b + pow3) >> 1

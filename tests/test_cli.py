@@ -205,8 +205,9 @@ def test_exhausted_bit_source_is_a_one_line_error(capsys):
 
 
 def test_a_source_that_runs_dry_past_the_first_block(capsys):
-    # the CSV writer's K* ladder goes 64 rows at a time; the 100 rows before
-    # the source runs dry are written, and each is its closed-form line
+    # past the first widening of the CSV writer's K* column counts, at row
+    # 65; the 100 rows before the source runs dry are written, and each is
+    # its closed-form line
     spec = "bits:" + format(3**70, "b")[:100]
     code, out, err = run(capsys, "trajectory", spec, "--horizon", "150")
     assert code == 1

@@ -3,6 +3,7 @@
 import io
 import json
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from collatz_parity import (
+    BitStreamExhausted,
     CharacteristicSet,
     ParityVector,
     char_set,
@@ -21,6 +23,7 @@ from collatz_parity.report import (
     DEFAULT_PRECISION,
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
+    _add_columns,
     _fixed_point_renderer,
     charset_to_json_dict,
     format_rational,
@@ -260,18 +263,65 @@ def test_trajectory_csv_exact_mode():
     assert line == closed_form_line(gen, rows[2], exact=True)
 
 
-# cycle:1 has a one on every row, so every ladder block takes in new ones at
-# offsets 0 to 63; the bits: spec has ones only at rows 1, 64, 65, 128 and
-# 129, at offsets 63 and 0 on both sides of two block boundaries
-_ONES_AT_BLOCK_EDGES = "bits:" + "".join("1" if j in (1, 64, 65, 128, 129) else "0"
-                                         for j in range(1, 201))
+def test_trajectory_csv_checks_the_horizon_before_writing():
+    for horizon in (0, -5):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="horizon"):
+            write_trajectory_csv(parse_generator("int:27"), horizon, out)
+        assert out.getvalue() == ""
 
 
-@pytest.mark.parametrize("spec", ["int:27", "cycle:100", "head:1101;cycle:01", "cycle:1",
-                                  pytest.param(_ONES_AT_BLOCK_EDGES, id="ones-at-block-edges")])
-def test_csv_equals_the_closed_form_rendering(spec):
+def test_trajectory_csv_memory_follows_the_rows_written():
+    # the K* column counts widen with the rows written, so a source that runs
+    # dry at row 3 costs a few KiB at any horizon; counts as wide as the
+    # horizon would take 12.5 MB per int here
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BitStreamExhausted) as exc:
+            write_trajectory_csv(parse_generator("bits:101"), 10**8, out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.position == 3
+    assert peak < 64 * 1024
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 7) | st.integers(0, 2**130), max_size=300))
+def test_bit_sliced_column_counts(values):
+    counts = []
+    for z in values:
+        _add_columns(counts, z)
+    for c in range(max((z.bit_length() for z in values), default=0)):
+        count = sum((level >> c & 1) << i for i, level in enumerate(counts))
+        assert count == sum(z >> c & 1 for z in values)
+
+
+def _ones_at(rows, length):
+    return "bits:" + "".join("1" if j in rows else "0" for j in range(1, length + 1))
+
+
+# The writer's K* column counts widen at rows 65, 129 and 257 (H = 300) or
+# at 65 and 129 to a width of 200 (H = 200), and at H = 100 to a width of
+# 100, not a power of two.  cycle:1 has a one on every row, so every
+# widening recounts a one per row so far; the bits: specs have ones only
+# on both sides of the widenings.
+_ONES_AT_BLOCK_EDGES = _ones_at((1, 64, 65, 128, 129), 200)
+_ONES_AT_WIDENINGS = _ones_at((1, 64, 65, 128, 129, 256, 257), 300)
+
+
+@pytest.mark.parametrize("spec, horizon", [
+    pytest.param("int:27", 300, id="int:27"),
+    pytest.param("cycle:100", 300, id="cycle:100"),
+    pytest.param("head:1101;cycle:01", 300, id="head:1101;cycle:01"),
+    pytest.param("cycle:1", 300, id="cycle:1"),
+    pytest.param(_ONES_AT_BLOCK_EDGES, 200, id="ones-at-block-edges"),
+    pytest.param(_ONES_AT_WIDENINGS, 300, id="ones-at-widenings"),
+    pytest.param("int:27", 100, id="int:27-horizon-100"),
+])
+def test_csv_equals_the_closed_form_rendering(spec, horizon):
     gen = parse_generator(spec)
-    horizon = 200 if spec == _ONES_AT_BLOCK_EDGES else 300
     rows = list(iter_trajectory(gen, horizon))
     for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (3, False),
                           (DEFAULT_PRECISION, True)):

@@ -114,8 +114,8 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
             assert apply_vector(v, dec.Xstar) == dec.Ystar
 
 
-# Up to 200 bits, so that the CSV writer's K* ladder, which goes 64 rows at
-# a time, crosses the block boundaries at rows 65 and 129.
+# Up to 200 bits, so that the CSV writer's K* column counts, 64 columns at
+# first, widen at rows 65 and 129.
 long_bit_lists = st.integers(1, 200).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
 
@@ -131,7 +131,7 @@ def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
     columns = [header.index(name) for name in ("a_j", "b_j", "Kstar_j")]
     for row, line in zip(rows, out.getvalue().splitlines()[1:], strict=True):
         # every cell against the row's closed-form properties and the X* of
-        # the prefix, which share no code with the ladder
+        # the prefix, which share no code with the writer
         assert line == closed_form_line(gen, row)
         a, b, kstar = (line.split(",")[i] for i in columns)
         if row.m == 0:

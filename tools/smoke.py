@@ -73,7 +73,9 @@ def check_demos() -> str:
 
 def check_domain_errors() -> str:
     # exit 1 with exactly one line on stderr; a corpus whose ids are an int
-    # and a string is refused when it is read, before it is sorted by id
+    # and a string is refused when it is read, before it is sorted by id; a
+    # source that runs dry at row 3 under a horizon of 10^8 fails at once,
+    # since the CSV writer's K* column counts widen with the rows written
     case = {"kind": "n0", "input": {"v": "1", "count": 1}, "expected": {"realizers": ["1"]},
             "source": "x"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,6 +84,7 @@ def check_domain_errors() -> str:
             fh.write(f'{json.dumps({"id": 1, **case})}\n{json.dumps({"id": "a", **case})}\n')
         for argv in (("trajectory", "cycle:102", "--horizon", "5"),
                      ("trajectory", "bits:101", "--horizon", "10"),
+                     ("trajectory", "bits:101", "--horizon", "100000000"),
                      ("solve", "10a1"),
                      ("verify", "--fixtures", corpus)):
             proc = cli(*argv)
@@ -133,8 +136,8 @@ def check_digit_limit() -> str:
     return ""
 
 
-# the CSV carries a, b and K* from row to row by the halving ladder; the
-# oracle renders every cell from the row's closed-form properties, and K*
+# the CSV carries a and b from row to row by the halving ladder and K* by
+# column counts of the X* terms' bits; the oracle renders every cell from the row's closed-form properties, and K*
 # from X* of the row's prefix, at the default precision, at 0 and as exact
 # p/q, the three ways the writer renders a rational cell.  It rounds with
 # Fraction's round(), half to even, and places the point with Decimal, so it
@@ -186,8 +189,8 @@ def closed_form_csv(rows: list, digits: int | None, exact: bool) -> str:
 
 
 def check_csv_oracle() -> str:
-    # cycle:1 has a one on every row, so each of the ladder's 64-row blocks
-    # takes in new ones at every offset
+    # cycle:1 has a one on every row, so each widening of the K* column
+    # counts, at rows 65, 129 and 257, recounts a one per row so far
     for spec in ("int:27", "cycle:1"):
         rows = closed_form_rows(spec, 300)
         for flags, digits, exact in CSV_MODES:
@@ -213,8 +216,8 @@ def random_specs(rng: random.Random, count: int) -> list[str]:
 
 def check_csv_random() -> str:
     # seeded stand-in for the pytest property: 30 random specs, each at a
-    # horizon up to 200 (past two of the ladder's block boundaries) and in
-    # one of the three rendering modes
+    # horizon up to 200 (past the K* column counts' widenings at rows 65 and
+    # 129) and in one of the three rendering modes
     rng = random.Random(16)
     for i, spec in enumerate(random_specs(rng, 30)):
         horizon = rng.randint(1, 200)
