@@ -265,7 +265,7 @@ def parse_generator(spec: str) -> PrefixGenerator:
     """
     if spec.startswith("int:"):
         body = spec[4:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):   # int() takes other scripts' digits too
             raise ValueError(f"invalid integer in generator spec {spec!r}")
         return IntegerGenerator(int(body))
     if spec.startswith("bits:"):

@@ -6,9 +6,7 @@ decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
 The trajectory CSV reads its rows from the step iterator that feeds `classify`
-too, carries a and b by the paper's halving ladder and K* by the bit columns
-of the X* terms, with no modular power, and rounds its rational cells by one
-renderer built per call; `write_trajectory_csv` states how and what it costs.
+too; `write_trajectory_csv` states how it carries a, b and K* and what that costs.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -192,20 +190,19 @@ def _add_columns(counts: list[int], z: int) -> None:
 
 def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
-    """Write the header and rows 1..horizon of `gen`, carrying a, b and K* row to row.
+    """Write the header and rows 1..horizon of `gen`, carrying K* and -3^-m row to row.
 
     The rows come from the step iterator that feeds `iter_trajectory` and
     `classify` too, with the bit e, whether N0 lifted (d), 2^n and 3^m.
-      * (a, b), by the halving ladder of `ab_recurrence`, which takes a
-        solution of 3^m a + 1 = 2^n b to n + 1: if b is odd, a += 2^n and
-        b = (b + 3^m)/2, else b = b/2.  On a 1 bit, a = (a + k 2^n)/3 and
-        b += k 3^m first, with k in {0, 1, 2} the value that makes the
-        division exact.
       * K*, where X* = N0 + 2^n K*.  X* sums z_k = 2^(j_k - 1) theta_k over
         the one-positions j_k, and theta_k is the 2-adic w_k = -3^-k cut to
         n - j_k + 1 bits, so z_k = 2^(j_k - 1) w_k mod 2^n gains only bit
         n - 1 at row n.  If L of the z_k have that bit, a new one's
         z_k = 2^(n - 1) among them, K* = (K* + L - d)/2, as N0 gains 2^(n - 1) d.
+      * (a, b), the solution of 3^m a + 1 = 2^n b with 0 < a < 2^n: a is
+        w_m = -3^-m cut to n bits, read off the w_m mod 2^W that the counts
+        below carry (W >= n), and b = (3^m a + 1)/2^n, one multiply and
+        shift per row, as X = P a is.  `ab_recurrence` is the test oracle.
     The count of each bit column of the z_k is held bit-sliced: bit c of
     counts[i] is bit i of column c's count, so L takes one bit of each of
     O(log m) ints.  They cover columns 0..W - 1, with W = min(64, horizon)
@@ -222,16 +219,12 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
-    a, b, kstar = 0, 1, -1   # 3^0 a + 1 = 2^0 b; X*_0 = 0 = N0_0 - 1
+    kstar = -1               # X*_0 = 0 = N0_0 - 1
     ones: list[int] = []     # the one-positions j_k
     width = 0                # the columns counted, set on row 1
     for n, m, P, N0, e, d, pow2, pow3 in _steps(gen, horizon):
-        half = pow2 >> 1   # 2^(n-1): the ladder takes row n - 1 to row n
         if e:
             ones.append(n)
-            k = -(a % 3) * (half % 3) % 3   # 2^n is its own inverse mod 3
-            a = (a + k * half) // 3
-            b += k * pow3 // 3               # k 3^(m-1), exact
         if n > width:
             width = min(max(2 * width, 64), horizon)
             mask = (1 << width) - 1
@@ -246,16 +239,12 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
         for level in reversed(counts):
             L = L << 1 | level >> (n - 1) & 1
         kstar = (kstar + L - d) >> 1
-        if b & 1:
-            a += half
-            b = (b + pow3) >> 1
-        else:
-            b >>= 1
 
         r0 = render(N0, pow2)
         if m:
+            a = w & (pow2 - 1)   # w_m mod 2^n, as width >= n
             X = P * a
-            a_b = f"{a},{b}"
+            a_b = f"{a},{(pow3 * a + 1) >> n}"
             q_K_Kstar = f"{render(X, pow2)},{(X - N0) >> n},{kstar}"
             # (X mod 2^n)/2^n, and X = P a = N0 (mod 2^n) with N0 < 2^n once
             # a one has come, since 2^n realizes n zeros

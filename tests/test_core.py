@@ -147,12 +147,14 @@ def test_parse_generator_grammar(tmp_path):
 
 
 @pytest.mark.parametrize("bad", [
-    "int:0", "int:x", "bits:", "bits:12", "cycle:", "head:11", "head:11;bits:0",
-    "file:/no/such/file", "nonsense", "1101",
+    "int:0", "int:x", "int:\u0663", "int:\u00b2", "bits:", "bits:12", "cycle:", "head:11",
+    "head:11;bits:0", "file:/no/such/file", "nonsense", "1101",
 ])
 def test_parse_generator_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         parse_generator(bad)
+    if bad in ("int:\u0663", "int:\u00b2"):   # an Arabic-Indic three and a superscript two
+        assert str(exc.value) == f"invalid integer in generator spec {bad!r}"
 
 
 # parse_generator against streams built without it

@@ -306,7 +306,9 @@ def _ones_at(rows, length):
 # at 65 and 129 to a width of 200 (H = 200), and at H = 100 to a width of
 # 100, not a power of two.  cycle:1 has a one on every row, so every
 # widening recounts a one per row so far; the bits: specs have ones only
-# on both sides of the widenings.
+# on both sides of the widenings.  The first one of 70 zeros and then
+# cycle:1 comes at row 71, so its a and b are read from a w that the
+# widening at row 65 has just reset to -1.
 _ONES_AT_BLOCK_EDGES = _ones_at((1, 64, 65, 128, 129), 200)
 _ONES_AT_WIDENINGS = _ones_at((1, 64, 65, 128, 129, 256, 257), 300)
 
@@ -319,6 +321,7 @@ _ONES_AT_WIDENINGS = _ones_at((1, 64, 65, 128, 129, 256, 257), 300)
     pytest.param(_ONES_AT_BLOCK_EDGES, 200, id="ones-at-block-edges"),
     pytest.param(_ONES_AT_WIDENINGS, 300, id="ones-at-widenings"),
     pytest.param("int:27", 100, id="int:27-horizon-100"),
+    pytest.param("head:" + "0" * 70 + ";cycle:1", 200, id="first-one-past-a-widening"),
 ])
 def test_csv_equals_the_closed_form_rendering(spec, horizon):
     gen = parse_generator(spec)

@@ -75,7 +75,8 @@ def check_domain_errors() -> str:
     # exit 1 with exactly one line on stderr; a corpus whose ids are an int
     # and a string is refused when it is read, before it is sorted by id; a
     # source that runs dry at row 3 under a horizon of 10^8 fails at once,
-    # since the CSV writer's K* column counts widen with the rows written
+    # since the CSV writer's K* column counts widen with the rows written;
+    # an int: spec with a digit outside ASCII is refused, not read as 3
     case = {"kind": "n0", "input": {"v": "1", "count": 1}, "expected": {"realizers": ["1"]},
             "source": "x"}
     with tempfile.TemporaryDirectory() as tmp:
@@ -85,6 +86,7 @@ def check_domain_errors() -> str:
         for argv in (("trajectory", "cycle:102", "--horizon", "5"),
                      ("trajectory", "bits:101", "--horizon", "10"),
                      ("trajectory", "bits:101", "--horizon", "100000000"),
+                     ("trajectory", "int:\u0663", "--horizon", "5"),
                      ("solve", "10a1"),
                      ("verify", "--fixtures", corpus)):
             proc = cli(*argv)
@@ -136,9 +138,9 @@ def check_digit_limit() -> str:
     return ""
 
 
-# the CSV carries a and b from row to row by the halving ladder and K* by
-# column counts of the X* terms' bits; the oracle renders every cell from the row's closed-form properties, and K*
-# from X* of the row's prefix, at the default precision, at 0 and as exact
+# `write_trajectory_csv` states how the CSV carries a, b and K*; the oracle
+# renders every cell from the row's closed-form properties, and K* from X*
+# of the row's prefix, at the default precision, at 0 and as exact
 # p/q, the three ways the writer renders a rational cell.  It rounds with
 # Fraction's round(), half to even, and places the point with Decimal, so it
 # shares no rounding code with the writer either.  A cell is empty where its
