@@ -6,7 +6,9 @@ decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
 The trajectory CSV reads its rows from the step iterator that feeds `classify`
-too; `write_trajectory_csv` states how it carries a, b and K* and what that costs.
+too; `write_trajectory_csv` states how it carries a, b and K* and what that
+costs, which cells share which numerator, which denominators can tie, and how
+its row template keeps the digit limit.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -211,12 +213,43 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     w_(k-1) by one exact division by 3, and a later one costs one division
     and one add.  So W <= max(64, 2n) at any horizon, and K* costs O(W log m)
     bit operations per one and O(log m) word operations per row, with no
-    modular power.  The other cells come from n, m, P, N0, 2^n and 3^m
-    through a renderer built once.
+    modular power.  The other cells come from n, m, P, N0, 2^n and 3^m.
+
+    At 1 <= digits < `_LOWEST_DIGIT_LIMIT` in fixed point, each row is one
+    `%` of a template built per call (a second, for m = 0, has the empty
+    cells in it).  A fixed-point cell prints s // 10^digits and
+    s % 10^digits through %d.%0<digits>d, where s = round(p 10^digits / q),
+    half to even, is worked out once per numerator p:
+      * N0 over 2^n gives r0, f2 = r0 (X = P a = N0 mod 2^n, and N0 < 2^n
+        once m >= 1) and q = K + r0, as X = N0 + 2^n K;
+      * B = P mod 2^n over 2^n gives P/2^n = A + B/2^n with A = P >> n, and
+        the same A over 3^m gives A/3^m; alpha = P // 3^m over 2^n gives
+        alpha/2^n;
+      * m over n, and P over 2^n 3^m.
+    Over 2^n and over n an exact half occurs, and the parity of the
+    quotient breaks the tie; over 3^m (odd) and over 2^n 3^m (P mod 3 =
+    2^(j_m - 1) mod 3 is not 0 once m >= 1) none can, and adding q // 2
+    rounds.  The template fails a row where str() of each s would: the
+    integer cells go through %d, which checks the digit limit as str()
+    does; every other cell but q and P/2^n is at most 1; and once the
+    integer part of q or P/2^n nears the limit in bit length, str() of it
+    times 10^digits raises the interpreter's own error.  At digits 0, from
+    `_LOWEST_DIGIT_LIMIT` up, and with `exact`, each rational cell goes
+    through one renderer.
     """
     if horizon < 1:   # the step iterator checks only on its first row, after the header
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
+    row = None
+    if exact or not 0 < digits < _LOWEST_DIGIT_LIMIT:
+        render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
+    else:
+        scale = 10**digits
+        fixed = f"%d.%0{digits}d"
+        row = ",".join(["%d"] * 8 + [fixed, fixed, "%d", "%d"] + [fixed] * 6) + "\n"
+        row0 = ",".join(["%d"] * 5 + ["", "", "%d", fixed, "", "", ""] + [fixed] * 5 + [""]) + "\n"
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        # an integer part below 2^safe_bits is below 10^(limit - digits), as 3.32192 < log2(10)
+        safe_bits = (limit - digits) * 332192 // 100000 if limit else sys.maxsize
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
     kstar = -1               # X*_0 = 0 = N0_0 - 1
@@ -240,22 +273,54 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
             L = L << 1 | level >> (n - 1) & 1
         kstar = (kstar + L - d) >> 1
 
-        r0 = render(N0, pow2)
+        low = pow2 - 1
         if m:
-            a = w & (pow2 - 1)   # w_m mod 2^n, as width >= n
+            a = w & low   # w_m mod 2^n, as width >= n
+            b = (pow3 * a + 1) >> n
             X = P * a
-            a_b = f"{a},{(pow3 * a + 1) >> n}"
-            q_K_Kstar = f"{render(X, pow2)},{(X - N0) >> n},{kstar}"
-            # (X mod 2^n)/2^n, and X = P a = N0 (mod 2^n) with N0 < 2^n once
-            # a one has come, since 2^n realizes n zeros
-            f2 = r0
+            K = (X - N0) >> n
+        if row is None:
+            r0 = render(N0, pow2)
+            if m:
+                a_b = f"{a},{b}"
+                q_K_Kstar = f"{render(X, pow2)},{K},{kstar}"
+                # (X mod 2^n)/2^n, and X = P a = N0 (mod 2^n) with N0 < 2^n once
+                # a one has come, since 2^n realizes n zeros
+                f2 = r0
+            else:
+                a_b, q_K_Kstar, f2 = ",", ",,", ""
+            out.write(",".join([
+                str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), r0,
+                q_K_Kstar, render(m, n), render(P, pow2), render(P, pow2 * pow3),
+                render(P // pow3, pow2), render(P >> n, pow3), f2,
+            ]) + "\n")
+            continue
+
+        # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
+        # (2t + n - 1 + parity of t // n) // 2n rounds t/n
+        half = (pow2 >> 1) - 1
+        t = N0 * scale
+        r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
+        t = (P & low) * scale
+        Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
+        t = P // pow3 * scale
+        alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
+        t = m * scale
+        m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
+        q = pow2 * pow3
+        P_q = divmod((P * scale + (q >> 1)) // q, scale)
+        A = P >> n
+        A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
+        Pi = A + Bi   # the integer part of P/2^n
+        ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
+        if m:
+            qi = K + r0i   # the integer part of q = K + r0
+            if qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits:
+                str(qi * scale), str(Pi * scale)   # raises where str(s) would
+            out.write(row % (n, n, m, P, pow2 - pow3, a, b, N0, r0i, r0f, qi, r0f,
+                             K, kstar, *ratios, r0i, r0f))
         else:
-            a_b, q_K_Kstar, f2 = ",", ",,", ""
-        out.write(",".join([
-            str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), r0,
-            q_K_Kstar, render(m, n), render(P, pow2), render(P, pow2 * pow3),
-            render(P // pow3, pow2), render(P >> n, pow3), f2,
-        ]) + "\n")
+            out.write(row0 % (n, n, m, P, pow2 - pow3, N0, r0i, r0f, *ratios))
 
 
 # ---------------------------------------------------------------------------

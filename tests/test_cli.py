@@ -293,6 +293,25 @@ def test_a_call_past_the_digit_limit_writes_nothing(capsys, tmp_path, argv, to_f
     assert path.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_trajectory_stops_at_the_first_row_past_the_digit_limit(capsys, tmp_path, to_file):
+    # q of row 2087 has an integer part of 629 digits, and 641 at the default
+    # precision of 12; the integer cells first pass 640 digits at row 2127
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    path = tmp_path / "rows.csv"
+    out_flag = ["--out", str(path)] if to_file else []
+    code, out, err = run(capsys, "--max-digits", "640", "trajectory", "int:27",
+                         "--horizon", "2200", *out_flag)
+    text = path.read_text() if to_file else out
+    assert code == 1 and out == ("" if to_file else text)
+    assert text.startswith(TRAJECTORY_CSV_HEADER + "\n") and text.endswith("\n")
+    assert [line.split(",", 1)[0] for line in text.splitlines()[1:]] == [
+        str(j) for j in range(1, 2087)]
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--max-digits" in err
+
+
 def test_a_huge_precision_fails_at_once(capsys):
     # 10^4000000 alone takes seconds to build; the rounded value's digit count
     # is bounded from bit lengths first.  Zero renders at any precision.

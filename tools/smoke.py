@@ -140,13 +140,14 @@ def check_digit_limit() -> str:
 
 # `write_trajectory_csv` states how the CSV carries a, b and K*; the oracle
 # renders every cell from the row's closed-form properties, and K* from X*
-# of the row's prefix, at the default precision, at 0 and as exact
-# p/q, the three ways the writer renders a rational cell.  It rounds with
-# Fraction's round(), half to even, and places the point with Decimal, so it
-# shares no rounding code with the writer either.  A cell is empty where its
-# property is None (m = 0).
-CSV_MODES = (((), None, False), (("--precision", "0"), 0, False),
-             (("--exact-rationals",), None, True))
+# of the row's prefix.  The writer fills a row template at 1 to 639 digits,
+# here the default precision and 2, where short rows often round an exact
+# half, and renders each rational cell alone at 0 digits and as exact p/q.
+# The oracle rounds with Fraction's round(), half to even, and places the
+# point with Decimal, so it shares no rounding code with the writer either.
+# A cell is empty where its property is None (m = 0).
+CSV_MODES = (((), None, False), (("--precision", "2"), 2, False),
+             (("--precision", "0"), 0, False), (("--exact-rationals",), None, True))
 CSV_INTEGERS = ("n", "m", "P", "c", "a", "b", "N0")
 CSV_RATIONALS = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
                  "A_over_3m", "f2_over_2n")
@@ -219,7 +220,7 @@ def random_specs(rng: random.Random, count: int) -> list[str]:
 def check_csv_random() -> str:
     # seeded stand-in for the pytest property: 30 random specs, each at a
     # horizon up to 200 (past the K* column counts' widenings at rows 65 and
-    # 129) and in one of the three rendering modes
+    # 129) and in one of the rendering modes in turn
     rng = random.Random(16)
     for i, spec in enumerate(random_specs(rng, 30)):
         horizon = rng.randint(1, 200)
