@@ -19,8 +19,10 @@ and Y* need the one-positions, so they come from the vector, by
 `xstar_decompose(v)`.  a and b, and with a N0, come from one closed-form
 solve, `_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
 oracle; X* takes each theta_k from the one before by an exact division by 3,
-and every function here sums P by Horner, with the weighted sum
-`p_closed_form` as its oracle.  Realizers of v are exactly N0 + 2^n * k.
+and each cofactor t_k from the one before and the bits theta_{k-1} loses to
+its mask, with no product of 3^k and a whole theta; every function here sums
+P by Horner, with the weighted sum `p_closed_form` as its oracle.  Realizers
+of v are exactly N0 + 2^n * k.
 """
 
 from __future__ import annotations
@@ -213,18 +215,26 @@ def _xstar(ones: tuple[int, ...], n: int) -> tuple[list[XStarRow], int, int]:
     # 2^L, then divide it by 3 exactly mod 2^L, adding r * 2^L with r in
     # {0, 1, 2} so that the sum is a multiple of 3 (2^L = (-1)^L mod 3 gives
     # r).  The start theta_0 = -1 becomes 2^L - 1 under the first mask.
+    # With h = theta_{k-1} >> L the bits the mask drops, theta_k is
+    # (theta_{k-1} + (r - h) 2^L) / 3, so t_k = (3^k theta_k + 1) / 2^L is
+    # t_{k-1} 2^(j_k - j_{k-1}) + 3^(k-1) (r - h), from t_0 = 0 and j_0 = 0:
+    # no product of 3^k with a whole theta.
     rows = []
     Xstar = 0
     Ystar = 0
-    pow3 = 1
+    pow3 = 1  # 3^(k-1)
     theta = -1
+    t = 0
+    last = 0  # j_{k-1}
     for k, j in enumerate(ones, start=1):
         L = n - j + 1
+        h = theta >> L
         theta &= (1 << L) - 1
         r = (theta if L & 1 else -theta) % 3
         theta = (theta + (r << L)) // 3
+        t = (t << (j - last)) + pow3 * (r - h)
         pow3 *= 3
-        t = (pow3 * theta + 1) >> L
+        last = j
         z = theta << (j - 1)
         rows.append(XStarRow(k, j, theta, z, t))
         Xstar += z

@@ -2,13 +2,18 @@
 
 Exit status: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 
-Each call builds the flags of the one command argparse dispatches to, not
-all six: argparse sets up a help formatter and looks up messages once per
-argument, so every command's flags take about 1.5 ms to build and one
-command's 0.3-0.5 ms (Python 3.11.7, timeit best of 7, shared 2-core
-machine).  The top-level help and errors need only the command names and
-help lines.  No parser is kept between calls: a command-line run builds one
-anyway, and there the saving is small next to the interpreter's start.
+A call that starts with a command builds one parser, that command's, with
+its flags only.  argparse sets up a help formatter and looks up messages
+once per argument, so every command's flags take about 1.5 ms to build.  A
+bench `classify` call parses in 0.22 ms by its command's parser alone, and
+took 0.37 ms through the top-level parser, 0.12-0.17 ms of it to build that
+parser (Python 3.11.7, timeit best of 9, shared 2-core machine).  The
+top-level parser names every command and builds the flags of only the one
+it dispatches to.  It parses every other call (`-h`, no or an unknown
+command, `--max-digits` first) and reports its own errors: arguments the
+command leaves over, and a `--window` past `--horizon`.  No parser is kept
+between calls: a command-line run builds one anyway, and there the saving
+is small next to the interpreter's start.
 """
 
 from __future__ import annotations
@@ -287,6 +292,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The call's arguments; an argv that starts with a command takes its parser alone.
+
+    The top-level parser hands argv[1:] to that same parser, so it is built
+    only for its own errors: leftover arguments, a `--window` past
+    `--horizon`, and an argument it reads as an ambiguous option of its own
+    before it dispatches.  Only one that starts with `--=` can be that (it
+    could be --help or --max-digits), and such an argv, like any other, goes
+    through the top-level parser.
+    """
+    name = argv[0] if argv else None
+    if name not in _COMMANDS or any(arg.startswith("--=") for arg in argv):
+        args = build_parser().parse_args(argv)
+    else:
+        parser = _Parser(prog=f"collatz-parity {name}")
+        _COMMANDS[name][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command, args.max_digits = name, None
+    if args.command == "classify" and args.window > args.horizon:
+        build_parser().error(f"argument --window: must not exceed --horizon ({args.horizon})")
+    return args
+
+
 @contextmanager
 def _int_digit_limit(limit: int | None):
     """Set the interpreter's int/str digit limit for the call, then restore it.
@@ -315,10 +345,7 @@ def _error_text(exc: Exception) -> str:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "classify" and args.window > args.horizon:
-        parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")
+    args = _parse_args(argv)
     with _int_digit_limit(args.max_digits):
         try:
             _, _, run = _COMMANDS[args.command]

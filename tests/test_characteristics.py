@@ -276,6 +276,28 @@ def test_xstar_rows_match_the_closed_form_solve(bits):
     assert cs.X == dec.Xstar + (dec.J << v.n)
 
 
+# long vectors of sparse, even and dense ones: t_k comes from t_{k-1} and the
+# bits theta_{k-1} loses to the mask, never from 3^k theta_k itself
+long_vectors = st.builds(
+    lambda n, density, rng: ParityVector(tuple(int(rng.random() < density) for _ in range(n))),
+    st.integers(64, 2048), st.sampled_from([0.1, 0.5, 0.9]), st.randoms(use_true_random=False))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(long_vectors)
+def test_xstar_cofactors_match_their_definition(v):
+    ones = v.one_positions()
+    if not ones:
+        return
+    dec = xstar_decompose(v)
+    assert [(r.k, r.j) for r in dec.rows] == list(enumerate(ones, start=1))
+    for r in dec.rows:
+        L = v.n - r.j + 1
+        lifted = 3**r.k * r.theta + 1
+        assert 0 < r.theta < 1 << L and lifted % (1 << L) == 0
+        assert r.t == lifted >> L
+
+
 def test_xstar_rows_match_ab_recurrence_n_le_10():
     for n in range(1, 11):
         for mask in range(1, 1 << n):

@@ -473,21 +473,32 @@ def test_cli_contract(argv):
             assert err and ": error: " in err[-1]
 
 
-# main builds a command's flags only when argparse dispatches to the command;
-# argparse's default parser class, given the same keyword arguments, builds
-# every command's flags up front and must give the same bytes, exit code and
-# --out file
+# main parses an argv that starts with a command by the command's parser
+# alone, and builds a command's flags only when argparse dispatches to the
+# command; the top-level parser with argparse's default parser class, given
+# the same keyword arguments, builds every command's flags up front and
+# must give the same bytes, exit code and --out file
 def _eager_command(add_flags, **kwargs):
     parser = cli._Parser(**kwargs)
     add_flags(parser)
     return parser
 
 
+def _full_parse(argv):
+    """Every argv through the top-level parser, which also reports a --window past --horizon."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "classify" and args.window > args.horizon:
+        parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")
+    return args
+
+
 def _assert_scoped_equals_full(argv):
     with tempfile.TemporaryDirectory() as tmp:
         _make_tmp(tmp)
         scoped = _call(argv, tmp)
-        with mock.patch.object(cli, "_Command", _eager_command):
+        with mock.patch.object(cli, "_Command", _eager_command), \
+                mock.patch.object(cli, "_parse_args", _full_parse):
             full = _call(argv, tmp)
     assert scoped == full
 
@@ -500,6 +511,18 @@ def _count_flag_builds(monkeypatch) -> list:
             built.append(name)
             add_flags(parser)
         monkeypatch.setitem(cli._COMMANDS, name, (help_text, counting, run))
+    return built
+
+
+def _count_parsers(monkeypatch) -> list:
+    """Wrap cli._Parser's constructor; the list holds the prog of each parser built."""
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
     return built
 
 
@@ -529,6 +552,9 @@ def test_scoped_parser_equals_full_parser(argv):
     (["--max-digits", "1", "classify", "int:27"], "classify"),
     (["classify", "int:27", "--horizon", "3", "--window", "5"], "classify"),
     (["classify", "int:27", "--bogus"], "classify"),
+    (["classify", "int:27", "--=x"], "classify"),
+    (["classify", "--", "int:27", "--horizon", "5"], "classify"),
+    (["solve", "1011", "--count", "0"], "solve"),
 ])
 def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, command,
                                                              columns):
@@ -541,16 +567,43 @@ def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, 
 
 
 def test_a_call_builds_only_the_flags_of_its_command(monkeypatch, tmp_path):
-    cases = [([*call.argv, "--out", "@/out"], call.argv[0])
+    # a command-first call builds the command's parser and no other
+    cases = [([*call.argv, "--out", "@/out"], call.argv[0], False)
              for call in _bench_calls(monkeypatch, 1)]
-    cases += [(["-h"], None), ([], None), (["frobnicate"], None),
-              (["--max", "5000", "classify", "int:27"], "classify"),
-              (["--max-digits", "5000", "xstar", "-h"], "xstar")]
+    cases += [(["classify", "-h"], "classify", False),
+              (["-h"], None, True), ([], None, True), (["frobnicate"], None, True),
+              (["--max", "5000", "classify", "int:27"], "classify", True),
+              (["--max-digits", "5000", "xstar", "-h"], "xstar", True)]
     built = _count_flag_builds(monkeypatch)
-    for argv, command in cases:
+    parsers = _count_parsers(monkeypatch)
+    for argv, command, top_level in cases:
         built.clear()
+        parsers.clear()
         _call(argv, str(tmp_path))
         assert built == ([] if command is None else [command]), argv
+        progs = ["collatz-parity"] * top_level
+        progs += [] if command is None else [f"collatz-parity {command}"]
+        assert parsers == progs, argv
+
+
+# usage errors the top-level parser reports with its own usage line, though
+# a command-first call found them by the command's parser or after it
+TOP_LEVEL_USAGE = ("usage: collatz-parity [-h] [--max-digits N]\n"
+                   "                      {analyze,solve,xstar,trajectory,classify,verify} ...\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "int:27", "--horizon", "3", "--window", "5"],
+     "argument --window: must not exceed --horizon (3)"),
+    (["classify", "int:27", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_errors_in_the_top_level_parser_voice(monkeypatch, capsys, argv, message):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 64 and captured.out == ""
+    assert captured.err == f"{TOP_LEVEL_USAGE}collatz-parity: error: {message}\n"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -12,11 +12,13 @@ same interpreter, with this checkout's src/ on PYTHONPATH, checks the
 forms (every CSV cell from the row's own properties, none through the CSV
 writer), checks `classify` against the N0 of every prefix, diffed row to
 row, on fixed and seeded random specs, checks in process that the CLI's
-parser, which builds a command's flags when argparse reaches
-the command, parses and prints what a parser built in full up front does,
-checks that importing the CLI in a fresh `python -I` loads none of the
-modules it has no use for at start-up, and prints one PASS or FAIL line per
-check.
+parser, which builds a command's flags when argparse reaches the command,
+parses and prints what a parser built in full up front does, and that
+`main` on an argv that starts with a command, which it parses with that
+command's parser alone, exits and prints what it does through the full
+top-level parser, checks that importing the CLI in a fresh `python -I`
+loads none of the modules it has no use for at start-up, and prints one
+PASS or FAIL line per check.
 The exit status is 0 when every check passes and 1 otherwise.
 """
 
@@ -305,20 +307,22 @@ def check_xstar_oracle() -> str:
     return ""
 
 
-def parse_output(parser, argv: list[str]):
-    """(exit code, stdout, stderr) of parser.parse_args(argv) when it exits, else the namespace."""
+def output(call, argv: list[str]) -> tuple:
+    """(what call(argv) returns, or its exit code when it exits; stdout; stderr)."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
         try:
-            return parser.parse_args(argv)
+            result = call(argv)
         except SystemExit as exc:
-            return exc.code, stdout.getvalue(), stderr.getvalue()
+            result = exc.code
+    return result, stdout.getvalue(), stderr.getvalue()
 
 
 def check_lazy_parser() -> str:
     # the CLI's parser relies on argparse handing add_parser's keyword
     # arguments to the parser class and calling only parse_known_args on a
-    # command's parser, and argparse's formatting differs across interpreters
+    # command's parser, main parses a command-first argv with the command's
+    # parser alone, and argparse's formatting differs across interpreters
     sys.path.insert(0, str(SRC))
     from collatz_parity import cli
 
@@ -327,19 +331,36 @@ def check_lazy_parser() -> str:
         add_flags(parser)
         return parser
 
+    def full_parse(argv):  # the top-level parser for every argv and every usage error
+        parser = cli.build_parser()
+        args = parser.parse_args(argv)
+        if args.command == "classify" and args.window > args.horizon:
+            parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")
+        return args
+
     argvs = [["-h"], [], ["frobnicate"], ["--max", "5000", "classify", "int:27"],
              ["--max-digits", "1", "classify", "int:27"], ["--max-digits=5000", "xstar", "-h"],
              ["classify", "int:27", "--horizon", "192", "--window", "32", "--json"]]
-    for name in cli._COMMANDS:  # the command's help, a missing, an unknown, an extra argument
-        argvs += [[name, "-h"], [name], [name, "--bogus"], [name, "0", "--bogus"], [name, "0", "0"]]
+    # argvs that start with a command, which main parses with its parser alone:
+    # a --window past --horizon, an argument the top-level parser reads as an
+    # ambiguous option, a `--`, and each command's help, a missing, an unknown
+    # and an extra argument
+    first = [["classify", "int:27", "--horizon", "3", "--window", "5"],
+             ["classify", "int:27", "--=x"], ["classify", "--", "int:27", "--horizon", "5"]]
+    for name in cli._COMMANDS:
+        first += [[name, "-h"], [name], [name, "--bogus"], [name, "0", "--bogus"], [name, "0", "0"]]
+    argvs += first
     columns = os.environ.get("COLUMNS")
     try:
         for width in ("80", "200"):
             os.environ["COLUMNS"] = width  # argparse wraps to the terminal width
-            lazy = [parse_output(cli.build_parser(), argv) for argv in argvs]
-            with mock.patch.object(cli, "_Command", eager_command):
-                eager = [parse_output(cli.build_parser(), argv) for argv in argvs]
-            for argv, got, expected in zip(argvs, lazy, eager):
+            lazy = [output(full_parse, argv) for argv in argvs]
+            lazy += [output(cli.main, argv) for argv in first]
+            with mock.patch.object(cli, "_Command", eager_command), \
+                    mock.patch.object(cli, "_parse_args", full_parse):
+                eager = [output(full_parse, argv) for argv in argvs]
+                eager += [output(cli.main, argv) for argv in first]
+            for argv, got, expected in zip(argvs + first, lazy, eager):
                 if got != expected:
                     return f"{' '.join(argv)}, width {width}: the output differs"
     finally:
