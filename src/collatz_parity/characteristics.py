@@ -166,10 +166,19 @@ class CharacteristicSet(Record):
 
 
 def _solve_ab(m: int, n: int) -> tuple[int, int]:
-    """The least positive solution (a, b) of 3^m a + 1 = 2^n b, for m, n >= 1."""
-    mod = 1 << n
-    a = mod - pow(3, -m, mod)
-    return a, (3**m * a + 1) >> n
+    """The least positive solution (a, b) of 3^m a + 1 = 2^n b, for m, n >= 1.
+
+    a = -3^-m mod 2^n, with the inverse x of 3^m mod 2^n by Newton-Hensel
+    steps: if 3^m x = 1 mod 2^k, then x (2 - 3^m x) is the inverse mod 2^2k.
+    """
+    pow3 = 3**m
+    inv, k = 1, 1   # the inverse mod 2^k; 3^m is odd
+    while k < n:
+        k = min(2 * k, n)
+        mask = (1 << k) - 1
+        inv = inv * (2 - (pow3 & mask) * inv) & mask
+    a = (1 << n) - inv
+    return a, (pow3 * a + 1) >> n
 
 
 def _int_distance(x: Fraction) -> Fraction:

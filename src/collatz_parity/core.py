@@ -108,6 +108,10 @@ def collatz_sequence(N: int, n: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
+# the bytes of "0" and "1" to the bit values 0 and 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class ParityVector(Record):
     """A finite, ordered sequence of bits; bit positions are 1-based."""
 
@@ -124,7 +128,7 @@ class ParityVector(Record):
     def from_string(cls, s: str) -> "ParityVector":
         if not s or s.strip("01"):
             raise ValueError(f"invalid bitstring {s!r}: need nonempty string of '0'/'1'")
-        return cls(tuple(map(int, s)))
+        return cls(tuple(s.encode().translate(_BITS)))
 
     @property
     def n(self) -> int:

@@ -12,8 +12,11 @@ its row template keeps the digit limit.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
-token (about 24,600 writes for 2048 bits with 1024 ones).  X*, Y* and J are
-converted first, so a digit-limit error writes nothing.
+token (about 24,600 writes for 2048 bits with 1024 ones).  theta_k and t_k
+print through str().  z_k has n bits on every row, where str() is quadratic,
+so it is carried in a Decimal by an exact recurrence of linear work per row
+(`_write_xstar_rows`).  X*, Y* and J are converted through str() first, and
+no cell has more digits than they do, so a digit-limit error writes nothing.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable
+from decimal import MAX_EMAX, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
 from .characteristics import (
@@ -145,8 +149,44 @@ def _xstar_totals(dec: XStarDecomposition) -> tuple[str, str, str]:
     # X*, Y* and J as text, converted before anything is written.  Every
     # theta_k <= z_k is at most X* and every t_k is at most Y*, all positive,
     # so if these three convert under the interpreter's digit limit, so does
-    # every cell, and a digit-limit error leaves the output empty.
+    # every theta_k and t_k through str(); z_k is printed from a Decimal,
+    # whose str() has no limit, and has no more digits than X*.  So a
+    # digit-limit error leaves the output empty.
     return str(dec.Xstar), str(dec.Ystar), str(dec.J)
+
+
+def _write_xstar_rows(dec: XStarDecomposition, out: IO[str], first: str, rest: str) -> None:
+    """Write `first`, then `rest` for each later row, % (k, j, theta_k, z_k, t_k).
+
+    z_k = 2^(j_k - 1) theta_k has n bits on every row, so str() of it costs
+    O(n^2) per row; here it is carried in a Decimal through the exact
+    3 z_k = 2^(j_k - j_(k-1)) z_(k-1) + s_k 2^n, with 2^(j_1) z_0 = -2^(j_1 - 1).
+    The int rows give s_k = (3 theta_k - theta_(k-1)) >> (n - j_k + 1) from
+    theta_0 = -1 (the same identity over 2^(j_k - 1)), and n comes from
+    3 theta_1 + 1 = 2^(n - j_1 + 1) t_1 with t_1 in {1, 2}.  Each row is one
+    multiply by 2^(j_k - j_(k-1)), one by s_k, an add and a // 3, so linear
+    work.  No intermediate has more than n + 1 digits, and Inexact and
+    Rounded are trapped, so a wrong digit would raise.
+    """
+    rows = dec.rows
+    _, j1, theta1, _, t1 = rows[0]   # xstar_decompose gives at least one row
+    n = ((3 * theta1 + 1) // t1).bit_length() + j1 - 2
+    with localcontext() as ctx:
+        ctx.prec = n + 1
+        ctx.Emax = MAX_EMAX   # the caller's context may cap the exponent lower
+        ctx.traps[Inexact] = ctx.traps[Rounded] = True
+        pow2n = Decimal(1 << n)
+        z = Decimal(-(1 << (j1 - 1)))
+        last_theta, last_j, row = -1, j1, first
+        for k, j, theta, _, t in rows:
+            s = (3 * theta - last_theta) >> (n - j + 1)
+            z = (z * (1 << (j - last_j)) + s * pow2n) // 3
+            out.write(row % (k, j, theta, z, t))
+            last_theta, last_j, row = theta, j, rest
+
+
+_JSON_ROW = ('    {\n      "k": %d,\n      "j": %d,\n      "theta": "%s",\n'
+             '      "z": "%s",\n      "t": "%s"\n    }')
 
 
 def write_xstar_json(dec: XStarDecomposition, out: IO[str]) -> None:
@@ -157,11 +197,7 @@ def write_xstar_json(dec: XStarDecomposition, out: IO[str]) -> None:
     """
     xstar, ystar, J = _xstar_totals(dec)
     out.write('{\n  "rows": [')
-    sep = "\n"
-    for r in dec.rows:  # xstar_decompose gives at least one row
-        out.write(f'{sep}    {{\n      "k": {r.k},\n      "j": {r.j},\n'
-                  f'      "theta": "{r.theta}",\n      "z": "{r.z}",\n      "t": "{r.t}"\n    }}')
-        sep = ",\n"
+    _write_xstar_rows(dec, out, "\n" + _JSON_ROW, ",\n" + _JSON_ROW)
     out.write(f'\n  ],\n  "Xstar": "{xstar}",\n  "Ystar": "{ystar}",\n  "J": "{J}"\n}}\n')
 
 
@@ -169,8 +205,8 @@ def write_xstar_table(dec: XStarDecomposition, out: IO[str]) -> None:
     """The X* table as fixed-width text; nothing is written if a number is past the digit limit."""
     xstar, ystar, J = _xstar_totals(dec)
     out.write(f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}\n")
-    for r in dec.rows:
-        out.write(f"{r.k:>3} {r.j:>5} {r.theta:>24} {r.z:>24} {r.t:>24}\n")
+    row = "%3d %5d %24s %24s %24s\n"
+    _write_xstar_rows(dec, out, row, row)
     out.write(f"Xstar = {xstar}\nYstar = {ystar}\nJ = {J}\n")
 
 

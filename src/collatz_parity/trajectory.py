@@ -14,10 +14,11 @@ for a finite vector; a row stores only n, m_j, P_j and N0_j:
 One step iterator, `_steps`, carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j),
 O(1) big-int operations per row on O(j)-bit integers, for `iter_trajectory` (a
 row holds O(j) bits), `classify` and the CSV writer.  a_j and b_j cost one
-modular power on first read.  X*_j needs the one-positions, so it comes from
-`xstar_decompose(gen.prefix(j))`; the classifier does without it, since X_j
-and X*_j are both N0_j mod 2^j.  The CSV reads none of these closed forms;
-`write_trajectory_csv` states how it carries a_j, b_j and K*_j and what that costs.
+Newton-Hensel inverse of 3^{m_j} mod 2^j on first read.  X*_j needs the
+one-positions, so it comes from `xstar_decompose(gen.prefix(j))`; the
+classifier does without it, since X_j and X*_j are both N0_j mod 2^j.  The
+CSV reads none of these closed forms; `write_trajectory_csv` states how it
+carries a_j, b_j and K*_j and what that costs.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the computed rows support.

@@ -135,6 +135,16 @@ def test_ab_recurrence_matches_modular_inverse():
             assert a < pow2 and b < 3**m
 
 
+def test_solve_ab_matches_the_halving_recurrence_up_to_200():
+    # the Newton-Hensel inverse against the paper's recurrence, for every
+    # 1 <= m <= n <= 200; row n of ab_recurrence(m, 200) is the last row of
+    # ab_recurrence(m, n), the recurrence's solution for that n
+    for m in range(1, 201):
+        table = ab_recurrence(m, 200)
+        for n in range(m, 201):
+            assert characteristics._solve_ab(m, n) == table[n - 1]
+
+
 def test_ab_family_member():
     assert ab_family_member(7, 10, 0) == (221, 472)
     assert ab_family_member(7, 10, 1) == (1245, 2659)

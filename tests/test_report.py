@@ -1,7 +1,9 @@
 """Serialization, rational rendering, and the fixture corpus runner."""
 
+import decimal
 import io
 import json
+import random
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
@@ -32,6 +34,7 @@ from collatz_parity.report import (
     run_fixtures,
     write_trajectory_csv,
     write_xstar_json,
+    write_xstar_table,
 )
 from collatz_parity.characteristics import xstar_decompose
 
@@ -168,7 +171,30 @@ def json_dump_layout(v: ParityVector) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("bits", ["1", "0001", "1000", "1" * 64, "1011010111"])
+def half_ones(n: int) -> str:
+    rng = random.Random(n)
+    ones = set(rng.sample(range(n), n // 2))
+    return "".join("1" if i in ones else "0" for i in range(n))
+
+
+# the writers carry z_k in a Decimal through 3 z_k = 2^(j_k - j_(k-1)) z_(k-1)
+# + s_k 2^n: a first one late, after 2^(j_1) z_0 = -2^(j_1 - 1); a zero run
+# of 1200 bits, where s_k = r - (the bits theta_(k-1) loses) is near -2^1200;
+# ones on every row, where j_k - j_(k-1) = 1; a lone one at j = n, where
+# theta_1 = 1; and the benchmark's sizes
+XSTAR_STRESS = {
+    "first-one-late": "0" * 40 + "1011" + "0" * 7 + "1",
+    "zero-run-of-1200": "1101" + "0" * 1200 + "1011",
+    "all-ones": "1" * 300,
+    "one-at-n": "0" * 299 + "1",
+    "1024-bits": half_ones(1024),
+    "2048-bits": half_ones(2048),
+}
+XSTAR_VECTORS = ["1", "0001", "1000", "1" * 64, "1011010111",
+                 *(pytest.param(bits, id=name) for name, bits in XSTAR_STRESS.items())]
+
+
+@pytest.mark.parametrize("bits", XSTAR_VECTORS)
 def test_xstar_json_is_the_json_dump_layout(bits):
     assert xstar_json_text(PV(bits)) == json_dump_layout(PV(bits))
 
@@ -186,6 +212,53 @@ def test_xstar_json_is_the_json_dump_layout_random(drawn):
     bits[one] = 1
     v = ParityVector(tuple(bits))
     assert xstar_json_text(v) == json_dump_layout(v)
+
+
+def xstar_table_text(v: ParityVector) -> str:
+    out = io.StringIO()
+    write_xstar_table(xstar_decompose(v), out)
+    return out.getvalue()
+
+
+def str_table_layout(v: ParityVector) -> str:
+    # the table with str() of every integer, z_k too
+    dec = xstar_decompose(v)
+    lines = [f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}"]
+    lines += [f"{r.k:>3} {r.j:>5} {str(r.theta):>24} {str(r.z):>24} {str(r.t):>24}"
+              for r in dec.rows]
+    lines += [f"Xstar = {dec.Xstar}", f"Ystar = {dec.Ystar}", f"J = {dec.J}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("bits", XSTAR_VECTORS)
+def test_xstar_table_is_the_str_layout(bits):
+    assert xstar_table_text(PV(bits)) == str_table_layout(PV(bits))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(vectors_with_a_one)
+def test_xstar_table_is_the_str_layout_random(drawn):
+    bits, one = drawn
+    bits[one] = 1
+    v = ParityVector(tuple(bits))
+    assert xstar_table_text(v) == str_table_layout(v)
+
+
+def test_xstar_writers_keep_the_callers_decimal_context():
+    # a caller's context with 5 digits and an exponent capped at 10 would
+    # round or overflow every z_k; the writers set their own and restore it
+    v = PV(XSTAR_STRESS["zero-run-of-1200"])
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.rounding = 5, 10, decimal.ROUND_UP
+        ctx.traps[decimal.Overflow] = False
+        ctx.traps[decimal.DivisionByZero] = False
+        before = (ctx.prec, ctx.Emax, ctx.rounding, dict(ctx.traps))
+        texts = xstar_json_text(v), xstar_table_text(v)
+        after = decimal.getcontext()
+        assert after is ctx
+        assert (after.prec, after.Emax, after.rounding, dict(after.traps)) == before
+        assert not any(after.flags.values())
+    assert texts == (json_dump_layout(v), str_table_layout(v))
 
 
 def test_trajectory_csv_header_and_shape():

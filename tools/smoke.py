@@ -282,28 +282,31 @@ def check_classify_oracle() -> str:
 
 
 def check_xstar_oracle() -> str:
-    # the CLI takes each theta_k from the one before; the oracle solves each
-    # from scratch, 3^k theta = -1 mod 2^L with L = n - j_k + 1
-    bits = format(3**189, "b")  # 300 bits, 151 of them ones
-    n = len(bits)
-    ones = [j for j, ch in enumerate(bits, start=1) if ch == "1"]
-    m = len(ones)
-    rows = []
-    for k, j in enumerate(ones, start=1):
-        L = n - j + 1
-        theta = (1 << L) - pow(3, -k, 1 << L)
-        rows.append({"k": k, "j": j, "theta": str(theta), "z": str(theta << (j - 1)),
-                     "t": str((3**k * theta + 1) >> L)})
-    xstar = sum(int(r["z"]) for r in rows)
-    ystar = sum(3 ** (m - r["k"]) * int(r["t"]) for r in rows)
-    P = sum(3 ** (m - k) << (j - 1) for k, j in enumerate(ones, start=1))
-    X = P * ((1 << n) - pow(3, -m, 1 << n))
-    expected = {"rows": rows, "Xstar": str(xstar), "Ystar": str(ystar),
-                "J": str((X - xstar) >> n)}
-    proc = cli("xstar", bits, "--json")
-    # byte for byte: the CLI streams the layout json.dumps(..., indent=2) gives
-    if proc.returncode != 0 or proc.stdout != json.dumps(expected, indent=2) + "\n":
-        return f"exit {proc.returncode}; the X* table differs from the closed forms"
+    # the CLI takes each theta_k from the one before, and prints each z_k from
+    # the one before through a Decimal; the oracle solves each theta from
+    # scratch, 3^k theta = -1 mod 2^L with L = n - j_k + 1, and prints every
+    # integer through str().  The first vector has 300 bits, 151 of them
+    # ones; the second has its first one at bit 46 and a run of 1100 zeros
+    for bits in (format(3**189, "b"), "0" * 45 + format(3**40, "b") + "0" * 1100 + "1011"):
+        n = len(bits)
+        ones = [j for j, ch in enumerate(bits, start=1) if ch == "1"]
+        m = len(ones)
+        rows = []
+        for k, j in enumerate(ones, start=1):
+            L = n - j + 1
+            theta = (1 << L) - pow(3, -k, 1 << L)
+            rows.append({"k": k, "j": j, "theta": str(theta), "z": str(theta << (j - 1)),
+                         "t": str((3**k * theta + 1) >> L)})
+        xstar = sum(int(r["z"]) for r in rows)
+        ystar = sum(3 ** (m - r["k"]) * int(r["t"]) for r in rows)
+        P = sum(3 ** (m - k) << (j - 1) for k, j in enumerate(ones, start=1))
+        X = P * ((1 << n) - pow(3, -m, 1 << n))
+        expected = {"rows": rows, "Xstar": str(xstar), "Ystar": str(ystar),
+                    "J": str((X - xstar) >> n)}
+        proc = cli("xstar", bits, "--json")
+        # byte for byte: the CLI streams the layout json.dumps(..., indent=2) gives
+        if proc.returncode != 0 or proc.stdout != json.dumps(expected, indent=2) + "\n":
+            return f"{n} bits: exit {proc.returncode}; the X* table differs from the closed forms"
     return ""
 
 
