@@ -128,7 +128,10 @@ class ParityVector(Record):
     def from_string(cls, s: str) -> "ParityVector":
         if not s or s.strip("01"):
             raise ValueError(f"invalid bitstring {s!r}: need nonempty string of '0'/'1'")
-        return cls(tuple(s.encode().translate(_BITS)))
+        # the strip has checked every bit, so `__init__` need not check them again
+        v = object.__new__(cls)
+        v._init(tuple(s.encode().translate(_BITS)))
+        return v
 
     @property
     def n(self) -> int:

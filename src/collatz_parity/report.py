@@ -25,7 +25,7 @@ import io
 import json
 import os
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from decimal import MAX_EMAX, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 
@@ -57,6 +57,12 @@ DEFAULT_PRECISION = 12
 _LOWEST_DIGIT_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 
+def _digit_limit_error(limit: int, digits: int) -> ValueError:
+    return ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion "
+                      f"at precision {digits}; use sys.set_int_max_str_digits() "
+                      "to increase the limit")
+
+
 def _check_digit_limit(p: int, q: int, digits: int) -> None:
     """Raise the interpreter's digit-limit error if round(|p|/q * 10^digits) must pass it.
 
@@ -70,64 +76,34 @@ def _check_digit_limit(p: int, q: int, digits: int) -> None:
     e = abs(p).bit_length() - q.bit_length() - 1
     # e*log10(2) rounded down, from 0.30102 < log10(2) < 0.30103
     if digits + e * (30102 if e >= 0 else 30103) // 100000 >= limit:
-        raise ValueError(f"Exceeds the limit ({limit} digits) for integer string conversion "
-                         f"at precision {digits}; use sys.set_int_max_str_digits() "
-                         "to increase the limit")
-
-
-def _fixed_point_renderer(digits: int) -> Callable[[int, int], str]:
-    """A function of (p, q), q > 0: p/q in fixed point with `digits` fractional digits.
-
-    It rounds half to even in integer arithmetic, with 10^digits and the pad
-    width built once.  From the lowest digit limit up, each nonzero value is
-    first bounded against the interpreter's limit, and 10^digits is built
-    only when a value has passed, so a precision of millions fails at once.
-    """
-    if digits < 0:
-        raise ValueError(f"precision must be >= 0, got {digits}")
-    if digits >= _LOWEST_DIGIT_LIMIT:
-        render = None
-
-        def checked(p: int, q: int) -> str:
-            nonlocal render
-            if p:
-                _check_digit_limit(p, q, digits)
-            if render is None:
-                render = _rounder(digits)
-            return render(p, q)
-        return checked
-    return _rounder(digits)
-
-
-def _rounder(digits: int) -> Callable[[int, int], str]:
-    """`_fixed_point_renderer` without the digit-limit bound."""
-    scale, width = 10**digits, digits + 1
-
-    def render(p: int, q: int) -> str:
-        scaled, rem = divmod(p * scale, q)
-        twice = rem << 1
-        if twice > q or (twice == q and scaled & 1):
-            scaled += 1
-        if not digits:
-            return str(scaled)
-        if scaled < 0:
-            text = str(-scaled).rjust(width, "0")
-            return f"-{text[:-digits]}.{text[-digits:]}"
-        text = str(scaled).rjust(width, "0")
-        return f"{text[:-digits]}.{text[-digits:]}"
-    return render
+        raise _digit_limit_error(limit, digits)
 
 
 def format_rational(x: Fraction, digits: int = DEFAULT_PRECISION, exact: bool = False) -> str:
     """Decimal-string rendering of an exact rational.
 
     `exact` gives the reduced p/q form; otherwise fixed-point with `digits`
-    fractional digits, round-half-even.
+    fractional digits, rounded half to even in integer arithmetic.  From the
+    lowest digit limit up, a nonzero value is first bounded against the
+    interpreter's limit, so a precision of millions fails before 10^digits
+    is built.
     """
     if exact:
         return str(x)
+    if digits < 0:
+        raise ValueError(f"precision must be >= 0, got {digits}")
     x = Fraction(x)
-    return _fixed_point_renderer(digits)(x.numerator, x.denominator)
+    p, q = x.numerator, x.denominator
+    if p and digits >= _LOWEST_DIGIT_LIMIT:
+        _check_digit_limit(p, q, digits)
+    scaled, rem = divmod(p * 10**digits, q)
+    twice = rem << 1
+    if twice > q or (twice == q and scaled & 1):
+        scaled += 1
+    if not digits:
+        return str(scaled)
+    text = str(abs(scaled)).rjust(digits + 1, "0")
+    return f"{'-' if scaled < 0 else ''}{text[:-digits]}.{text[-digits:]}"
 
 
 def _opt(x: int | None) -> str | None:
@@ -251,11 +227,13 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     bit operations per one and O(log m) word operations per row, with no
     modular power.  The other cells come from n, m, P, N0, 2^n and 3^m.
 
-    At 1 <= digits < `_LOWEST_DIGIT_LIMIT` in fixed point, each row is one
-    `%` of a template built per call (a second, for m = 0, has the empty
-    cells in it).  A fixed-point cell prints s // 10^digits and
-    s % 10^digits through %d.%0<digits>d, where s = round(p 10^digits / q),
-    half to even, is worked out once per numerator p:
+    Each row is one `%` of a template built per call (a second, for m = 0,
+    has the empty cells in it), in every mode.  A rational cell is a pair
+    of template fields: %d.%0<digits>d at 1 digit or more, %d%.0s at 0
+    (which consumes the fraction and prints nothing), and %s%s with `exact`,
+    filled with the reduced Fraction and "".  In fixed point the pair is
+    s // 10^digits and s % 10^digits, where s = round(p 10^digits / q), half
+    to even, is worked out once per numerator p:
       * N0 over 2^n gives r0, f2 = r0 (X = P a = N0 mod 2^n, and N0 < 2^n
         once m >= 1) and q = K + r0, as X = N0 + 2^n K;
       * B = P mod 2^n over 2^n gives P/2^n = A + B/2^n with A = P >> n, and
@@ -269,29 +247,37 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     integer cells go through %d, which checks the digit limit as str()
     does; every other cell but q and P/2^n is at most 1; and once the
     integer part of q or P/2^n nears the limit in bit length, str() of it
-    times 10^digits raises the interpreter's own error.  At digits 0, from
-    `_LOWEST_DIGIT_LIMIT` up, and with `exact`, each rational cell goes
-    through one renderer.
+    times 10^digits raises the interpreter's own error.  Below the limit
+    the cells at most 1 have at most digits + 1 digits, which pass.  From
+    the limit up, row 1 has a cell equal to 1 (m/n after a one, r0 = 2/2
+    after a zero), whose 10^digits is past it, so the call fails when row
+    1 arrives, before 10^digits is built.
     """
     if horizon < 1:   # the step iterator checks only on its first row, after the header
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    row = None
-    if exact or not 0 < digits < _LOWEST_DIGIT_LIMIT:
-        render = (lambda p, q: str(Fraction(p, q))) if exact else _fixed_point_renderer(digits)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if exact:
+        fixed = "%s%s"
+    elif digits < 0:
+        raise ValueError(f"precision must be >= 0, got {digits}")
     else:
-        scale = 10**digits
-        fixed = f"%d.%0{digits}d"
-        row = ",".join(["%d"] * 8 + [fixed, fixed, "%d", "%d"] + [fixed] * 6) + "\n"
-        row0 = ",".join(["%d"] * 5 + ["", "", "%d", fixed, "", "", ""] + [fixed] * 5 + [""]) + "\n"
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        fixed = f"%d.%0{digits}d" if digits else "%d%.0s"
         # an integer part below 2^safe_bits is below 10^(limit - digits), as 3.32192 < log2(10)
         safe_bits = (limit - digits) * 332192 // 100000 if limit else sys.maxsize
+    row = ",".join(["%d"] * 8 + [fixed, fixed, "%d", "%d"] + [fixed] * 6) + "\n"
+    row0 = ",".join(["%d"] * 5 + ["", "", "%d", fixed, "", "", ""] + [fixed] * 5 + [""]) + "\n"
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
+    steps = _steps(gen, horizon)
+    if not exact:
+        if limit and digits >= limit:
+            next(steps)   # a source that yields no row raises BitStreamExhausted
+            raise _digit_limit_error(limit, digits)
+        scale = 10**digits
     kstar = -1               # X*_0 = 0 = N0_0 - 1
     ones: list[int] = []     # the one-positions j_k
     width = 0                # the columns counted, set on row 1
-    for n, m, P, N0, e, d, pow2, pow3 in _steps(gen, horizon):
+    for n, m, P, N0, e, d, pow2, pow3 in steps:
         if e:
             ones.append(n)
         if n > width:
@@ -313,45 +299,32 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
         if m:
             a = w & low   # w_m mod 2^n, as width >= n
             b = (pow3 * a + 1) >> n
-            X = P * a
-            K = (X - N0) >> n
-        if row is None:
-            r0 = render(N0, pow2)
-            if m:
-                a_b = f"{a},{b}"
-                q_K_Kstar = f"{render(X, pow2)},{K},{kstar}"
-                # (X mod 2^n)/2^n, and X = P a = N0 (mod 2^n) with N0 < 2^n once
-                # a one has come, since 2^n realizes n zeros
-                f2 = r0
-            else:
-                a_b, q_K_Kstar, f2 = ",", ",,", ""
-            out.write(",".join([
-                str(n), str(n), str(m), str(P), str(pow2 - pow3), a_b, str(N0), r0,
-                q_K_Kstar, render(m, n), render(P, pow2), render(P, pow2 * pow3),
-                render(P // pow3, pow2), render(P >> n, pow3), f2,
-            ]) + "\n")
-            continue
-
-        # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
-        # (2t + n - 1 + parity of t // n) // 2n rounds t/n
-        half = (pow2 >> 1) - 1
-        t = N0 * scale
-        r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
-        t = (P & low) * scale
-        Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
-        t = P // pow3 * scale
-        alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
-        t = m * scale
-        m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
-        q = pow2 * pow3
-        P_q = divmod((P * scale + (q >> 1)) // q, scale)
-        A = P >> n
-        A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
-        Pi = A + Bi   # the integer part of P/2^n
-        ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
+            K = (P * a - N0) >> n   # X = P a
+        if exact:
+            r0i, r0f = Fraction(N0, pow2), ""
+            ratios = (Fraction(m, n), "", Fraction(P, pow2), "", Fraction(P, pow2 * pow3), "",
+                      Fraction(P // pow3, pow2), "", Fraction(P >> n, pow3), "")
+        else:
+            # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
+            # (2t + n - 1 + parity of t // n) // 2n rounds t/n
+            half = (pow2 >> 1) - 1
+            t = N0 * scale
+            r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
+            t = (P & low) * scale
+            Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
+            t = P // pow3 * scale
+            alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
+            t = m * scale
+            m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
+            q = pow2 * pow3
+            P_q = divmod((P * scale + (q >> 1)) // q, scale)
+            A = P >> n
+            A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
+            Pi = A + Bi   # the integer part of P/2^n
+            ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
         if m:
-            qi = K + r0i   # the integer part of q = K + r0
-            if qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits:
+            qi = K + r0i   # q = K + r0, in fixed point its integer part; f2 = r0
+            if not exact and (qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits):
                 str(qi * scale), str(Pi * scale)   # raises where str(s) would
             out.write(row % (n, n, m, P, pow2 - pow3, a, b, N0, r0i, r0f, qi, r0f,
                              K, kstar, *ratios, r0i, r0f))

@@ -312,6 +312,44 @@ def test_trajectory_stops_at_the_first_row_past_the_digit_limit(capsys, tmp_path
     assert err.startswith("error: ") and "--max-digits" in err
 
 
+# The last row each digit-limit stop writes.  With --precision 600 the
+# integer part of q passes 640 - 600 digits; at 0 digits the integer cells
+# stop the run, and with --exact-rationals the numerator or denominator of a
+# cell.  From the limit up (4300 and 4301 at the default limit), row 1
+# already has a cell equal to 1, 10^digits scaled, so only the header is
+# written.
+_STOP_ROWS = [
+    (["--max-digits", "640", "trajectory", "int:27", "--horizon", "2200", "--precision", "600"],
+     132),
+    (["--max-digits", "640", "trajectory", "int:27", "--horizon", "2200", "--precision", "0"],
+     2126),
+    (["--max-digits", "640", "trajectory", "int:27", "--horizon", "2200", "--exact-rationals"],
+     1064),
+    (["--max-digits", "700", "trajectory", "int:27", "--horizon", "2200", "--precision", "650"],
+     166),
+    (["--max-digits", "1000", "trajectory", "cycle:1", "--horizon", "2500", "--precision", "900"],
+     209),
+    *((["trajectory", spec, "--precision", precision], 0)
+      for spec in ("int:27", "bits:0", "bits:1") for precision in ("4300", "4301")),
+]
+
+
+@pytest.mark.parametrize("argv, last_row", _STOP_ROWS,
+                         ids=[" ".join(argv) for argv, _ in _STOP_ROWS])
+def test_trajectory_digit_limit_stop_rows(capsys, argv, last_row):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int/str digit limit")
+    if "--max-digits" not in argv and sys.get_int_max_str_digits() != 4300:
+        pytest.skip("the interpreter's digit limit is not the default 4300")
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    header, *lines = out.split("\n")
+    assert header == TRAJECTORY_CSV_HEADER and lines.pop() == ""
+    assert [line.split(",", 1)[0] for line in lines] == [str(j) for j in range(1, last_row + 1)]
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "--max-digits" in err
+
+
 def test_a_huge_precision_fails_at_once(capsys):
     # 10^4000000 alone takes seconds to build; the rounded value's digit count
     # is bounded from bit lengths first.  Zero renders at any precision.

@@ -73,12 +73,24 @@ def test_parity_vector_validation():
         ParityVector.from_string("")
 
 
-@pytest.mark.parametrize("bad", ["", "012", "01\n", " 01", "１"])
+@pytest.mark.parametrize("bad", ["", "012", "01\n", " 01", "１", "0 1"])
 def test_from_string_rejects_anything_but_ascii_0_and_1(bad):
-    # "１" is a fullwidth 1, which int() would accept
+    # "１" is a fullwidth 1, which int() would accept; from_string checks the
+    # string itself and builds the vector without `__init__`, so only this
+    # check stands between a bad string and a vector
     with pytest.raises(ValueError) as exc:
         ParityVector.from_string(bad)
     assert str(exc.value) == f"invalid bitstring {bad!r}: need nonempty string of '0'/'1'"
+
+
+@pytest.mark.parametrize("bits", ["0", "1", "0110", "1" * 300])
+def test_from_string_builds_the_vector_the_constructor_builds(bits):
+    v = ParityVector.from_string(bits)
+    w = ParityVector(tuple(map(int, bits)))
+    assert type(v) is ParityVector and v == w and hash(v) == hash(w) and repr(v) == repr(w)
+    assert v.bits == w.bits and type(v.bits) is tuple
+    with pytest.raises(AttributeError):
+        v.bits = (1,)
 
 
 def test_parity_vector_helpers():

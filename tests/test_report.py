@@ -16,6 +16,7 @@ from collatz_parity import (
     BitStreamExhausted,
     CharacteristicSet,
     ParityVector,
+    PrefixGenerator,
     char_set,
     iter_trajectory,
     parse_generator,
@@ -26,7 +27,6 @@ from collatz_parity.report import (
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
     _add_columns,
-    _fixed_point_renderer,
     charset_to_json_dict,
     format_rational,
     load_fixtures,
@@ -62,8 +62,8 @@ def test_format_rational_exact():
 
 
 def rounded(p, q, digits):
-    """round(p/q * 10^digits) as the renderer gives it, read back from its text."""
-    text = _fixed_point_renderer(digits)(p, q)
+    """round(p/q * 10^digits) as `format_rational` gives it, read back from its text."""
+    text = format_rational(Fraction(p, q), digits)
     whole, point, fraction = text.partition(".")
     assert len(fraction) == digits and bool(point) == bool(digits)
     assert whole.lstrip("-") == str(abs(int(whole)))  # no pad left before the point
@@ -102,11 +102,11 @@ def test_fixed_point_refuses_only_what_str_would(p, low, e, offset, negative):
     previous = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(0)
-        expected = _fixed_point_renderer(digits)(p, q)
+        expected = format_rational(Fraction(p, q), digits)
         scaled_digits = len(str(abs(rounded(p, q, digits))))
         sys.set_int_max_str_digits(640)
         try:
-            assert _fixed_point_renderer(digits)(p, q) == expected
+            assert format_rational(Fraction(p, q), digits) == expected
         except ValueError as exc:
             assert "int_max_str_digits" in str(exc) and scaled_digits > 640
     finally:
@@ -289,10 +289,10 @@ _RATIONAL_CELLS = ("m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n", "A_o
 def closed_form_line(gen, row, digits=DEFAULT_PRECISION, exact=False):
     """Row j's CSV line from its closed-form properties and the X* of its prefix.
 
-    It rounds through `format_rational`, whose `_fixed_point_renderer` the
-    writer uses only at 0 digits and from the lowest digit limit up; at 1 to
-    639 digits the writer rounds in its own arithmetic, so the two share no
-    rounding code there.  A cell is empty where its property is None (m = 0).
+    It renders through `format_rational`, which the writer does not call: the
+    writer rounds in its own arithmetic at every precision and builds its own
+    Fractions with `exact`, so the two share no rounding code in any mode.
+    A cell is empty where its property is None (m = 0).
     """
     def cell(name, render=str):
         value = getattr(row, name)
@@ -343,6 +343,42 @@ def test_trajectory_csv_checks_the_horizon_before_writing():
         with pytest.raises(ValueError, match="horizon"):
             write_trajectory_csv(parse_generator("int:27"), horizon, out)
         assert out.getvalue() == ""
+
+
+class _DrySource(PrefixGenerator):
+    """A source that yields no bit, which no spec can give."""
+
+    __slots__ = ()
+
+    def bits(self):
+        return iter(())
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+def test_trajectory_csv_from_the_digit_limit_up_fails_on_row_1():
+    # row 1 has a cell equal to 1, whose 10^digits has one digit too many;
+    # a source with no row 1 is reported as such instead
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for digits in (640, 641, 10**9):
+            for spec in ("bits:0", "bits:1", "int:27"):
+                out = io.StringIO()
+                with pytest.raises(ValueError, match="int_max_str_digits"):
+                    write_trajectory_csv(parse_generator(spec), 10, out, digits)
+                assert out.getvalue() == TRAJECTORY_CSV_HEADER + "\n"
+            out = io.StringIO()
+            with pytest.raises(BitStreamExhausted) as exc:
+                write_trajectory_csv(_DrySource(), 10, out, digits)
+            assert exc.value.position == 0 and out.getvalue() == TRAJECTORY_CSV_HEADER + "\n"
+            # exact rationals take no 10^digits
+            out = io.StringIO()
+            write_trajectory_csv(parse_generator("int:27"), 10, out, digits, exact=True)
+            assert out.getvalue() == "\n".join(csv_lines(parse_generator("int:27"), 10,
+                                                          exact=True))
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_trajectory_csv_memory_follows_the_rows_written():
@@ -400,8 +436,8 @@ _ONES_AT_WIDENINGS = _ones_at((1, 64, 65, 128, 129, 256, 257), 300)
 def test_csv_equals_the_closed_form_rendering(spec, horizon):
     gen = parse_generator(spec)
     rows = list(iter_trajectory(gen, horizon))
-    for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (3, False),
-                          (DEFAULT_PRECISION, True)):
+    for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (3, False), (640, False),
+                          (700, False), (DEFAULT_PRECISION, True)):
         closed_form = [closed_form_line(gen, row, digits, exact) for row in rows]
         assert csv_lines(gen, horizon, digits, exact) == [TRAJECTORY_CSV_HEADER, *closed_form, ""]
 

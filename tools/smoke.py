@@ -142,14 +142,16 @@ def check_digit_limit() -> str:
 
 # `write_trajectory_csv` states how the CSV carries a, b and K*; the oracle
 # renders every cell from the row's closed-form properties, and K* from X*
-# of the row's prefix.  The writer fills a row template at 1 to 639 digits,
-# here the default precision and 2, where short rows often round an exact
-# half, and renders each rational cell alone at 0 digits and as exact p/q.
-# The oracle rounds with Fraction's round(), half to even, and places the
-# point with Decimal, so it shares no rounding code with the writer either.
-# A cell is empty where its property is None (m = 0).
+# of the row's prefix.  The writer fills one row template per call in every
+# mode; its rational cells take a different template at 0 digits, at 1 digit
+# or more (here 2, where short rows often round an exact half, the default
+# precision, and 700, past the lowest digit limit) and as exact p/q.  The
+# oracle rounds with Fraction's round(), half to even, and places the point
+# with Decimal, so it shares no rounding code with the writer either.  A
+# cell is empty where its property is None (m = 0).
 CSV_MODES = (((), None, False), (("--precision", "2"), 2, False),
-             (("--precision", "0"), 0, False), (("--exact-rationals",), None, True))
+             (("--precision", "0"), 0, False), (("--precision", "700"), 700, False),
+             (("--exact-rationals",), None, True))
 CSV_INTEGERS = ("n", "m", "P", "c", "a", "b", "N0")
 CSV_RATIONALS = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
                  "A_over_3m", "f2_over_2n")
