@@ -4,22 +4,24 @@ Exit status: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 
 A call that starts with a command builds one parser, that command's, with
 its flags only.  argparse sets up a help formatter and looks up messages
-once per argument, so every command's flags take about 1.5 ms to build.  A
-bench `classify` call parses in 0.22 ms by its command's parser alone, and
-took 0.37 ms through the top-level parser, 0.12-0.17 ms of it to build that
-parser (Python 3.11.7, timeit best of 9, shared 2-core machine).  The
+once per argument, so every command's flags take about 1.5 ms to build; a
+parser here looks the terminal width up once, not per formatter.  A bench
+`classify` call parses in 0.21 ms by its command's parser alone (0.23 ms
+with a lookup per formatter), and in 0.33 ms through the top-level parser
+(Python 3.11.7, best of 6 timeit runs, shared 2-core machine).  The
 top-level parser names every command and builds the flags of only the one
 it dispatches to.  It parses every other call (`-h`, no or an unknown
 command, `--max-digits` first) and reports its own errors: arguments the
 command leaves over, and a `--window` past `--horizon`.  No parser is kept
-between calls: a command-line run builds one anyway, and there the saving
-is small next to the interpreter's start.
+between calls; a command-line run builds one anyway.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 
@@ -45,6 +47,12 @@ _C_INT_MAX = 2**31 - 1
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # one terminal-width lookup per parser, where argparse makes one per argument
+        width = shutil.get_terminal_size().columns - 2
+        kwargs.setdefault("formatter_class", functools.partial(argparse.HelpFormatter, width=width))
+        super().__init__(**kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -116,8 +124,7 @@ def _analyze_flags(p):
 def _cmd_analyze(args) -> int:
     cs = char_set(ParityVector.from_string(args.bits))
     with _open_out(args) as out:
-        json.dump(charset_to_json_dict(cs), out, indent=2)
-        out.write("\n")
+        out.write(json.dumps(charset_to_json_dict(cs), indent=2) + "\n")
     return 0
 
 
@@ -209,8 +216,7 @@ def _cmd_classify(args) -> int:
                     "P_over_2n": _frac_text(d.P_over_2n, args),
                     "ones_in_window": d.ones_in_window,
                 }
-            json.dump(payload, out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(payload, indent=2) + "\n")
             return 0
         # every line is built before the first write, so an error writes nothing
         lines = [f"verdict: {verdict.kind} (horizon-bounded; horizon={verdict.horizon}, "
@@ -244,8 +250,7 @@ def _cmd_verify(args) -> int:
     report = run_fixtures(cases)
     with _open_out(args) as out:
         if args.json:
-            json.dump(report_to_json(report), out, indent=2)
-            out.write("\n")
+            out.write(json.dumps(report_to_json(report), indent=2) + "\n")
         else:
             out.write(render_report_text(report) + "\n")
     return 0 if report.failed == 0 else 2

@@ -13,15 +13,16 @@ for a finite vector; a row stores only n, m_j, P_j and N0_j:
 
 One step iterator, `_steps`, carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j),
 O(1) big-int operations per row on O(j)-bit integers, for `iter_trajectory` (a
-row holds O(j) bits), `classify` and the CSV writer.  a_j and b_j cost one
-Newton-Hensel inverse of 3^{m_j} mod 2^j on first read.  X*_j needs the
-one-positions, so it comes from `xstar_decompose(gen.prefix(j))`; the
-classifier does without it, since X_j and X*_j are both N0_j mod 2^j.  The
-CSV reads none of these closed forms; `write_trajectory_csv` states how it
-carries a_j, b_j and K*_j and what that costs.
+row holds O(j) bits) and the CSV writer; `classify` needs no rows, since
+N0_j = ((N0_H - 1) mod 2^j) + 1.  a_j and b_j cost one Newton-Hensel
+inverse of 3^{m_j} mod 2^j on first read.  X*_j needs the one-positions, so
+it comes from `xstar_decompose(gen.prefix(j))`; the classifier does without
+it, since X_j and X*_j are both N0_j mod 2^j.  The CSV reads none of these
+closed forms; `write_trajectory_csv` states how it carries a_j, b_j and K*_j
+and what that costs.
 
 True limits are never computed; everything here is horizon-bounded, and the
-classifier says only what the computed rows support.
+classifier says only what the bits it read support.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 from .core import BitStreamExhausted, PrefixGenerator, Record, collatz_step
-from .characteristics import CharacteristicSet, _int_distance
+from .characteristics import CharacteristicSet, _int_distance, char_set
 
 HALVED = "halved"
 HALVED_PLUS_HALF = "halved-plus-half"
@@ -153,46 +154,40 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
              window: int = DEFAULT_WINDOW) -> RealizabilityVerdict:
     """Classify the N0_j behavior of a stream over a finite horizon.
 
-    The verdict claims nothing beyond the computed rows: a stream may change
-    N0 right after the horizon, so "stabilized" is evidence, not proof, and a
-    source that runs dry before `horizon` rows is "inconclusive".  The rows
-    are streamed; only the last row's state and a few counters are kept.
+    The verdict claims nothing beyond the first `horizon` bits: a stream may
+    change N0 right after the horizon, so "stabilized" is evidence, not proof,
+    and a source that runs dry before `horizon` bits is "inconclusive".  No
+    row is computed: the lift at row j is bit j - 1 of N0_H - 1, with N0_H
+    from the `char_set` of the H-bit prefix, which is held as one tuple.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > horizon:
         raise ValueError(f"window ({window}) must not exceed horizon ({horizon})")
-    changes = 0
-    last_change = None
-    m_before_window = 0
     try:
-        for j, m, P, N0, _e, d, _pow2, _pow3m in _steps(gen, horizon):
-            # a change is N0_j != N0_{j-1}: row 1's lift from N0_0 = 1 is none
-            if d and j > 1:
-                changes += 1
-                last_change = j
-            if j == horizon - window:
-                m_before_window = m
+        v = gen.prefix(horizon)
     except BitStreamExhausted as exc:
-        return RealizabilityVerdict(
-            kind=INCONCLUSIVE, horizon=horizon, window=window, rows_computed=exc.position
-        )
-    last = CharacteristicSet(j, m, P, N0)
+        return RealizabilityVerdict(kind=INCONCLUSIVE, horizon=horizon, window=window,
+                                    rows_computed=exc.position)
+    last = char_set(v)
+    # bit j - 2 is set when N0_j != N0_{j-1}; row 1's lift from N0_0 = 1 is no change
+    changed = (last.N0 - 1) >> 1
+    last_change = changed.bit_length() + 1  # 1 when N0 never changed
     diag = ClassifierDiagnostics(
         final_j=last.n,
         int_distance=_int_distance(last.r0) if last.m else None,
         m_over_n=last.m_over_n,
         P_over_2n=last.P_over_2n,
-        ones_in_window=last.m - m_before_window,
+        ones_in_window=sum(v.bits[horizon - window:]),
     )
-    if last_change is not None and last_change > horizon - window:
+    if changed and last_change > horizon - window:
         return RealizabilityVerdict(
             kind=GROWING, horizon=horizon, window=window, rows_computed=horizon,
-            distinct_count=changes + 1, diagnostics=diag,
+            distinct_count=changed.bit_count() + 1, diagnostics=diag,
         )
     return RealizabilityVerdict(
         kind=STABILIZED, horizon=horizon, window=window, rows_computed=horizon,
-        candidate=last.N0, stable_since=last_change or 1, diagnostics=diag,
+        candidate=last.N0, stable_since=last_change, diagnostics=diag,
     )
 
 

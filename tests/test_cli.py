@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
+import argparse
 import importlib
 import io
 import json
@@ -622,6 +623,39 @@ def test_a_call_builds_only_the_flags_of_its_command(monkeypatch, tmp_path):
         progs = ["collatz-parity"] * top_level
         progs += [] if command is None else [f"collatz-parity {command}"]
         assert parsers == progs, argv
+
+
+class _PlainParser(argparse.ArgumentParser):
+    """argparse's own parser, which looks the terminal width up per help formatter."""
+
+    error = cli._Parser.error  # the CLI's exit code for a usage error
+
+
+# cli._Parser looks the terminal width up once, when it is built; every
+# parser built as argparse builds it must print the same help and errors
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", [
+    ["-h"],
+    *[[name, "-h"] for name in sorted(cli._COMMANDS)],
+    ["--max-digits", "5000", "xstar", "-h"],
+    ["frobnicate"],
+    ["classify"],
+    ["trajectory", "int:27", "--horizon", "0"],
+    ["classify", "int:27", "--horizon", "3", "--window", "5"],
+])
+def test_help_and_usage_errors_wrap_as_argparse_wraps_them(monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _call(argv, tmp)
+        with mock.patch.object(cli, "_Parser", _PlainParser):
+            expected = _call(argv, tmp)
+    assert got == expected
+    assert got[0] in (0, 64) and "usage: collatz-parity" in got[1] + got[2]
+    if argv[0] in cli._COMMANDS and argv[-1] == "-h":
+        # the command's flags on a plain parser, wrapped to the same width
+        plain = argparse.ArgumentParser(prog=f"collatz-parity {argv[0]}")
+        cli._COMMANDS[argv[0]][1](plain)
+        assert got[1] == plain.format_help()
 
 
 # usage errors the top-level parser reports with its own usage line, though

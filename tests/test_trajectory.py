@@ -19,6 +19,7 @@ from collatz_parity import (
     STABILIZED,
     IntegerGenerator,
     ParityVector,
+    PrefixGenerator,
     ab_recurrence,
     apply_vector,
     asymptotic_report,
@@ -26,6 +27,7 @@ from collatz_parity import (
     classify,
     iter_trajectory,
     lemma51_check,
+    p_closed_form,
     parse_generator,
     xstar_decompose,
 )
@@ -357,9 +359,61 @@ def test_classify_equals_the_prefix_oracle(spec, horizon_window):
     horizon, window = horizon_window
     gen = parse_generator(spec)
     v = classify(gen, horizon, window)
-    ones = None if v.diagnostics is None else v.diagnostics.ones_in_window
+    d = v.diagnostics
+    ones = None if d is None else d.ones_in_window
     got = (v.kind, v.candidate, v.stable_since, v.distinct_count, v.rows_computed, ones)
     assert got == classify_oracle(gen, horizon, window)
+    if d is None:
+        return
+    # the rational diagnostics through none of char_set's code: P as the
+    # weighted sum, m as the count of ones, and X = P*a with a from the
+    # halving recurrence
+    prefix = gen.prefix(horizon)
+    P, m = p_closed_form(prefix), sum(prefix.bits)
+    assert (d.final_j, d.m_over_n, d.P_over_2n) == (
+        horizon, Fraction(m, horizon), Fraction(P, 1 << horizon))
+    if m == 0:
+        assert d.int_distance is None
+        return
+    frac = Fraction(P * ab_recurrence(m, horizon)[-1][0] % (1 << horizon), 1 << horizon)
+    assert d.int_distance == min(frac, 1 - frac)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(pinned_specs, st.integers(1, 150))
+def test_each_lift_is_a_bit_of_the_last_n0(spec, horizon):
+    # N0_j = ((N0_H - 1) mod 2^j) + 1, so the lift at row j is bit j - 1 of
+    # N0_H - 1, with N0_H the N0 of the H-bit prefix's char_set
+    gen = parse_generator(spec)
+    if spec.startswith("bits:"):
+        horizon = min(horizon, len(spec) - 5)
+    lifts = char_set(gen.prefix(horizon)).N0 - 1
+    steps = list(_steps(gen, horizon))
+    assert steps[-1][3] == lifts + 1
+    for j, _m, _P, _N0, _e, d, _pow2, _pow3m in steps:
+        assert d == (lifts >> (j - 1)) & 1
+
+
+class _ExactSource(PrefixGenerator):
+    """A finite source that fails the test when asked for a bit past its last."""
+
+    __slots__ = ("data",)
+
+    def __init__(self, data: tuple[int, ...]):
+        self._init(data)
+
+    def bits(self):
+        yield from self.data
+        raise AssertionError(f"bit {len(self.data) + 1} was read")
+
+
+@pytest.mark.parametrize("spec, horizon, window", [
+    ("int:27", 120, 32), ("cycle:10", 192, 32), ("cycle:0", 40, 40), ("cycle:01", 1, 1),
+])
+def test_classify_reads_exactly_horizon_bits(spec, horizon, window):
+    bits = parse_generator(spec).prefix(horizon).bits
+    assert classify(_ExactSource(bits), horizon, window) == classify(
+        BitStreamGenerator(bits), horizon, window)
 
 
 def test_kept_rows_hold_linear_memory():

@@ -11,14 +11,16 @@ same interpreter, with this checkout's src/ on PYTHONPATH, checks the
 `xstar --json` table byte for byte against renderings built from closed
 forms (every CSV cell from the row's own properties, none through the CSV
 writer), checks `classify` against the N0 of every prefix, diffed row to
-row, on fixed and seeded random specs, checks in process that the CLI's
-parser, which builds a command's flags when argparse reaches the command,
-parses and prints what a parser built in full up front does, and that
-`main` on an argv that starts with a command, which it parses with that
-command's parser alone, exits and prints what it does through the full
-top-level parser, checks that importing the CLI in a fresh `python -I`
-loads none of the modules it has no use for at start-up, and prints one
-PASS or FAIL line per check.
+row, and its rational diagnostics against closed forms, on fixed and seeded
+random specs, checks in process that the CLI's parser, which builds a
+command's flags when argparse reaches the command, parses and prints what a
+parser built in full up front does, that `main` on an argv that starts with
+a command, which it parses with that command's parser alone, exits and
+prints what it does through the full top-level parser, and that the help
+of every command, wrapped to a width the CLI's parser looks up once, is the
+help argparse's own parser prints, checks that importing the CLI in a fresh
+`python -I` loads none of the modules it has no use for at start-up, and
+prints one PASS or FAIL line per check.
 The exit status is 0 when every check passes and 1 otherwise.
 """
 
@@ -258,6 +260,22 @@ def classify_oracle(gen, horizon: int, window: int) -> tuple:
     return "stabilized", rows[-1].N0, changes[-1] if changes else 1, None, horizon, ones
 
 
+def diagnostics_oracle(gen, horizon: int) -> tuple:
+    """(final_j, int_distance, m_over_n, P_over_2n) of the horizon-bit prefix.
+
+    P as the weighted sum over the one-positions, and X = P*a with a =
+    -3^-m mod 2^H by pow(): none of it through char_set.
+    """
+    ones = [j for j, e in enumerate(gen.prefix(horizon).bits, start=1) if e]
+    m, pow2 = len(ones), 1 << horizon
+    P = sum(3 ** (m - k) << (j - 1) for k, j in enumerate(ones, start=1))
+    distance = None
+    if m:
+        frac = Fraction(P * (pow2 - pow(3, -m, pow2)) % pow2, pow2)
+        distance = min(frac, 1 - frac)
+    return horizon, distance, Fraction(m, horizon), Fraction(P, pow2)
+
+
 def check_classify_oracle() -> str:
     # every field of the verdict that the rows decide, on cycle:0 and
     # cycle:01 (a lift at row 1 only, which is no change, shows when the
@@ -278,6 +296,10 @@ def check_classify_oracle() -> str:
                 got = (v.kind, v.candidate, v.stable_since, v.distinct_count,
                        v.rows_computed, ones)
                 expected = classify_oracle(gen, horizon, window)
+                if v.diagnostics is not None:
+                    d = v.diagnostics
+                    got += (d.final_j, d.int_distance, d.m_over_n, d.P_over_2n)
+                    expected += diagnostics_oracle(gen, horizon)
                 if got != expected:
                     return f"{spec} --horizon {horizon} --window {window}: {got} != {expected}"
     return ""
@@ -355,24 +377,41 @@ def check_lazy_parser() -> str:
     for name in cli._COMMANDS:
         first += [[name, "-h"], [name], [name, "--bogus"], [name, "0", "--bogus"], [name, "0", "0"]]
     argvs += first
-    columns = os.environ.get("COLUMNS")
-    try:
-        for width in ("80", "200"):
-            os.environ["COLUMNS"] = width  # argparse wraps to the terminal width
+    for width in ("80", "200"):
+        # argparse wraps to the terminal width
+        with mock.patch.dict(os.environ, {"COLUMNS": width}):
             lazy = [output(full_parse, argv) for argv in argvs]
             lazy += [output(cli.main, argv) for argv in first]
             with mock.patch.object(cli, "_Command", eager_command), \
                     mock.patch.object(cli, "_parse_args", full_parse):
                 eager = [output(full_parse, argv) for argv in argvs]
                 eager += [output(cli.main, argv) for argv in first]
-            for argv, got, expected in zip(argvs + first, lazy, eager):
-                if got != expected:
-                    return f"{' '.join(argv)}, width {width}: the output differs"
-    finally:
-        if columns is None:
-            os.environ.pop("COLUMNS", None)
-        else:
-            os.environ["COLUMNS"] = columns
+        for argv, got, expected in zip(argvs + first, lazy, eager):
+            if got != expected:
+                return f"{' '.join(argv)}, width {width}: the output differs"
+    return ""
+
+
+def check_plain_help() -> str:
+    # the CLI's parser looks the terminal width up once, when it is built,
+    # and argparse's own parser once per help formatter; the help of every
+    # command, and of the CLI, must wrap alike on every interpreter
+    sys.path.insert(0, str(SRC))
+    import argparse
+
+    from collatz_parity import cli
+
+    for width in ("40", "200"):
+        with mock.patch.dict(os.environ, {"COLUMNS": width}):
+            for name, (_, add_flags, _) in cli._COMMANDS.items():
+                plain = argparse.ArgumentParser(prog=f"collatz-parity {name}")
+                add_flags(plain)
+                if output(cli.main, [name, "-h"]) != (0, plain.format_help(), ""):
+                    return f"{name} -h, width {width}: the help differs"
+            got = output(cli.main, ["-h"])
+            with mock.patch.object(cli, "_Parser", argparse.ArgumentParser):
+                if got != output(cli.main, ["-h"]):
+                    return f"-h, width {width}: the help differs"
     return ""
 
 
@@ -401,6 +440,7 @@ CHECKS = {
     "classify = the N0 of every prefix": check_classify_oracle,
     "xstar --json = closed forms": check_xstar_oracle,
     "the lazy parser = one built up front": check_lazy_parser,
+    "help = argparse's own, at 40 and 200 columns": check_plain_help,
     "the CLI's import loads no dataclasses, inspect, importlib.resources or typing":
         check_lean_import,
 }
