@@ -5,10 +5,10 @@ JSON numbers).  Rationals render either exactly as ``p/q`` or as fixed-point
 decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
-The trajectory CSV reads its rows from the step iterator that feeds `classify`
-too; `write_trajectory_csv` states how it carries a, b and K* and what that
-costs, which cells share which numerator, which denominators can tie, and how
-its row template keeps the digit limit.
+The trajectory CSV reads its bits a block at a time and takes N0, K* and a of
+each row from per-block counts, with no step iterator; `write_trajectory_csv`
+states how and at what cost, which cells share which numerator, which
+denominators can tie, and how its row template keeps the digit limit.
 
 The X* table is written one row per `write`, in the layout `json.dump` with
 `indent=2` gives, since that encoder runs in pure Python and writes once per
@@ -28,6 +28,7 @@ import sys
 from collections.abc import Iterable
 from decimal import MAX_EMAX, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
+from itertools import compress, islice
 
 from .characteristics import (
     CharacteristicSet,
@@ -42,8 +43,8 @@ from .characteristics import (
     solve_n0,
     xstar_decompose,
 )
-from .core import ParityVector, PrefixGenerator, Record, parse_generator
-from .trajectory import _steps, iter_trajectory
+from .core import _BITS, BitStreamExhausted, ParityVector, PrefixGenerator, Record, parse_generator
+from .trajectory import DEFAULT_HORIZON, iter_trajectory
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # IO is for annotations only; typing costs ms of every call's start
@@ -204,28 +205,28 @@ def _add_columns(counts: list[int], z: int) -> None:
 
 def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
-    """Write the header and rows 1..horizon of `gen`, carrying K* and -3^-m row to row.
+    """Write the header and rows 1..horizon of `gen`, reading its bits a block at a time.
 
-    The rows come from the step iterator that feeds `iter_trajectory` and
-    `classify` too, with the bit e, whether N0 lifted (d), 2^n and 3^m.
-      * K*, where X* = N0 + 2^n K*.  X* sums z_k = 2^(j_k - 1) theta_k over
-        the one-positions j_k, and theta_k is the 2-adic w_k = -3^-k cut to
-        n - j_k + 1 bits, so z_k = 2^(j_k - 1) w_k mod 2^n gains only bit
-        n - 1 at row n.  If L of the z_k have that bit, a new one's
-        z_k = 2^(n - 1) among them, K* = (K* + L - d)/2, as N0 gains 2^(n - 1) d.
-      * (a, b), the solution of 3^m a + 1 = 2^n b with 0 < a < 2^n: a is
-        w_m = -3^-m cut to n bits, read off the w_m mod 2^W that the counts
-        below carry (W >= n), and b = (3^m a + 1)/2^n, one multiply and
-        shift per row, as X = P a is.  `ab_recurrence` is the test oracle.
-    The count of each bit column of the z_k is held bit-sliced: bit c of
-    counts[i] is bit i of column c's count, so L takes one bit of each of
-    O(log m) ints.  They cover columns 0..W - 1, with W = min(64, horizon)
-    at first, doubled and capped at the horizon when row n passes it.  Each
-    widening recounts every kept one-position, with w_k mod 2^W from
-    w_(k-1) by one exact division by 3, and a later one costs one division
-    and one add.  So W <= max(64, 2n) at any horizon, and K* costs O(W log m)
-    bit operations per one and O(log m) word operations per row, with no
-    modular power.  The other cells come from n, m, P, N0, 2^n and 3^m.
+    A block ends at row W: W = min(256, horizon), then doubled and capped at
+    the horizon, so at most max(256, 2n) bits are read by row n.  Each block
+    takes one pass over the one-positions j_k up to W: w_k = -3^-k mod 2^W
+    comes from w_(k-1) by one exact division by 3, and z_k = 2^(j_k - 1) w_k
+    mod 2^W, the X* term theta_k cut to W bits, is added to bit-sliced
+    column counts (bit c of counts[i] is bit i of column c's count).  Then:
+      * N0_W - 1 = X*_W - 1 mod 2^W, X*_W being the sum of the counts[i] 2^i;
+        row n's N0 - 1 is its low n bits, and N0 lifted at row n (d) when
+        its bit n - 1 is set.  No row lifts N0.
+      * K*, where X* = N0 + 2^n K*: z_k mod 2^n gains only bit n - 1 at row
+        n, so if L of the z_k have that bit (a new one among them), K* =
+        (K* + L - d)/2.  The counts are transposed once per block into one
+        field per column, each level spread to the fields by format() and
+        summed weighted by 2^i, so L is one lookup per row.
+      * a = w_m cut to n bits, the least positive solution of 3^m a + 1 =
+        2^n b, goes on by one division per one from w_m at the block start,
+        3^(m_W - m) w_(m_W) as w_(k-1) = 3 w_k; b = (3^m a + 1)/2^n and X =
+        P a take one multiply each.  `ab_recurrence` is the test oracle.
+    A block costs O(W log m) bit operations per one-position; a row costs
+    O(1) operations on ints of at most W bits, with no modular power.
 
     Each row is one `%` of a template built per call (a second, for m = 0,
     has the empty cells in it), in every mode.  A rational cell is a pair
@@ -253,7 +254,7 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     after a zero), whose 10^digits is past it, so the call fails when row
     1 arrives, before 10^digits is built.
     """
-    if horizon < 1:   # the step iterator checks only on its first row, after the header
+    if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if exact:
@@ -266,70 +267,85 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
         safe_bits = (limit - digits) * 332192 // 100000 if limit else sys.maxsize
     row = ",".join(["%d"] * 8 + [fixed, fixed, "%d", "%d"] + [fixed] * 6) + "\n"
     row0 = ",".join(["%d"] * 5 + ["", "", "%d", fixed, "", "", ""] + [fixed] * 5 + [""]) + "\n"
+    past_limit = not exact and limit and digits >= limit
+    scale = 1 if exact or past_limit else 10**digits
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
-    steps = _steps(gen, horizon)
-    if not exact:
-        if limit and digits >= limit:
-            next(steps)   # a source that yields no row raises BitStreamExhausted
-            raise _digit_limit_error(limit, digits)
-        scale = 10**digits
+    bits = gen.bits()
     kstar = -1               # X*_0 = 0 = N0_0 - 1
     ones: list[int] = []     # the one-positions j_k
-    width = 0                # the columns counted, set on row 1
-    for n, m, P, N0, e, d, pow2, pow3 in steps:
-        if e:
-            ones.append(n)
-        if n > width:
-            width = min(max(2 * width, 64), horizon)
-            mask = (1 << width) - 1
-            counts, counted, w = [], 0, -1   # counts has z_1..z_counted, w = w_counted
-        for j in ones[counted:]:
+    n, m, P, pow2, pow3 = 0, 0, 0, 1, 1
+    while n < horizon:
+        wanted = min(max(2 * n, DEFAULT_HORIZON), horizon) - n
+        block = tuple(islice(bits, wanted))
+        if past_limit and block:
+            raise _digit_limit_error(limit, digits)
+        start, width = n, n + len(block)
+        mask = (1 << width) - 1
+        ones += compress(range(start + 1, width + 1), block)
+        counts, w = [], -1
+        for j in ones:
             # exact w/3 mod 2^width as in `_xstar`: 2^width = (-1)^width mod 3 gives r
-            r = (w if width & 1 else -w) % 3
-            w = (w + (r << width)) // 3
+            w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
             _add_columns(counts, w << (j - 1) & mask)
-        counted = m
-        L = 0
-        for level in reversed(counts):
-            L = L << 1 | level >> (n - 1) & 1
-        kstar = (kstar + L - d) >> 1
-
-        low = pow2 - 1
-        if m:
-            a = w & low   # w_m mod 2^n, as width >= n
-            b = (pow3 * a + 1) >> n
-            K = (P * a - N0) >> n   # X = P a
-        if exact:
-            r0i, r0f = Fraction(N0, pow2), ""
-            ratios = (Fraction(m, n), "", Fraction(P, pow2), "", Fraction(P, pow2 * pow3), "",
-                      Fraction(P // pow3, pow2), "", Fraction(P >> n, pow3), "")
-        else:
-            # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
-            # (2t + n - 1 + parity of t // n) // 2n rounds t/n
-            half = (pow2 >> 1) - 1
-            t = N0 * scale
-            r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
-            t = (P & low) * scale
-            Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
-            t = P // pow3 * scale
-            alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
-            t = m * scale
-            m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
-            q = pow2 * pow3
-            P_q = divmod((P * scale + (q >> 1)) // q, scale)
-            A = P >> n
-            A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
-            Pi = A + Bi   # the integer part of P/2^n
-            ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
-        if m:
-            qi = K + r0i   # q = K + r0, in fixed point its integer part; f2 = r0
-            if not exact and (qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits):
-                str(qi * scale), str(Pi * scale)   # raises where str(s) would
-            out.write(row % (n, n, m, P, pow2 - pow3, a, b, N0, r0i, r0f, qi, r0f,
-                             K, kstar, *ratios, r0i, r0f))
-        else:
-            out.write(row0 % (n, n, m, P, pow2 - pow3, N0, r0i, r0f, *ratios))
+        w = w * 3 ** (len(ones) - m) & mask   # w_m at the block start, as w_(k-1) = 3 w_k
+        # column c's count in field width - 1 - c, and X*_width - 1 = N0_width - 1 mod 2^width
+        size, code = (1, "B") if width < 1 << 8 else (2, "H") if width < 1 << 16 else (4, "I")
+        spread, fields, lifted = bytearray(width * size), 0, -1
+        for i, level in enumerate(counts):
+            spread[(sys.byteorder == "big") * (size - 1)::size] = (
+                format(level, f"0{width}b").encode().translate(_BITS))
+            fields += int.from_bytes(spread, sys.byteorder) << i
+            lifted += level << i
+        table = memoryview(fields.to_bytes(width * size, sys.byteorder)).cast(code)
+        lifted &= mask           # bit n - 1 is set when N0 lifted at row n
+        for n, e in enumerate(block, start + 1):
+            if e:
+                P = 3 * P + pow2
+                pow3 *= 3
+                m += 1
+                w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
+            pow2 <<= 1
+            low = pow2 - 1
+            N0 = (lifted & low) + 1
+            kstar = (kstar + table[width - n] - (lifted >> (n - 1) & 1)) >> 1
+            if m:
+                a = w & low   # w_m mod 2^n, as width >= n
+                b = (pow3 * a + 1) >> n
+                K = (P * a - N0) >> n   # X = P a
+            if exact:
+                r0i, r0f = Fraction(N0, pow2), ""
+                ratios = (Fraction(m, n), "", Fraction(P, pow2), "", Fraction(P, pow2 * pow3), "",
+                          Fraction(P // pow3, pow2), "", Fraction(P >> n, pow3), "")
+            else:
+                # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
+                # (2t + n - 1 + parity of t // n) // 2n rounds t/n
+                half = (pow2 >> 1) - 1
+                t = N0 * scale
+                r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
+                t = (P & low) * scale
+                Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
+                t = P // pow3 * scale
+                alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
+                t = m * scale
+                m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
+                q = pow2 * pow3
+                P_q = divmod((P * scale + (q >> 1)) // q, scale)
+                A = P >> n
+                A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
+                Pi = A + Bi   # the integer part of P/2^n
+                ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
+            if m:
+                qi = K + r0i   # q = K + r0, in fixed point its integer part; f2 = r0
+                if not exact and (qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits):
+                    str(qi * scale), str(Pi * scale)   # raises where str(s) would
+                out.write(row % (n, n, m, P, pow2 - pow3, a, b, N0, r0i, r0f, qi, r0f,
+                                 K, kstar, *ratios, r0i, r0f))
+            else:
+                out.write(row0 % (n, n, m, P, pow2 - pow3, N0, r0i, r0f, *ratios))
+        if len(block) < wanted:   # the rows of a source that ran dry are written
+            raise BitStreamExhausted(
+                f"bit source exhausted after {n} complete rows (requested horizon {horizon})", n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,15 @@ for a finite vector; a row stores only n, m_j, P_j and N0_j:
     N0_{j+1} in {N0_j, N0_j + 2^j}),
   * m_j as a counter, one more on a 1 bit.
 
-One step iterator, `_steps`, carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j),
-O(1) big-int operations per row on O(j)-bit integers, for `iter_trajectory` (a
-row holds O(j) bits) and the CSV writer; `classify` needs no rows, since
-N0_j = ((N0_H - 1) mod 2^j) + 1.  a_j and b_j cost one Newton-Hensel
-inverse of 3^{m_j} mod 2^j on first read.  X*_j needs the one-positions, so
-it comes from `xstar_decompose(gen.prefix(j))`; the classifier does without
-it, since X_j and X*_j are both N0_j mod 2^j.  The CSV reads none of these
-closed forms; `write_trajectory_csv` states how it carries a_j, b_j and K*_j
-and what that costs.
+One step iterator, `_steps`, carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j)
+for `iter_trajectory` (a row holds O(j) bits).  Neither `classify` nor the
+CSV writer walks it: N0_j = ((N0_W - 1) mod 2^j) + 1 for every j <= W, so
+they read N0 off one N0_W, of the horizon or of a block of bits.  a_j and
+b_j cost one Newton-Hensel inverse of 3^{m_j} mod 2^j on first read.  X*_j
+needs the one-positions, so it comes from `xstar_decompose(gen.prefix(j))`;
+the classifier does without it, since X_j and X*_j are both N0_j mod 2^j.
+The CSV reads none of these closed forms; `write_trajectory_csv` states how
+it carries a_j, b_j and K*_j and what that costs.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.

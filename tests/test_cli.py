@@ -206,15 +206,15 @@ def test_exhausted_bit_source_is_a_one_line_error(capsys):
 
 
 def test_a_source_that_runs_dry_past_the_first_block(capsys):
-    # past the first widening of the CSV writer's K* column counts, at row
-    # 65; the 100 rows before the source runs dry are written, and each is
-    # its closed-form line
-    spec = "bits:" + format(3**70, "b")[:100]
-    code, out, err = run(capsys, "trajectory", spec, "--horizon", "150")
+    # the CSV writer reads 256 bits, then asks for 256 more and gets 44; the
+    # 300 rows before the source runs dry are written, and each is its
+    # closed-form line
+    spec = "bits:" + format(3**200, "b")[:300]
+    code, out, err = run(capsys, "trajectory", spec, "--horizon", "600")
     assert code == 1
     assert err.startswith("error: bit source exhausted") and len(err.splitlines()) == 1
     gen = parse_generator(spec)
-    expected = [closed_form_line(gen, row) for row in iter_trajectory(gen, 100)]
+    expected = [closed_form_line(gen, row) for row in iter_trajectory(gen, 300)]
     assert out.split("\n") == [TRAJECTORY_CSV_HEADER, *expected, ""]
 
 

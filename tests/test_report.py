@@ -397,6 +397,69 @@ def test_trajectory_csv_memory_follows_the_rows_written():
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize("length", [3, 256, 257, 300, 512])
+def test_trajectory_csv_of_a_source_that_runs_dry(length):
+    # the writer asks for a block of bits that the source cannot fill (at
+    # 256 and 512 the next block comes back empty); it writes every row the
+    # source delivered, then raises what the row iterator raises
+    gen = parse_generator("bits:" + "".join(random.Random(length).choice("01")
+                                            for _ in range(length)))
+    rows = list(iter_trajectory(gen, length))
+    out = io.StringIO()
+    with pytest.raises(BitStreamExhausted) as exc:
+        write_trajectory_csv(gen, 1000, out)
+    with pytest.raises(BitStreamExhausted) as from_rows:
+        list(iter_trajectory(gen, 1000))
+    assert exc.value.position == from_rows.value.position == length
+    assert str(exc.value) == str(from_rows.value) == (
+        f"bit source exhausted after {length} complete rows (requested horizon 1000)")
+    assert out.getvalue().split("\n") == [TRAJECTORY_CSV_HEADER,
+                                          *(closed_form_line(gen, row) for row in rows), ""]
+
+
+class _CountingSource(PrefixGenerator):
+    """int:27's bits, with a count of the bits drawn."""
+
+    __slots__ = ("drawn",)
+
+    def __init__(self):
+        self._init([0])
+
+    def bits(self):
+        for bit in parse_generator("int:27").bits():
+            self.drawn[0] += 1
+            yield bit
+
+
+class _RowsWritten(Exception):
+    pass
+
+
+class _StopAfterRows(io.StringIO):
+    """An output that takes the header and `rows` rows, then raises."""
+
+    def __init__(self, rows):
+        super().__init__()
+        self.left = rows + 1
+
+    def write(self, text):
+        if not self.left:
+            raise _RowsWritten
+        self.left -= 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("rows", [1, 255, 256, 257, 300, 512, 513, 1000, 1025])
+def test_trajectory_csv_reads_at_most_twice_the_rows_written(rows):
+    # blocks end at rows 256, 512, 1024, ..., so by the time row r is
+    # written at most max(256, 2r) bits were drawn, under any horizon
+    source, out = _CountingSource(), _StopAfterRows(rows)
+    with pytest.raises(_RowsWritten):
+        write_trajectory_csv(source, 10**8, out)
+    assert out.getvalue().count("\n") == rows + 1
+    assert source.drawn[0] <= max(256, 2 * rows)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(st.lists(st.integers(0, 7) | st.integers(0, 2**130), max_size=300))
 def test_bit_sliced_column_counts(values):
@@ -412,15 +475,18 @@ def _ones_at(rows, length):
     return "bits:" + "".join("1" if j in rows else "0" for j in range(1, length + 1))
 
 
-# The writer's K* column counts widen at rows 65, 129 and 257 (H = 300) or
-# at 65 and 129 to a width of 200 (H = 200), and at H = 100 to a width of
-# 100, not a power of two.  cycle:1 has a one on every row, so every
-# widening recounts a one per row so far; the bits: specs have ones only
-# on both sides of the widenings.  The first one of 70 zeros and then
-# cycle:1 comes at row 71, so its a and b are read from a w that the
-# widening at row 65 has just reset to -1.
+# The writer reads its bits in blocks that end at rows 256, 512, 1024, ...,
+# capped at the horizon (H = 513 ends the third block after one row).  Each
+# block recounts every one so far at its width and transposes the counts
+# into one field per column: 1 byte below a width of 256, 2 bytes from it.
+# cycle:1 has a one on every row, so at H = 600 the counts pass 255 and
+# need the wider fields; the bits: specs have ones only on both sides of
+# the block edges.  Rows 64/65 and 128/129, a horizon of 100 and a first
+# one at row 71 all fall inside the first block.
 _ONES_AT_BLOCK_EDGES = _ones_at((1, 64, 65, 128, 129), 200)
 _ONES_AT_WIDENINGS = _ones_at((1, 64, 65, 128, 129, 256, 257), 300)
+_ONES_AT_256_AND_512 = _ones_at((1, 255, 256, 257, 258, 511, 512, 513, 514), 600)
+_ONES_AT_THE_LAST_BLOCK = _ones_at((1, 256, 257, 512, 513), 513)
 
 
 @pytest.mark.parametrize("spec, horizon", [
@@ -432,6 +498,9 @@ _ONES_AT_WIDENINGS = _ones_at((1, 64, 65, 128, 129, 256, 257), 300)
     pytest.param(_ONES_AT_WIDENINGS, 300, id="ones-at-widenings"),
     pytest.param("int:27", 100, id="int:27-horizon-100"),
     pytest.param("head:" + "0" * 70 + ";cycle:1", 200, id="first-one-past-a-widening"),
+    pytest.param(_ONES_AT_256_AND_512, 600, id="ones-at-rows-256-and-512"),
+    pytest.param(_ONES_AT_THE_LAST_BLOCK, 513, id="ones-at-a-one-row-last-block"),
+    pytest.param("cycle:1", 600, id="cycle:1-horizon-600"),
 ])
 def test_csv_equals_the_closed_form_rendering(spec, horizon):
     gen = parse_generator(spec)

@@ -116,8 +116,8 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
             assert apply_vector(v, dec.Xstar) == dec.Ystar
 
 
-# Up to 200 bits, so that the CSV writer's K* column counts, 64 columns at
-# first, widen at rows 65 and 129.
+# Up to 200 bits: rows around 64 and 128, inside the CSV writer's first
+# block of 256 bits (tests/test_report.py covers the later block edges).
 long_bit_lists = st.integers(1, 200).flatmap(
     lambda n: st.lists(st.integers(0, 1), min_size=n, max_size=n))
 

@@ -79,7 +79,7 @@ def check_domain_errors() -> str:
     # exit 1 with exactly one line on stderr; a corpus whose ids are an int
     # and a string is refused when it is read, before it is sorted by id; a
     # source that runs dry at row 3 under a horizon of 10^8 fails at once,
-    # since the CSV writer's K* column counts widen with the rows written;
+    # since the CSV writer reads at most 256 bits before its first row;
     # an int: spec with a digit outside ASCII is refused, not read as 3
     case = {"kind": "n0", "input": {"v": "1", "count": 1}, "expected": {"realizers": ["1"]},
             "source": "x"}
@@ -139,6 +139,19 @@ def check_digit_limit() -> str:
     proc = cli("--max-digits", "0", "analyze", SIX_THOUSAND_ONES)
     if proc.returncode != 0 or len(json.loads(proc.stdout)["X"]) <= 4300:
         return f"--max-digits 0: exit {proc.returncode}, stderr {proc.stderr[:200]!r}"
+    if has_limit:
+        # the CSV of int:27 stops after row 2086, where an integer passes 640
+        # digits; under a horizon of 10^8 it stops there too, at once, as the
+        # writer reads its bits a block at a time and never the horizon whole
+        first, second = (cli("--max-digits", "640", "trajectory", "int:27", "--horizon", h)
+                         for h in ("2200", "100000000"))
+        last = (first.stdout.splitlines() or [""])[-1].split(",", 1)[0]
+        if (first.returncode != 1 or last != "2086" or "--max-digits" not in first.stderr
+                or (second.returncode, second.stdout, second.stderr)
+                != (first.returncode, first.stdout, first.stderr)):
+            return (f"--max-digits 640 trajectory int:27: last row {last}, exit "
+                    f"{first.returncode} and {second.returncode} at --horizon 2200 and "
+                    f"100000000, stderr {second.stderr[:200]!r}")
     return ""
 
 
@@ -198,8 +211,9 @@ def closed_form_csv(rows: list, digits: int | None, exact: bool) -> str:
 
 
 def check_csv_oracle() -> str:
-    # cycle:1 has a one on every row, so each widening of the K* column
-    # counts, at rows 65, 129 and 257, recounts a one per row so far
+    # the CSV writer reads its bits in blocks that end at rows 256 and 300
+    # here; cycle:1 has a one on every row, so each block recounts a one per
+    # row so far, and past row 255 its column counts need 2-byte fields
     for spec in ("int:27", "cycle:1"):
         rows = closed_form_rows(spec, 300)
         for flags, digits, exact in CSV_MODES:
@@ -225,11 +239,11 @@ def random_specs(rng: random.Random, count: int) -> list[str]:
 
 def check_csv_random() -> str:
     # seeded stand-in for the pytest property: 30 random specs, each at a
-    # horizon up to 200 (past the K* column counts' widenings at rows 65 and
-    # 129) and in one of the rendering modes in turn
+    # horizon up to 600 (some past the CSV writer's block edges at rows 256
+    # and 512) and in one of the rendering modes in turn
     rng = random.Random(16)
     for i, spec in enumerate(random_specs(rng, 30)):
-        horizon = rng.randint(1, 200)
+        horizon = rng.randint(1, 600)
         flags, digits, exact = CSV_MODES[i % len(CSV_MODES)]
         proc = cli("trajectory", spec, "--horizon", str(horizon), *flags)
         expected = closed_form_csv(closed_form_rows(spec, horizon), digits, exact)
