@@ -46,12 +46,7 @@ class CharacteristicSet(Record):
     __slots__ = ("n", "m", "P", "N0", "_ab")
 
     def __init__(self, n: int, m: int, P: int, N0: int):
-        # one row per prefix: the slot setters, unrolled, are the cheapest store
-        set_n, set_m, set_P, set_N0 = self._setters
-        set_n(self, n)
-        set_m(self, m)
-        set_P(self, P)
-        set_N0(self, N0)
+        self._init(n, m, P, N0)
 
     def _solution(self) -> tuple[int, int] | tuple[None, None]:
         try:

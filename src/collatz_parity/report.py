@@ -44,13 +44,15 @@ from .characteristics import (
     xstar_decompose,
 )
 from .core import _BITS, BitStreamExhausted, ParityVector, PrefixGenerator, Record, parse_generator
-from .trajectory import DEFAULT_HORIZON, iter_trajectory
+from .trajectory import iter_trajectory
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # IO is for annotations only; typing costs ms of every call's start
     from typing import IO
 
 DEFAULT_PRECISION = 12
+# the trajectory CSV's first block of bits: later blocks double it, capped at the horizon
+_FIRST_BLOCK = 256
 
 
 # No nonzero int/str digit limit is lower than this, and below it 10^digits
@@ -276,7 +278,7 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     ones: list[int] = []     # the one-positions j_k
     n, m, P, pow2, pow3 = 0, 0, 0, 1, 1
     while n < horizon:
-        wanted = min(max(2 * n, DEFAULT_HORIZON), horizon) - n
+        wanted = min(max(2 * n, _FIRST_BLOCK), horizon) - n
         block = tuple(islice(bits, wanted))
         if past_limit and block:
             raise _digit_limit_error(limit, digits)

@@ -11,12 +11,12 @@ for a finite vector; a row stores only n, m_j, P_j and N0_j:
     N0_{j+1} in {N0_j, N0_j + 2^j}),
   * m_j as a counter, one more on a 1 bit.
 
-One step iterator, `_steps`, carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j)
-for `iter_trajectory` (a row holds O(j) bits).  Neither `classify` nor the
-CSV writer walks it: N0_j = ((N0_W - 1) mod 2^j) + 1 for every j <= W, so
-they read N0 off one N0_W, of the horizon or of a block of bits.  a_j and
-b_j cost one Newton-Hensel inverse of 3^{m_j} mod 2^j on first read.  X*_j
-needs the one-positions, so it comes from `xstar_decompose(gen.prefix(j))`;
+`iter_trajectory` carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j) from row to
+row (a row holds O(j) bits).  Neither `classify` nor the CSV writer reads
+its rows: N0_j = ((N0_W - 1) mod 2^j) + 1 for every j <= W, so they read N0
+off one N0_W, of the horizon or of a block of bits.  a_j and b_j cost one
+Newton-Hensel inverse of 3^{m_j} mod 2^j on first read.  X*_j needs the
+one-positions, so it comes from `xstar_decompose(gen.prefix(j))`;
 the classifier does without it, since X_j and X*_j are both N0_j mod 2^j.
 The CSV reads none of these closed forms; `write_trajectory_csv` states how
 it carries a_j, b_j and K*_j and what that costs.
@@ -44,11 +44,12 @@ DEFAULT_HORIZON = 256
 DEFAULT_WINDOW = 32
 
 
-def _steps(gen: PrefixGenerator, horizon: int) -> Iterator[tuple]:
-    """Rows j = 1..horizon as (j, m_j, P_j, N0_j, e, d, 2^j, 3^{m_j}).
+def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[CharacteristicSet]:
+    """Stream rows for j = 1..horizon: the characteristic set of each length-j prefix.
 
-    e is bit j and d whether N0 lifted at row j, from N0_0 = 1 at row 1; a
-    source that runs dry raises BitStreamExhausted as `iter_trajectory` states.
+    A finite bit source that runs dry raises BitStreamExhausted whose
+    `position` is the last complete row index; rows up to it have already
+    been yielded.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -68,8 +69,7 @@ def _steps(gen: PrefixGenerator, horizon: int) -> Iterator[tuple]:
                 f"(requested horizon {horizon})",
                 j - 1,
             ) from None
-        d = (u & 1) != e
-        if d:
+        if (u & 1) != e:  # lift N0 by 2^{j-1}
             N0 += pow2
             u += pow3m
         u = collatz_step(u)
@@ -78,17 +78,6 @@ def _steps(gen: PrefixGenerator, horizon: int) -> Iterator[tuple]:
             pow3m *= 3
             m += 1
         pow2 <<= 1
-        yield j, m, P, N0, e, d, pow2, pow3m
-
-
-def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[CharacteristicSet]:
-    """Stream rows for j = 1..horizon: the characteristic set of each length-j prefix.
-
-    A finite bit source that runs dry raises BitStreamExhausted whose
-    `position` is the last complete row index; rows up to it have already
-    been yielded.
-    """
-    for j, m, P, N0, _e, _d, _pow2, _pow3m in _steps(gen, horizon):
         yield CharacteristicSet(j, m, P, N0)
 
 

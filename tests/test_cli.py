@@ -11,14 +11,14 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
+import oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from collatz_parity import characteristics, cli
 from collatz_parity.cli import main
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
-from collatz_parity import char_set, iter_trajectory, parse_generator, ParityVector
-from test_report import closed_form_line
+from collatz_parity import char_set, ParityVector
 
 
 def run(capsys, *argv):
@@ -150,6 +150,26 @@ def test_classify_all_zero_stream_omits_the_distance_line(capsys):
     assert d["q_int_distance"] is None and d["qstar_int_distance"] is None
 
 
+# the rendering flags, and the digits and exact arguments of the oracle
+RENDERINGS = [([], 12, False), (["--precision", "0"], 0, False), (["--precision", "2"], 2, False),
+              (["--precision", "640"], 640, False), (["--precision", "700"], 700, False),
+              (["--exact-rationals"], 12, True)]
+
+
+@pytest.mark.parametrize("spec, horizon, window", [
+    ("int:27", 80, 20), ("cycle:100", 40, 10), ("cycle:0", 40, 8), ("head:1;cycle:0", 40, 10),
+    ("bits:101", 10, 2), ("head:0110;cycle:100", 90, 90), ("cycle:01", 1, 1),
+])
+def test_classify_text_and_json_are_the_oracle(capsys, spec, horizon, window):
+    # every field of the verdict and its diagnostics, in both layouts
+    bits = oracle.spec_bits(spec, horizon)
+    argv = ["classify", spec, "--horizon", str(horizon), "--window", str(window)]
+    for flags, digits, exact in RENDERINGS:
+        text, doc = oracle.classify_outputs(bits, horizon, window, digits, exact)
+        assert run(capsys, *argv, *flags) == (0, text, "")
+        assert run(capsys, *argv, *flags, "--json") == (0, doc, "")
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
@@ -207,15 +227,13 @@ def test_exhausted_bit_source_is_a_one_line_error(capsys):
 
 def test_a_source_that_runs_dry_past_the_first_block(capsys):
     # the CSV writer reads 256 bits, then asks for 256 more and gets 44; the
-    # 300 rows before the source runs dry are written, and each is its
-    # closed-form line
+    # 300 rows before the source runs dry are written, and each is the
+    # oracle's line
     spec = "bits:" + format(3**200, "b")[:300]
     code, out, err = run(capsys, "trajectory", spec, "--horizon", "600")
     assert code == 1
     assert err.startswith("error: bit source exhausted") and len(err.splitlines()) == 1
-    gen = parse_generator(spec)
-    expected = [closed_form_line(gen, row) for row in iter_trajectory(gen, 300)]
-    assert out.split("\n") == [TRAJECTORY_CSV_HEADER, *expected, ""]
+    assert out == oracle.trajectory_csv(oracle.rows(oracle.spec_bits(spec, 600)))
 
 
 def test_negative_precision_is_a_usage_error(capsys, tmp_path):

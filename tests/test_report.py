@@ -9,6 +9,7 @@ import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -160,17 +161,6 @@ def test_xstar_json():
     assert d["rows"][0] == {"k": 1, "j": 1, "theta": "341", "z": "341", "t": "1"}
 
 
-def json_dump_layout(v: ParityVector) -> str:
-    # the document as json.dump(..., indent=2) wrote it before the streaming writer
-    dec = xstar_decompose(v)
-    doc = {
-        "rows": [{"k": r.k, "j": r.j, "theta": str(r.theta), "z": str(r.z), "t": str(r.t)}
-                 for r in dec.rows],
-        "Xstar": str(dec.Xstar), "Ystar": str(dec.Ystar), "J": str(dec.J),
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
 def half_ones(n: int) -> str:
     rng = random.Random(n)
     ones = set(rng.sample(range(n), n // 2))
@@ -196,7 +186,7 @@ XSTAR_VECTORS = ["1", "0001", "1000", "1" * 64, "1011010111",
 
 @pytest.mark.parametrize("bits", XSTAR_VECTORS)
 def test_xstar_json_is_the_json_dump_layout(bits):
-    assert xstar_json_text(PV(bits)) == json_dump_layout(PV(bits))
+    assert xstar_json_text(PV(bits)) == oracle.xstar_outputs(PV(bits).bits)[1]
 
 
 # the length first, then the bits, with at least one 1
@@ -210,8 +200,7 @@ vectors_with_a_one = st.integers(1, 400).flatmap(
 def test_xstar_json_is_the_json_dump_layout_random(drawn):
     bits, one = drawn
     bits[one] = 1
-    v = ParityVector(tuple(bits))
-    assert xstar_json_text(v) == json_dump_layout(v)
+    assert xstar_json_text(ParityVector(tuple(bits))) == oracle.xstar_outputs(bits)[1]
 
 
 def xstar_table_text(v: ParityVector) -> str:
@@ -220,19 +209,9 @@ def xstar_table_text(v: ParityVector) -> str:
     return out.getvalue()
 
 
-def str_table_layout(v: ParityVector) -> str:
-    # the table with str() of every integer, z_k too
-    dec = xstar_decompose(v)
-    lines = [f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}"]
-    lines += [f"{r.k:>3} {r.j:>5} {str(r.theta):>24} {str(r.z):>24} {str(r.t):>24}"
-              for r in dec.rows]
-    lines += [f"Xstar = {dec.Xstar}", f"Ystar = {dec.Ystar}", f"J = {dec.J}"]
-    return "\n".join(lines) + "\n"
-
-
 @pytest.mark.parametrize("bits", XSTAR_VECTORS)
 def test_xstar_table_is_the_str_layout(bits):
-    assert xstar_table_text(PV(bits)) == str_table_layout(PV(bits))
+    assert xstar_table_text(PV(bits)) == oracle.xstar_outputs(PV(bits).bits)[0]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -240,8 +219,7 @@ def test_xstar_table_is_the_str_layout(bits):
 def test_xstar_table_is_the_str_layout_random(drawn):
     bits, one = drawn
     bits[one] = 1
-    v = ParityVector(tuple(bits))
-    assert xstar_table_text(v) == str_table_layout(v)
+    assert xstar_table_text(ParityVector(tuple(bits))) == oracle.xstar_outputs(bits)[0]
 
 
 def test_xstar_writers_keep_the_callers_decimal_context():
@@ -253,12 +231,12 @@ def test_xstar_writers_keep_the_callers_decimal_context():
         ctx.traps[decimal.Overflow] = False
         ctx.traps[decimal.DivisionByZero] = False
         before = (ctx.prec, ctx.Emax, ctx.rounding, dict(ctx.traps))
-        texts = xstar_json_text(v), xstar_table_text(v)
+        texts = xstar_table_text(v), xstar_json_text(v)
         after = decimal.getcontext()
         assert after is ctx
         assert (after.prec, after.Emax, after.rounding, dict(after.traps)) == before
         assert not any(after.flags.values())
-    assert texts == (json_dump_layout(v), str_table_layout(v))
+    assert texts == oracle.xstar_outputs(v.bits)
 
 
 def test_trajectory_csv_header_and_shape():
@@ -279,35 +257,6 @@ def test_trajectory_csv_deterministic():
     assert render() == render()
 
 
-# the cells that are integers and rationals of the row, in CSV order; K* is
-# the one cell that needs the prefix itself
-_INTEGER_CELLS = ("n", "m", "P", "c", "a", "b", "N0")
-_RATIONAL_CELLS = ("m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n", "A_over_3m",
-                   "f2_over_2n")
-
-
-def closed_form_line(gen, row, digits=DEFAULT_PRECISION, exact=False):
-    """Row j's CSV line from its closed-form properties and the X* of its prefix.
-
-    It renders through `format_rational`, which the writer does not call: the
-    writer rounds in its own arithmetic at every precision and builds its own
-    Fractions with `exact`, so the two share no rounding code in any mode.
-    A cell is empty where its property is None (m = 0).
-    """
-    def cell(name, render=str):
-        value = getattr(row, name)
-        return "" if value is None else render(value)
-
-    def rational(name):
-        return cell(name, lambda x: format_rational(x, digits, exact))
-
-    kstar = ""
-    if row.m:
-        kstar = str((xstar_decompose(gen.prefix(row.n)).Xstar - row.N0) >> row.n)
-    return ",".join([str(row.n), *map(cell, _INTEGER_CELLS), rational("r0"), rational("q"),
-                     cell("K"), kstar, *map(rational, _RATIONAL_CELLS)])
-
-
 def csv_lines(gen, horizon, digits=DEFAULT_PRECISION, exact=False):
     out = io.StringIO()
     write_trajectory_csv(gen, horizon, out, digits, exact)
@@ -316,7 +265,6 @@ def csv_lines(gen, horizon, digits=DEFAULT_PRECISION, exact=False):
 
 def test_trajectory_csv_empty_cells_before_first_one():
     gen = parse_generator("bits:00101")
-    rows = list(iter_trajectory(gen, 5))
     lines = csv_lines(gen, 5)
     cells = lines[1].split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
@@ -324,17 +272,17 @@ def test_trajectory_csv_empty_cells_before_first_one():
         assert cells[header.index(name)] == ""
     # once a one arrives the cells fill in
     assert lines[3].split(",")[header.index("a_j")] != ""
-    assert lines[1:-1] == [closed_form_line(gen, row) for row in rows]
+    assert lines == oracle.trajectory_csv(oracle.rows([0, 0, 1, 0, 1])).split("\n")
 
 
 def test_trajectory_csv_exact_mode():
     gen = parse_generator("int:7")
-    rows = list(iter_trajectory(gen, 3))
     line = csv_lines(gen, 3, exact=True)[3]
     cells = line.split(",")
     header = TRAJECTORY_CSV_HEADER.split(",")
     assert cells[header.index("r0_j")] == "7/8"
-    assert line == closed_form_line(gen, rows[2], exact=True)
+    rows = oracle.rows(oracle.spec_bits("int:7", 3))
+    assert line == oracle.trajectory_csv(rows, exact=True).split("\n")[3]
 
 
 def test_trajectory_csv_checks_the_horizon_before_writing():
@@ -402,9 +350,8 @@ def test_trajectory_csv_of_a_source_that_runs_dry(length):
     # the writer asks for a block of bits that the source cannot fill (at
     # 256 and 512 the next block comes back empty); it writes every row the
     # source delivered, then raises what the row iterator raises
-    gen = parse_generator("bits:" + "".join(random.Random(length).choice("01")
-                                            for _ in range(length)))
-    rows = list(iter_trajectory(gen, length))
+    bits = [random.Random(length).choice((0, 1)) for _ in range(length)]
+    gen = parse_generator("bits:" + "".join(map(str, bits)))
     out = io.StringIO()
     with pytest.raises(BitStreamExhausted) as exc:
         write_trajectory_csv(gen, 1000, out)
@@ -413,8 +360,7 @@ def test_trajectory_csv_of_a_source_that_runs_dry(length):
     assert exc.value.position == from_rows.value.position == length
     assert str(exc.value) == str(from_rows.value) == (
         f"bit source exhausted after {length} complete rows (requested horizon 1000)")
-    assert out.getvalue().split("\n") == [TRAJECTORY_CSV_HEADER,
-                                          *(closed_form_line(gen, row) for row in rows), ""]
+    assert out.getvalue() == oracle.trajectory_csv(oracle.rows(bits))
 
 
 class _CountingSource(PrefixGenerator):
@@ -504,11 +450,11 @@ _ONES_AT_THE_LAST_BLOCK = _ones_at((1, 256, 257, 512, 513), 513)
 ])
 def test_csv_equals_the_closed_form_rendering(spec, horizon):
     gen = parse_generator(spec)
-    rows = list(iter_trajectory(gen, horizon))
-    for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (3, False), (640, False),
-                          (700, False), (DEFAULT_PRECISION, True)):
-        closed_form = [closed_form_line(gen, row, digits, exact) for row in rows]
-        assert csv_lines(gen, horizon, digits, exact) == [TRAJECTORY_CSV_HEADER, *closed_form, ""]
+    rows = oracle.rows(oracle.spec_bits(spec, horizon))
+    for digits, exact in ((DEFAULT_PRECISION, False), (0, False), (2, False), (3, False),
+                          (640, False), (700, False), (DEFAULT_PRECISION, True)):
+        assert csv_lines(gen, horizon, digits, exact) == (
+            oracle.trajectory_csv(rows, digits, exact).split("\n"))
 
 
 # each fixed-point column of the CSV and the row property it rounds
@@ -527,7 +473,7 @@ def test_fixed_point_cells_round_half_to_even(bits):
     # cell is read back from its text and checked against Fraction's round(),
     # half to even; nothing of report.py but the writer is used.
     gen = parse_generator("bits:" + "".join(map(str, bits)))
-    rows = list(iter_trajectory(gen, len(bits)))
+    rows = oracle.rows(bits)
     for digits in range(6):
         out = io.StringIO()
         write_trajectory_csv(gen, len(bits), out, digits)
@@ -536,7 +482,7 @@ def test_fixed_point_cells_round_half_to_even(bits):
         for row, line in zip(rows, lines, strict=True):
             cells = dict(zip(columns, line.split(","), strict=True))
             for column, name in _FIXED_POINT_COLUMNS.items():
-                value, text = getattr(row, name), cells[column]
+                value, text = row[name], cells[column]
                 if value is None:
                     assert text == ""
                     continue

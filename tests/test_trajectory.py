@@ -6,6 +6,7 @@ import tracemalloc
 import types
 from fractions import Fraction
 
+import oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -27,15 +28,10 @@ from collatz_parity import (
     classify,
     iter_trajectory,
     lemma51_check,
-    p_closed_form,
     parse_generator,
     xstar_decompose,
 )
-from collatz_parity.characteristics import _int_distance
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
-from collatz_parity.trajectory import _steps
-from test_report import closed_form_line
-from test_smoke import _smoke_module
 
 PV = ParityVector.from_string
 
@@ -125,47 +121,33 @@ long_bit_lists = st.integers(1, 200).flatmap(
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(long_bit_lists)
 def test_csv_carries_the_closed_form_a_b_and_kstar(bits):
-    gen = BitStreamGenerator(tuple(bits))
-    rows = list(iter_trajectory(gen, len(bits)))
+    rows = oracle.rows(bits)
     out = io.StringIO()
-    write_trajectory_csv(gen, len(bits), out)
+    write_trajectory_csv(BitStreamGenerator(tuple(bits)), len(bits), out)
+    # every cell against the oracle, which shares no code with the writer
+    assert out.getvalue() == oracle.trajectory_csv(rows)
     header = TRAJECTORY_CSV_HEADER.split(",")
     columns = [header.index(name) for name in ("a_j", "b_j", "Kstar_j")]
     for row, line in zip(rows, out.getvalue().splitlines()[1:], strict=True):
-        # every cell against the row's closed-form properties and the X* of
-        # the prefix, which share no code with the writer
-        assert line == closed_form_line(gen, row)
         a, b, kstar = (line.split(",")[i] for i in columns)
-        if row.m == 0:
+        if row["m"] == 0:
             assert a == b == kstar == ""
             continue
-        assert 0 <= int(kstar) < row.m
-        if row.n % 16 == 0 or row.n == len(bits):
-            assert (int(a), int(b)) == ab_recurrence(row.m, row.n)[-1]
+        assert 0 <= int(kstar) < row["m"]
+        if row["n"] % 16 == 0 or row["n"] == len(bits):
+            assert (int(a), int(b)) == ab_recurrence(row["m"], row["n"])[-1]
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(long_bit_lists)
-def test_steps_carry_the_bit_the_lift_and_both_powers(bits):
-    # each field against the stream itself and the char_set of the prefix;
-    # d compares N0 with the row before, and with N0_0 = 1 at row 1
-    gen = BitStreamGenerator(tuple(bits))
-    steps = list(_steps(gen, len(bits)))
-    assert len(steps) == len(bits)
-    prev_N0 = 1
-    for j, (n, m, P, N0, e, d, pow2, pow3) in enumerate(steps, start=1):
-        cs = char_set(gen.prefix(j))
-        assert (n, m, P, N0) == (j, cs.m, cs.P, cs.N0)
-        assert e == bits[j - 1]
-        assert d == (N0 != prev_N0)
-        assert pow2 == 2**j and pow3 == 3**m
-        prev_N0 = N0
-    # the source runs dry: the same position as iter_trajectory gives
-    with pytest.raises(BitStreamExhausted) as from_steps:
-        list(_steps(gen, len(bits) + 64))
-    with pytest.raises(BitStreamExhausted) as from_rows:
-        list(iter_trajectory(gen, len(bits) + 64))
-    assert from_steps.value.position == from_rows.value.position == len(bits)
+def test_rows_carry_n_m_p_and_n0_until_the_source_runs_dry(bits):
+    # each row against the oracle's, and the source runs dry at its last bit
+    rows = []
+    with pytest.raises(BitStreamExhausted) as exc:
+        for row in iter_trajectory(BitStreamGenerator(tuple(bits)), len(bits) + 64):
+            rows.append((row.n, row.m, row.P, row.N0))
+    assert rows == [(r["n"], r["m"], r["P"], r["N0"]) for r in oracle.rows(bits)]
+    assert exc.value.position == len(bits)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -307,30 +289,8 @@ def test_classify_reports_diagnostics():
     assert d.ones_in_window > 0
 
 
-# Infinite streams: a head (possibly empty) and a cycle, or the orbit of N.
-head_cycle_specs = st.tuples(st.text("01", max_size=12), st.text("01", min_size=1, max_size=12)
-                             ).map(lambda hc: f"head:{hc[0]};cycle:{hc[1]}")
 int_specs = st.integers(1, 10**12).map(lambda N: f"int:{N}")
 
-
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(st.one_of(head_cycle_specs, int_specs), st.integers(1, 96))
-def test_classify_distance_is_that_of_q_and_qstar(spec, j):
-    # the diagnostics read the distance off r0 = N0/2^j; the oracles compute
-    # X = P*a and X* of the length-j prefix from scratch
-    gen = parse_generator(spec)
-    d = classify(gen, j, 1).diagnostics
-    v = gen.prefix(j)
-    cs = char_set(v)
-    if cs.m == 0:
-        assert d.int_distance is None
-        return
-    assert d.int_distance == _int_distance(Fraction(cs.X, 1 << j))
-    assert d.int_distance == _int_distance(Fraction(xstar_decompose(v).Xstar, 1 << j))
-
-
-# the smoke script's oracle: the char_set of every prefix, N0 diffed row to row
-classify_oracle = _smoke_module().classify_oracle
 
 # Both first bits: a first 0 lifts N0 from N0_0 = 1 at row 1, which is no change.
 pinned_specs = st.one_of(
@@ -356,42 +316,33 @@ horizon_and_window = st.integers(1, 150).flatmap(
 @example("head:1011;cycle:01", (90, 90))
 @example("bits:" + "10" * 50, (150, 32))
 def test_classify_equals_the_prefix_oracle(spec, horizon_window):
+    # every field against the oracle's, whose N0 of every prefix is diffed
+    # row to row; the one distance is that of both q and q*
     horizon, window = horizon_window
-    gen = parse_generator(spec)
-    v = classify(gen, horizon, window)
-    d = v.diagnostics
-    ones = None if d is None else d.ones_in_window
-    got = (v.kind, v.candidate, v.stable_since, v.distinct_count, v.rows_computed, ones)
-    assert got == classify_oracle(gen, horizon, window)
+    v = classify(parse_generator(spec), horizon, window)
+    expected = oracle.classify(oracle.spec_bits(spec, horizon), horizon, window)
+    d = expected.pop("diagnostics")
+    assert {key: getattr(v, key) for key in expected} == expected
+    g = v.diagnostics
     if d is None:
+        assert g is None
         return
-    # the rational diagnostics through none of char_set's code: P as the
-    # weighted sum, m as the count of ones, and X = P*a with a from the
-    # halving recurrence
-    prefix = gen.prefix(horizon)
-    P, m = p_closed_form(prefix), sum(prefix.bits)
-    assert (d.final_j, d.m_over_n, d.P_over_2n) == (
-        horizon, Fraction(m, horizon), Fraction(P, 1 << horizon))
-    if m == 0:
-        assert d.int_distance is None
-        return
-    frac = Fraction(P * ab_recurrence(m, horizon)[-1][0] % (1 << horizon), 1 << horizon)
-    assert d.int_distance == min(frac, 1 - frac)
+    assert (g.final_j, g.int_distance, g.int_distance, g.m_over_n, g.P_over_2n,
+            g.ones_in_window) == tuple(d.values())
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(pinned_specs, st.integers(1, 150))
 def test_each_lift_is_a_bit_of_the_last_n0(spec, horizon):
     # N0_j = ((N0_H - 1) mod 2^j) + 1, so the lift at row j is bit j - 1 of
-    # N0_H - 1, with N0_H the N0 of the H-bit prefix's char_set
-    gen = parse_generator(spec)
-    if spec.startswith("bits:"):
-        horizon = min(horizon, len(spec) - 5)
-    lifts = char_set(gen.prefix(horizon)).N0 - 1
-    steps = list(_steps(gen, horizon))
-    assert steps[-1][3] == lifts + 1
-    for j, _m, _P, _N0, _e, d, _pow2, _pow3m in steps:
-        assert d == (lifts >> (j - 1)) & 1
+    # N0_H - 1, with N0_H the N0 of the H-bit prefix's char_set; the oracle
+    # lifts N0 row by row, from N0_0 = 1
+    bits = oracle.spec_bits(spec, horizon)   # fewer from a short bits: spec
+    lifts = char_set(parse_generator(spec).prefix(len(bits))).N0 - 1
+    N0 = oracle.realizers(bits)
+    assert N0[-1] == lifts + 1
+    for j, (before, after) in enumerate(zip([1, *N0], N0), start=1):
+        assert (after != before) == (lifts >> (j - 1)) & 1
 
 
 class _ExactSource(PrefixGenerator):

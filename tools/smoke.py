@@ -5,26 +5,16 @@ from any directory:
 
     python3 tools/smoke.py
 
-It runs `verify`, every demo and a few CLI calls in child processes of the
-same interpreter, with this checkout's src/ on PYTHONPATH, checks the
-`trajectory` CSV (of fixed specs and of 30 seeded random ones) and the
-`xstar --json` table byte for byte against renderings built from closed
-forms (every CSV cell from the row's own properties, none through the CSV
-writer), checks `classify` against the N0 of every prefix, diffed row to
-row, and its rational diagnostics against closed forms, on fixed and seeded
-random specs, checks in process that the CLI's parser, which builds a
-command's flags when argparse reaches the command, parses and prints what a
-parser built in full up front does, that `main` on an argv that starts with
-a command, which it parses with that command's parser alone, exits and
-prints what it does through the full top-level parser, and that the help
-of every command, wrapped to a width the CLI's parser looks up once, is the
-help argparse's own parser prints, checks that importing the CLI in a fresh
-`python -I` loads none of the modules it has no use for at start-up, and
-prints one PASS or FAIL line per check.
-The exit status is 0 when every check passes and 1 otherwise.
+It runs `verify`, every demo and CLI calls with this checkout's src/ on the
+path, and compares the `trajectory` CSV in every rendering mode, the
+`classify` text and --json document and the `xstar` table and --json
+document, byte for byte, with tools/oracle.py, which computes each number
+from its definition and imports nothing of the package.  It also checks the
+exit codes, the digit limit, that the CLI's lazily built parsers parse and
+print what parsers built in full up front do, and that importing the CLI
+loads no module it has no use for at start-up.  It prints one PASS or FAIL
+line per check, and exits 0 when every check passes and 1 otherwise.
 """
-
-from __future__ import annotations
 
 import io
 import json
@@ -34,10 +24,10 @@ import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 from unittest import mock
+
+import oracle  # tools/oracle.py, next to this script
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -155,73 +145,13 @@ def check_digit_limit() -> str:
     return ""
 
 
-# `write_trajectory_csv` states how the CSV carries a, b and K*; the oracle
-# renders every cell from the row's closed-form properties, and K* from X*
-# of the row's prefix.  The writer fills one row template per call in every
-# mode; its rational cells take a different template at 0 digits, at 1 digit
-# or more (here 2, where short rows often round an exact half, the default
-# precision, and 700, past the lowest digit limit) and as exact p/q.  The
-# oracle rounds with Fraction's round(), half to even, and places the point
-# with Decimal, so it shares no rounding code with the writer either.  A
-# cell is empty where its property is None (m = 0).
-CSV_MODES = (((), None, False), (("--precision", "2"), 2, False),
-             (("--precision", "0"), 0, False), (("--precision", "700"), 700, False),
-             (("--exact-rationals",), None, True))
-CSV_INTEGERS = ("n", "m", "P", "c", "a", "b", "N0")
-CSV_RATIONALS = ("r0", "q", "m_over_n", "P_over_2n", "P_over_2n3m", "alpha_over_2n",
-                 "A_over_3m", "f2_over_2n")
-
-
-def closed_form_rows(spec: str, horizon: int) -> list:
-    """Per row: its integer cells, its rational values and its K and K* cells."""
-    sys.path.insert(0, str(SRC))
-    from collatz_parity import iter_trajectory, parse_generator, xstar_decompose
-
-    def text(x) -> str:
-        return "" if x is None else str(x)
-
-    gen = parse_generator(spec)
-    rows = []
-    for row in iter_trajectory(gen, horizon):
-        kstar = ""
-        if row.m:
-            kstar = str((xstar_decompose(gen.prefix(row.n)).Xstar - row.N0) >> row.n)
-        rows.append(([str(row.n), *(text(getattr(row, name)) for name in CSV_INTEGERS)],
-                     [getattr(row, name) for name in CSV_RATIONALS],
-                     [text(row.K), kstar]))
-    return rows
-
-
-def closed_form_csv(rows: list, digits: int | None, exact: bool) -> str:
-    sys.path.insert(0, str(SRC))
-    from collatz_parity.report import DEFAULT_PRECISION, TRAJECTORY_CSV_HEADER
-
-    digits = DEFAULT_PRECISION if digits is None else digits
-
-    def render(x: Fraction | None) -> str:
-        if x is None:
-            return ""
-        return str(x) if exact else f"{Decimal(f'{round(x * 10**digits)}E-{digits}'):f}"
-
-    lines = [TRAJECTORY_CSV_HEADER]
-    for integer_cells, values, k_cells in rows:
-        r0, q, *ratios = map(render, values)
-        lines.append(",".join([*integer_cells, r0, q, *k_cells, *ratios]))
-    return "\n".join([*lines, ""])
-
-
-def check_csv_oracle() -> str:
-    # the CSV writer reads its bits in blocks that end at rows 256 and 300
-    # here; cycle:1 has a one on every row, so each block recounts a one per
-    # row so far, and past row 255 its column counts need 2-byte fields
-    for spec in ("int:27", "cycle:1"):
-        rows = closed_form_rows(spec, 300)
-        for flags, digits, exact in CSV_MODES:
-            proc = cli("trajectory", spec, "--horizon", "300", *flags)
-            if proc.returncode != 0 or proc.stdout != closed_form_csv(rows, digits, exact):
-                return (f"{spec} {' '.join(flags) or 'at the default precision'}: exit "
-                        f"{proc.returncode}; the CSV differs from the closed-form rendering")
-    return ""
+# The writer fills one row template per call in every mode; its rational
+# cells take a different template at 0 digits, at 1 digit or more (here 2,
+# where short rows often round an exact half, the default precision, and
+# 640 and 700, from the lowest digit limit up) and as exact p/q.
+CSV_MODES = (((), oracle.PRECISION, False), (("--precision", "2"), 2, False),
+             (("--precision", "0"), 0, False), (("--precision", "640"), 640, False),
+             (("--precision", "700"), 700, False), (("--exact-rationals",), oracle.PRECISION, True))
 
 
 def random_specs(rng: random.Random, count: int) -> list[str]:
@@ -237,114 +167,65 @@ def random_specs(rng: random.Random, count: int) -> list[str]:
     return specs
 
 
-def check_csv_random() -> str:
-    # seeded stand-in for the pytest property: 30 random specs, each at a
-    # horizon up to 600 (some past the CSV writer's block edges at rows 256
-    # and 512) and in one of the rendering modes in turn
+def check_csv_oracle() -> str:
+    # int:27 and cycle:1 at a horizon of 300 in every mode: the CSV writer
+    # reads their bits in blocks that end at rows 256 and 300; cycle:1 has a
+    # one on every row, so each block recounts a one per row so far, and past
+    # row 255 its column counts need 2-byte fields.  Then a seeded stand-in
+    # for the pytest property: 30 random specs, each at a horizon up to 600
+    # (some past the block edges at rows 256 and 512), in one mode each in turn
     rng = random.Random(16)
-    for i, spec in enumerate(random_specs(rng, 30)):
-        horizon = rng.randint(1, 600)
-        flags, digits, exact = CSV_MODES[i % len(CSV_MODES)]
-        proc = cli("trajectory", spec, "--horizon", str(horizon), *flags)
-        expected = closed_form_csv(closed_form_rows(spec, horizon), digits, exact)
-        if proc.returncode != 0 or proc.stdout != expected:
-            return (f"{spec} --horizon {horizon} {' '.join(flags)}: exit {proc.returncode}; "
-                    "the CSV differs from the closed-form rendering")
+    cases = [(spec, 300, CSV_MODES) for spec in ("int:27", "cycle:1")]
+    cases += [(spec, rng.randint(1, 600), [CSV_MODES[i % len(CSV_MODES)]])
+              for i, spec in enumerate(random_specs(rng, 30))]
+    for spec, horizon, modes in cases:
+        rows = oracle.rows(oracle.spec_bits(spec, horizon))
+        for flags, digits, exact in modes:
+            proc = cli("trajectory", spec, "--horizon", str(horizon), *flags)
+            if proc.returncode != 0 or proc.stdout != oracle.trajectory_csv(rows, digits, exact):
+                return (f"{spec} --horizon {horizon} {' '.join(flags)}: exit {proc.returncode}; "
+                        "the CSV differs from the oracle's")
     return ""
 
 
-def classify_oracle(gen, horizon: int, window: int) -> tuple:
-    """(kind, candidate, stable_since, distinct_count, rows_computed, ones_in_window).
-
-    From the char_set of every prefix, with N0 diffed between consecutive
-    rows; row 1 has no row before it, so it is no change.
-    """
-    from collatz_parity import BitStreamExhausted, char_set
-
-    rows = []
-    for j in range(1, horizon + 1):
-        try:
-            rows.append(char_set(gen.prefix(j)))
-        except BitStreamExhausted:
-            return "inconclusive", None, None, None, j - 1, None
-    changes = [cur.n for prev, cur in zip(rows, rows[1:]) if cur.N0 != prev.N0]
-    ones = rows[-1].m - (rows[horizon - window - 1].m if horizon > window else 0)
-    if changes and changes[-1] > horizon - window:
-        return "growing", None, None, len({row.N0 for row in rows}), horizon, ones
-    return "stabilized", rows[-1].N0, changes[-1] if changes else 1, None, horizon, ones
-
-
-def diagnostics_oracle(gen, horizon: int) -> tuple:
-    """(final_j, int_distance, m_over_n, P_over_2n) of the horizon-bit prefix.
-
-    P as the weighted sum over the one-positions, and X = P*a with a =
-    -3^-m mod 2^H by pow(): none of it through char_set.
-    """
-    ones = [j for j, e in enumerate(gen.prefix(horizon).bits, start=1) if e]
-    m, pow2 = len(ones), 1 << horizon
-    P = sum(3 ** (m - k) << (j - 1) for k, j in enumerate(ones, start=1))
-    distance = None
-    if m:
-        frac = Fraction(P * (pow2 - pow(3, -m, pow2)) % pow2, pow2)
-        distance = min(frac, 1 - frac)
-    return horizon, distance, Fraction(m, horizon), Fraction(P, pow2)
-
-
 def check_classify_oracle() -> str:
-    # every field of the verdict that the rows decide, on cycle:0 and
-    # cycle:01 (a lift at row 1 only, which is no change, shows when the
-    # window is the whole horizon), random specs, and a bits: source that
-    # runs dry before the horizon or lasts it
+    # the text and the --json document, each in the rendering modes in turn,
+    # of cycle:0 and cycle:01 (a lift at row 1 only, which is no change,
+    # shows when the window is the whole horizon), random specs, and a bits:
+    # source that runs dry before the horizon or lasts it
     sys.path.insert(0, str(SRC))
-    from collatz_parity import classify, parse_generator
+    from collatz_parity import cli
 
     rng = random.Random(17)
     specs = ["cycle:0", "cycle:01", *random_specs(rng, 30),
              "bits:" + "".join(rng.choice("01") for _ in range(100))]
-    for spec in specs:
-        gen = parse_generator(spec)
+    for i, spec in enumerate(specs):
+        flags, digits, exact = CSV_MODES[i % len(CSV_MODES)]
         for horizon in (rng.randint(1, 150), 40):
+            bits = oracle.spec_bits(spec, horizon)
             for window in (rng.randint(1, horizon), horizon):
-                v = classify(gen, horizon, window)
-                ones = None if v.diagnostics is None else v.diagnostics.ones_in_window
-                got = (v.kind, v.candidate, v.stable_since, v.distinct_count,
-                       v.rows_computed, ones)
-                expected = classify_oracle(gen, horizon, window)
-                if v.diagnostics is not None:
-                    d = v.diagnostics
-                    got += (d.final_j, d.int_distance, d.m_over_n, d.P_over_2n)
-                    expected += diagnostics_oracle(gen, horizon)
-                if got != expected:
-                    return f"{spec} --horizon {horizon} --window {window}: {got} != {expected}"
+                argv = ["classify", spec, "--horizon", str(horizon), "--window", str(window),
+                        *flags]
+                expected = oracle.classify_outputs(bits, horizon, window, digits, exact)
+                for layout, doc in zip(([], ["--json"]), expected):
+                    if output(cli.main, argv + layout) != (0, doc, ""):
+                        return f"{' '.join(argv + layout)}: the output differs from the oracle's"
     return ""
 
 
 def check_xstar_oracle() -> str:
     # the CLI takes each theta_k from the one before, and prints each z_k from
     # the one before through a Decimal; the oracle solves each theta from
-    # scratch, 3^k theta = -1 mod 2^L with L = n - j_k + 1, and prints every
-    # integer through str().  The first vector has 300 bits, 151 of them
-    # ones; the second has its first one at bit 46 and a run of 1100 zeros
+    # scratch and prints every integer through str().  The first vector has
+    # 300 bits, 151 of them ones; the second has its first one at bit 46 and
+    # a run of 1100 zeros
     for bits in (format(3**189, "b"), "0" * 45 + format(3**40, "b") + "0" * 1100 + "1011"):
-        n = len(bits)
-        ones = [j for j, ch in enumerate(bits, start=1) if ch == "1"]
-        m = len(ones)
-        rows = []
-        for k, j in enumerate(ones, start=1):
-            L = n - j + 1
-            theta = (1 << L) - pow(3, -k, 1 << L)
-            rows.append({"k": k, "j": j, "theta": str(theta), "z": str(theta << (j - 1)),
-                         "t": str((3**k * theta + 1) >> L)})
-        xstar = sum(int(r["z"]) for r in rows)
-        ystar = sum(3 ** (m - r["k"]) * int(r["t"]) for r in rows)
-        P = sum(3 ** (m - k) << (j - 1) for k, j in enumerate(ones, start=1))
-        X = P * ((1 << n) - pow(3, -m, 1 << n))
-        expected = {"rows": rows, "Xstar": str(xstar), "Ystar": str(ystar),
-                    "J": str((X - xstar) >> n)}
-        proc = cli("xstar", bits, "--json")
-        # byte for byte: the CLI streams the layout json.dumps(..., indent=2) gives
-        if proc.returncode != 0 or proc.stdout != json.dumps(expected, indent=2) + "\n":
-            return f"{n} bits: exit {proc.returncode}; the X* table differs from the closed forms"
+        expected = oracle.xstar_outputs([int(ch) for ch in bits])
+        for flags, doc in zip(((), ("--json",)), expected):
+            proc = cli("xstar", bits, *flags)
+            if proc.returncode != 0 or proc.stdout != doc:
+                return (f"{len(bits)} bits {' '.join(flags)}: exit {proc.returncode}; the X* "
+                        "table differs from the oracle's")
     return ""
 
 
@@ -449,10 +330,9 @@ CHECKS = {
     "exit 1, one error line": check_domain_errors,
     "exit 64, nothing written": check_usage_errors,
     "digit limit and --max-digits": check_digit_limit,
-    "trajectory CSV = closed forms": check_csv_oracle,
-    "trajectory CSV of 30 random specs = closed forms": check_csv_random,
-    "classify = the N0 of every prefix": check_classify_oracle,
-    "xstar --json = closed forms": check_xstar_oracle,
+    "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
+    "classify text and --json = the oracle": check_classify_oracle,
+    "xstar and xstar --json = the oracle": check_xstar_oracle,
     "the lazy parser = one built up front": check_lazy_parser,
     "help = argparse's own, at 40 and 200 columns": check_plain_help,
     "the CLI's import loads no dataclasses, inspect, importlib.resources or typing":
