@@ -18,16 +18,18 @@ A CharacteristicSet stores n, m, P and N0, and the rest derive from them.  X*
 and Y* need the one-positions, so they come from the vector, by
 `xstar_decompose(v)`.  a and b, and with a N0, come from one closed-form
 solve, `_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
-oracle; X* takes each theta_k from the one before by an exact division by 3,
-and each cofactor t_k from the one before and the bits theta_{k-1} loses to
-its mask, with no product of 3^k and a whole theta; every function here sums
-P by Horner, with the weighted sum `p_closed_form` as its oracle.  Realizers
-of v are exactly N0 + 2^n * k.
+oracle.  One generator, `_xstar_terms`, makes X*'s rows for
+`xstar_decompose` and for the table writers in report.py: it takes each
+theta_k from the one before by an exact division by 3, and each cofactor t_k
+from the one before and the bits theta_{k-1} drops, with no product of 3^k
+and a whole theta.  Every function here sums P by Horner, with the weighted
+sum `p_closed_form` as its oracle.  Realizers of v are exactly N0 + 2^n * k.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .core import ParityVector, Record
@@ -212,38 +214,49 @@ class XStarDecomposition(Record):
         assert lifted % pow2 == 0 and lifted // pow2 == self.Ystar
 
 
-def _xstar(ones: tuple[int, ...], n: int) -> tuple[list[XStarRow], int, int]:
-    # The per-one rows, X* and Y* over the one-positions of a length-n vector.
-    # theta_k is -3^-k mod 2^L with L = n - j_k + 1, and L falls as k rises, so
-    # each theta comes from the one before with no modular power: reduce it mod
-    # 2^L, then divide it by 3 exactly mod 2^L, adding r * 2^L with r in
-    # {0, 1, 2} so that the sum is a multiple of 3 (2^L = (-1)^L mod 3 gives
-    # r).  The start theta_0 = -1 becomes 2^L - 1 under the first mask.
-    # With h = theta_{k-1} >> L the bits the mask drops, theta_k is
-    # (theta_{k-1} + (r - h) 2^L) / 3, so t_k = (3^k theta_k + 1) / 2^L is
-    # t_{k-1} 2^(j_k - j_{k-1}) + 3^(k-1) (r - h), from t_0 = 0 and j_0 = 0:
-    # no product of 3^k with a whole theta.
-    rows = []
-    Xstar = 0
-    Ystar = 0
+def _xstar_terms(v: ParityVector) -> Iterator[tuple[int, int, int, int, int]]:
+    """Yield (k, j_k, theta_k, t_k, s_k) for each one-position j_k of v, in order.
+
+    theta_k is -3^-k mod 2^L with L = n - j_k + 1, and L falls as k rises, so
+    each theta comes from the one before with no modular power: drop the
+    bits h = theta_(k-1) >> L, then divide by 3 exactly mod 2^L, adding
+    r * 2^L with r in {0, 1, 2} so that the sum is a multiple of 3.  So 3
+    theta_k = theta_(k-1) + s_k 2^L with s_k = r - h, from theta_0 = -1; r
+    comes from theta_(k-1) mod 3 and h, as 2^L = (-1)^L mod 3.  Then t_k =
+    (3^k theta_k + 1) / 2^L is t_(k-1) 2^(j_k - j_(k-1)) + 3^(k-1) s_k, from
+    t_0 = 0 and j_0 = 0: no product of 3^k with a whole theta.  Only the
+    last theta, t and 3^(k-1) are kept, so a pass holds O(n) bits.
+    """
+    ones = v.one_positions()
+    if not ones:
+        raise ValueError("xstar_decompose requires at least one 1 bit (m >= 1)")
+    n = v.n
     pow3 = 1  # 3^(k-1)
     theta = -1
     t = 0
-    last = 0  # j_{k-1}
+    last = 0  # j_(k-1)
     for k, j in enumerate(ones, start=1):
         L = n - j + 1
         h = theta >> L
-        theta &= (1 << L) - 1
-        r = (theta if L & 1 else -theta) % 3
-        theta = (theta + (r << L)) // 3
-        t = (t << (j - last)) + pow3 * (r - h)
+        s = (h + theta % 3 if L & 1 else h - theta % 3) % 3 - h
+        theta = (theta + (s << L)) // 3
+        t = (t << (j - last)) + pow3 * s
         pow3 *= 3
         last = j
+        yield k, j, theta, t, s
+
+
+def _xstar_totals(v: ParityVector, rows: list[XStarRow] | None = None) -> tuple[int, int, int]:
+    """X*, Y* and J of v from one pass of `_xstar_terms`, each row appended to `rows` if given."""
+    Xstar = Ystar = 0
+    for k, j, theta, t, _ in _xstar_terms(v):
         z = theta << (j - 1)
-        rows.append(XStarRow(k, j, theta, z, t))
         Xstar += z
         Ystar = 3 * Ystar + t
-    return rows, Xstar, Ystar
+        if rows is not None:
+            rows.append(XStarRow(k, j, theta, z, t))
+    a, b = _solve_ab(k, v.n)
+    return Xstar, Ystar, a * Ystar - b * Xstar
 
 
 def p_recurrence(v: ParityVector) -> tuple[int, ...]:
@@ -364,12 +377,9 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
     which the congruence forces to be odd; t_k is the matching cofactor, and
     Y* = sum 3^{m-k} t_k satisfies T^n(X*) = Y*.
     """
-    ones = v.one_positions()
-    if not ones:
-        raise ValueError("xstar_decompose requires at least one 1 bit (m >= 1)")
-    rows, Xstar, Ystar = _xstar(ones, v.n)
-    a, b = _solve_ab(len(ones), v.n)
-    return XStarDecomposition(tuple(rows), Xstar, Ystar, J=a * Ystar - b * Xstar)
+    rows: list[XStarRow] = []
+    totals = _xstar_totals(v, rows)
+    return XStarDecomposition(tuple(rows), *totals)
 
 
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:

@@ -4,16 +4,17 @@ Exit status: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 
 A call that starts with a command builds one parser, that command's, with
 its flags only.  argparse sets up a help formatter and looks up messages
-once per argument, so every command's flags take about 1.5 ms to build; a
-parser here looks the terminal width up once, not per formatter.  A bench
-`classify` call parses in 0.21 ms by its command's parser alone (0.23 ms
-with a lookup per formatter), and in 0.33 ms through the top-level parser
-(Python 3.11.7, best of 6 timeit runs, shared 2-core machine).  The
-top-level parser names every command and builds the flags of only the one
-it dispatches to.  It parses every other call (`-h`, no or an unknown
-command, `--max-digits` first) and reports its own errors: arguments the
-command leaves over, and a `--window` past `--horizon`.  No parser is kept
-between calls; a command-line run builds one anyway.
+once per argument, so a parser with every command's flags takes about
+0.7 ms to build, against 0.1 ms for the top-level parser alone (Python
+3.11.7, best of 500); a parser here looks the terminal width up once, not
+per formatter.  A bench `classify` call parses in 0.21 ms by its command's
+parser alone (0.23 ms with a lookup per formatter), and in 0.33 ms through
+the top-level parser (Python 3.11.7, best of 6 timeit runs, shared 2-core
+machine).  The top-level parser names every command and builds the flags
+of only the one it dispatches to.  It parses every other call (`-h`, no or
+an unknown command, `--max-digits` first) and reports its own errors:
+arguments the command leaves over, and a `--window` past `--horizon`.  No
+parser is kept between calls; a command-line run builds one anyway.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 
-from .characteristics import char_set, solve_n0, xstar_decompose
+from .characteristics import char_set, solve_n0
 from .core import ParityVector, parse_generator
 from .report import (
     _LOWEST_DIGIT_LIMIT,
@@ -101,9 +102,10 @@ class _OutFile(AbstractContextManager):
         self.path, self.file = path, None
 
     def write(self, text: str) -> int:
-        if self.file is None:
-            self.file = open(self.path, "w", encoding="utf-8")
-        return self.file.write(text)
+        # the file's own write then shadows this method, so later writes skip a frame
+        self.file = open(self.path, "w", encoding="utf-8")
+        self.write = self.file.write
+        return self.write(text)
 
     def __exit__(self, *exc):
         if self.file is not None:
@@ -153,9 +155,9 @@ def _xstar_flags(p):
 
 
 def _cmd_xstar(args) -> int:
-    dec = xstar_decompose(ParityVector.from_string(args.bits))
+    v = ParityVector.from_string(args.bits)
     with _open_out(args) as out:
-        (write_xstar_json if args.json else write_xstar_table)(dec, out)
+        (write_xstar_json if args.json else write_xstar_table)(v, out)
     return 0
 
 

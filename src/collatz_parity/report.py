@@ -10,13 +10,17 @@ each row from per-block counts, with no step iterator; `write_trajectory_csv`
 states how and at what cost, which cells share which numerator, which
 denominators can tie, and how its row template keeps the digit limit.
 
-The X* table is written one row per `write`, in the layout `json.dump` with
-`indent=2` gives, since that encoder runs in pure Python and writes once per
-token (about 24,600 writes for 2048 bits with 1024 ones).  theta_k and t_k
-print through str().  z_k has n bits on every row, where str() is quadratic,
-so it is carried in a Decimal by an exact recurrence of linear work per row
-(`_write_xstar_rows`).  X*, Y* and J are converted through str() first, and
-no cell has more digits than they do, so a digit-limit error writes nothing.
+The X* table of a length-n vector is written in two passes over its
+one-positions, each drawn from the theta recurrence `_xstar_terms` and each
+holding O(n) bits, where a table of every row's theta_k, z_k and t_k would
+hold O(n m).  The first pass sums X* and Y* and converts X*, Y* and J through
+str(); no cell has more digits than they do, so a digit-limit error writes
+nothing.  The second writes each row as it is made, one `write` per row, in
+the layout `json.dump` with `indent=2` gives (that encoder runs in pure
+Python and writes once per token, about 24,600 writes for 2048 bits with
+1024 ones).  theta_k and t_k print through str().  z_k has n bits on every
+row, where str() is quadratic, so it is carried in a Decimal by an exact
+recurrence of linear work per row (`_write_xstar_rows`).
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from itertools import compress, islice
 
 from .characteristics import (
     CharacteristicSet,
-    XStarDecomposition,
+    _xstar_terms,
+    _xstar_totals,
     ab_recurrence,
     apply_vector,
     char_set,
@@ -41,7 +46,6 @@ from .characteristics import (
     is_member,
     p_recurrence,
     solve_n0,
-    xstar_decompose,
 )
 from .core import _BITS, BitStreamExhausted, ParityVector, PrefixGenerator, Record, parse_generator
 from .trajectory import iter_trajectory
@@ -124,68 +128,55 @@ def charset_to_json_dict(cs: CharacteristicSet) -> dict:
     }
 
 
-def _xstar_totals(dec: XStarDecomposition) -> tuple[str, str, str]:
-    # X*, Y* and J as text, converted before anything is written.  Every
-    # theta_k <= z_k is at most X* and every t_k is at most Y*, all positive,
-    # so if these three convert under the interpreter's digit limit, so does
-    # every theta_k and t_k through str(); z_k is printed from a Decimal,
-    # whose str() has no limit, and has no more digits than X*.  So a
-    # digit-limit error leaves the output empty.
-    return str(dec.Xstar), str(dec.Ystar), str(dec.J)
-
-
-def _write_xstar_rows(dec: XStarDecomposition, out: IO[str], first: str, rest: str) -> None:
+def _write_xstar_rows(v: ParityVector, out: IO[str], first: str, rest: str) -> None:
     """Write `first`, then `rest` for each later row, % (k, j, theta_k, z_k, t_k).
 
-    z_k = 2^(j_k - 1) theta_k has n bits on every row, so str() of it costs
-    O(n^2) per row; here it is carried in a Decimal through the exact
-    3 z_k = 2^(j_k - j_(k-1)) z_(k-1) + s_k 2^n, with 2^(j_1) z_0 = -2^(j_1 - 1).
-    The int rows give s_k = (3 theta_k - theta_(k-1)) >> (n - j_k + 1) from
-    theta_0 = -1 (the same identity over 2^(j_k - 1)), and n comes from
-    3 theta_1 + 1 = 2^(n - j_1 + 1) t_1 with t_1 in {1, 2}.  Each row is one
-    multiply by 2^(j_k - j_(k-1)), one by s_k, an add and a // 3, so linear
-    work.  No intermediate has more than n + 1 digits, and Inexact and
-    Rounded are trapped, so a wrong digit would raise.
+    Each row is written as `_xstar_terms` makes it, so the pass holds O(n)
+    bits.  z_k = 2^(j_k - 1) theta_k has n bits on every row, so str() of it
+    costs O(n^2) per row; here it is carried in a Decimal through the exact
+    3 z_k = 2^(j_k - j_(k-1)) z_(k-1) + s_k 2^n from z_0 = -1 at j_0 = 1 (3
+    theta_k = theta_(k-1) + s_k 2^(n - j_k + 1), times 2^(j_k - 1)).  Each row
+    is one multiply by 2^(j_k - j_(k-1)), one by s_k, an add and a // 3, so
+    linear work.  No intermediate has more than n + 1 digits, and Inexact
+    and Rounded are trapped, so a wrong digit would raise.
     """
-    rows = dec.rows
-    _, j1, theta1, _, t1 = rows[0]   # xstar_decompose gives at least one row
-    n = ((3 * theta1 + 1) // t1).bit_length() + j1 - 2
+    n = v.n
     with localcontext() as ctx:
         ctx.prec = n + 1
         ctx.Emax = MAX_EMAX   # the caller's context may cap the exponent lower
         ctx.traps[Inexact] = ctx.traps[Rounded] = True
         pow2n = Decimal(1 << n)
-        z = Decimal(-(1 << (j1 - 1)))
-        last_theta, last_j, row = -1, j1, first
-        for k, j, theta, _, t in rows:
-            s = (3 * theta - last_theta) >> (n - j + 1)
+        z, last_j, row = Decimal(-1), 1, first
+        for k, j, theta, t, s in _xstar_terms(v):
             z = (z * (1 << (j - last_j)) + s * pow2n) // 3
             out.write(row % (k, j, theta, z, t))
-            last_theta, last_j, row = theta, j, rest
+            last_j, row = j, rest
 
 
 _JSON_ROW = ('    {\n      "k": %d,\n      "j": %d,\n      "theta": "%s",\n'
              '      "z": "%s",\n      "t": "%s"\n    }')
 
 
-def write_xstar_json(dec: XStarDecomposition, out: IO[str]) -> None:
-    """The X* table as JSON, byte for byte as `json.dump(..., indent=2)` and a newline give it.
+def write_xstar_json(v: ParityVector, out: IO[str]) -> None:
+    """The X* table of v as JSON, byte for byte as `json.dump(..., indent=2)` and a newline give it.
 
-    Integers other than k and j are decimal strings.  One write per row, and
-    nothing is written if a number is past the interpreter's digit limit.
+    Integers other than k and j are decimal strings.  Two passes over the
+    one-positions, each holding O(n) bits: the first converts X*, Y* and J
+    through str(), so nothing is written if a number is past the
+    interpreter's digit limit; the second writes each row as it is made.
     """
-    xstar, ystar, J = _xstar_totals(dec)
+    xstar, ystar, J = map(str, _xstar_totals(v))
     out.write('{\n  "rows": [')
-    _write_xstar_rows(dec, out, "\n" + _JSON_ROW, ",\n" + _JSON_ROW)
+    _write_xstar_rows(v, out, "\n" + _JSON_ROW, ",\n" + _JSON_ROW)
     out.write(f'\n  ],\n  "Xstar": "{xstar}",\n  "Ystar": "{ystar}",\n  "J": "{J}"\n}}\n')
 
 
-def write_xstar_table(dec: XStarDecomposition, out: IO[str]) -> None:
-    """The X* table as fixed-width text; nothing is written if a number is past the digit limit."""
-    xstar, ystar, J = _xstar_totals(dec)
+def write_xstar_table(v: ParityVector, out: IO[str]) -> None:
+    """The X* table of v as fixed-width text, in the two O(n)-bit passes of `write_xstar_json`."""
+    xstar, ystar, J = map(str, _xstar_totals(v))
     out.write(f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}\n")
     row = "%3d %5d %24s %24s %24s\n"
-    _write_xstar_rows(dec, out, row, row)
+    _write_xstar_rows(v, out, row, row)
     out.write(f"Xstar = {xstar}\nYstar = {ystar}\nJ = {J}\n")
 
 
@@ -287,7 +278,7 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
         ones += compress(range(start + 1, width + 1), block)
         counts, w = [], -1
         for j in ones:
-            # exact w/3 mod 2^width as in `_xstar`: 2^width = (-1)^width mod 3 gives r
+            # exact w/3 mod 2^width as in `_xstar_terms`: 2^width = (-1)^width mod 3 gives r
             w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
             _add_columns(counts, w << (j - 1) & mask)
         w = w * 3 ** (len(ones) - m) & mask   # w_m at the block start, as w_(k-1) = 3 w_k
@@ -378,7 +369,7 @@ def _ab_results(inp: dict) -> dict:
 
 def _xstar_results(inp: dict) -> dict:
     buf = io.StringIO()
-    write_xstar_json(xstar_decompose(_vector(inp)), buf)
+    write_xstar_json(_vector(inp), buf)
     results = json.loads(buf.getvalue())
     rows = results.pop("rows")
     for key in ("theta", "z", "t"):

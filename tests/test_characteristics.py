@@ -318,13 +318,13 @@ def test_xstar_rows_match_ab_recurrence_n_le_10():
 
 def test_xstar_ystar_kstar_qstar_share_one_loop(monkeypatch):
     calls = []
-    loop = characteristics._xstar
+    loop = characteristics._xstar_terms
 
     def counted(*args):
         calls.append(args)
         return loop(*args)
 
-    monkeypatch.setattr(characteristics, "_xstar", counted)
+    monkeypatch.setattr(characteristics, "_xstar_terms", counted)
     v = PV("1011010111")
     dec = xstar_decompose(v)
     kstar = (dec.Xstar - char_set(v).N0) >> v.n

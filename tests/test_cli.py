@@ -291,6 +291,19 @@ def test_xstar_past_the_digit_limit_writes_nothing(capsys, tmp_path, flags, to_f
 
 
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
+def test_xstar_of_an_all_zero_vector_writes_nothing(capsys, tmp_path, flags, to_file):
+    # the writers' first pass raises before any write, as xstar_decompose does
+    path = tmp_path / "xstar.out"
+    path.write_text("keep\n")
+    out_flag = ["--out", str(path)] if to_file else []
+    code, out, err = run(capsys, "xstar", "0000", *flags, *out_flag)
+    assert (code, out) == (1, "")
+    assert err == "error: xstar_decompose requires at least one 1 bit (m >= 1)\n"
+    assert path.read_text() == "keep\n"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("argv", [
     # X = P*a of 6000 ones has about 4670 digits
     ["analyze", "1" * 6000],

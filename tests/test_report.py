@@ -37,7 +37,6 @@ from collatz_parity.report import (
     write_xstar_json,
     write_xstar_table,
 )
-from collatz_parity.characteristics import xstar_decompose
 
 PV = ParityVector.from_string
 
@@ -151,7 +150,7 @@ def test_analyze_json_contains_p_string():
 
 def xstar_json_text(v: ParityVector) -> str:
     out = io.StringIO()
-    write_xstar_json(xstar_decompose(v), out)
+    write_xstar_json(v, out)
     return out.getvalue()
 
 
@@ -205,7 +204,7 @@ def test_xstar_json_is_the_json_dump_layout_random(drawn):
 
 def xstar_table_text(v: ParityVector) -> str:
     out = io.StringIO()
-    write_xstar_table(xstar_decompose(v), out)
+    write_xstar_table(v, out)
     return out.getvalue()
 
 
@@ -237,6 +236,33 @@ def test_xstar_writers_keep_the_callers_decimal_context():
         assert (after.prec, after.Emax, after.rounding, dict(after.traps)) == before
         assert not any(after.flags.values())
     assert texts == oracle.xstar_outputs(v.bits)
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def xstar_writer_peak(write, v: ParityVector) -> int:
+    """The tracemalloc peak, in bytes, of one X* writer call on v into a sink that keeps nothing."""
+    tracemalloc.start()
+    try:
+        write(v, _Discard())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("write", [write_xstar_json, write_xstar_table],
+                         ids=["json", "table"])
+def test_xstar_writers_hold_o_n_bits(write):
+    # both passes keep only the last theta_k, t_k, 3^(k-1), z_k and the sums,
+    # each of O(n) bits; keeping every row's theta_k, z_k and t_k took about
+    # 760 KiB at 2048 bits and grows as n*m, about 4x per doubling of n
+    small = xstar_writer_peak(write, PV(XSTAR_STRESS["2048-bits"]))
+    large = xstar_writer_peak(write, PV(half_ones(4096)))
+    assert small < 200 * 1024
+    assert large < 3 * small
 
 
 def test_trajectory_csv_header_and_shape():

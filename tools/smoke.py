@@ -214,12 +214,18 @@ def check_classify_oracle() -> str:
 
 
 def check_xstar_oracle() -> str:
-    # the CLI takes each theta_k from the one before, and prints each z_k from
-    # the one before through a Decimal; the oracle solves each theta from
-    # scratch and prints every integer through str().  The first vector has
-    # 300 bits, 151 of them ones; the second has its first one at bit 46 and
-    # a run of 1100 zeros
-    for bits in (format(3**189, "b"), "0" * 45 + format(3**40, "b") + "0" * 1100 + "1011"):
+    # the CLI makes two passes over the one-positions, each taking theta_k
+    # from the one before: the first sums X* and Y* and converts them and J,
+    # the second writes each row as it is made, z_k printed from the one
+    # before through a Decimal.  The oracle solves each theta from scratch
+    # and prints every integer through str().  The first vector has 300
+    # bits, 151 of them ones; the second has its first one at bit 46 and a
+    # run of 1100 zeros; the third has 4096 bits, half of them ones, more
+    # than the benchmark's largest vector
+    rng = random.Random(4096)
+    ones = set(rng.sample(range(4096), 2048))
+    for bits in (format(3**189, "b"), "0" * 45 + format(3**40, "b") + "0" * 1100 + "1011",
+                 "".join("1" if i in ones else "0" for i in range(4096))):
         expected = oracle.xstar_outputs([int(ch) for ch in bits])
         for flags, doc in zip(((), ("--json",)), expected):
             proc = cli("xstar", bits, *flags)
