@@ -5,10 +5,10 @@ JSON numbers).  Rationals render either exactly as ``p/q`` or as fixed-point
 decimal strings with a configurable digit count, rounded half-even in integer
 arithmetic.
 
-The trajectory CSV reads its bits a block at a time and takes N0, K* and a of
-each row from per-block counts, with no step iterator; `write_trajectory_csv`
-states how and at what cost, which cells share which numerator, which
-denominators can tie, and how its row template keeps the digit limit.
+The trajectory CSV renders the rows of the one row engine, `trajectory._rows`,
+whose docstring states how it reads N0, K* and a off per-block counts and at
+what cost; `write_trajectory_csv` states which cells share which numerator,
+which denominators can tie, and how its row template keeps the digit limit.
 
 The X* table of a length-n vector is written in two passes over its
 one-positions, each drawn from the theta recurrence `_xstar_terms` and each
@@ -32,7 +32,6 @@ import sys
 from collections.abc import Iterable
 from decimal import MAX_EMAX, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
-from itertools import compress, islice
 
 from .characteristics import (
     CharacteristicSet,
@@ -47,16 +46,14 @@ from .characteristics import (
     p_recurrence,
     solve_n0,
 )
-from .core import _BITS, BitStreamExhausted, ParityVector, PrefixGenerator, Record, parse_generator
-from .trajectory import iter_trajectory
+from .core import ParityVector, PrefixGenerator, Record, parse_generator
+from .trajectory import _rows, iter_trajectory
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # IO is for annotations only; typing costs ms of every call's start
     from typing import IO
 
 DEFAULT_PRECISION = 12
-# the trajectory CSV's first block of bits: later blocks double it, capped at the horizon
-_FIRST_BLOCK = 256
 
 
 # No nonzero int/str digit limit is lower than this, and below it 10^digits
@@ -103,7 +100,7 @@ def format_rational(x: Fraction, digits: int = DEFAULT_PRECISION, exact: bool = 
     p, q = x.numerator, x.denominator
     if p and digits >= _LOWEST_DIGIT_LIMIT:
         _check_digit_limit(p, q, digits)
-    scaled, rem = divmod(p * 10**digits, q)
+    scaled, rem = divmod(p * 10**digits, q) if p else (0, 0)   # 0 needs no 10^digits
     twice = rem << 1
     if twice > q or (twice == q and scaled & 1):
         scaled += 1
@@ -186,48 +183,18 @@ TRAJECTORY_CSV_HEADER = (
 )
 
 
-def _add_columns(counts: list[int], z: int) -> None:
-    """Add z to the bit-sliced column counts: bit c of counts[i] is bit i of column c's count."""
-    for i, level in enumerate(counts):   # ripple carry: the sum bit stays, the carry goes up
-        counts[i] = level ^ z
-        z &= level
-        if not z:
-            return
-    counts.append(z)
-
-
 def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
                          digits: int = DEFAULT_PRECISION, exact: bool = False) -> None:
-    """Write the header and rows 1..horizon of `gen`, reading its bits a block at a time.
+    """Write the header and rows 1..horizon of `gen`, as `trajectory._rows` yields them.
 
-    A block ends at row W: W = min(256, horizon), then doubled and capped at
-    the horizon, so at most max(256, 2n) bits are read by row n.  Each block
-    takes one pass over the one-positions j_k up to W: w_k = -3^-k mod 2^W
-    comes from w_(k-1) by one exact division by 3, and z_k = 2^(j_k - 1) w_k
-    mod 2^W, the X* term theta_k cut to W bits, is added to bit-sliced
-    column counts (bit c of counts[i] is bit i of column c's count).  Then:
-      * N0_W - 1 = X*_W - 1 mod 2^W, X*_W being the sum of the counts[i] 2^i;
-        row n's N0 - 1 is its low n bits, and N0 lifted at row n (d) when
-        its bit n - 1 is set.  No row lifts N0.
-      * K*, where X* = N0 + 2^n K*: z_k mod 2^n gains only bit n - 1 at row
-        n, so if L of the z_k have that bit (a new one among them), K* =
-        (K* + L - d)/2.  The counts are transposed once per block into one
-        field per column, each level spread to the fields by format() and
-        summed weighted by 2^i, so L is one lookup per row.
-      * a = w_m cut to n bits, the least positive solution of 3^m a + 1 =
-        2^n b, goes on by one division per one from w_m at the block start,
-        3^(m_W - m) w_(m_W) as w_(k-1) = 3 w_k; b = (3^m a + 1)/2^n and X =
-        P a take one multiply each.  `ab_recurrence` is the test oracle.
-    A block costs O(W log m) bit operations per one-position; a row costs
-    O(1) operations on ints of at most W bits, with no modular power.
-
-    Each row is one `%` of a template built per call (a second, for m = 0,
-    has the empty cells in it), in every mode.  A rational cell is a pair
-    of template fields: %d.%0<digits>d at 1 digit or more, %d%.0s at 0
-    (which consumes the fraction and prints nothing), and %s%s with `exact`,
-    filled with the reduced Fraction and "".  In fixed point the pair is
-    s // 10^digits and s % 10^digits, where s = round(p 10^digits / q), half
-    to even, is worked out once per numerator p:
+    b = (3^m a + 1)/2^n and X = P a take one multiply each.  Each row is one
+    `%` of a template built per call (a second, for m = 0, has the empty
+    cells in it), in every mode.  A rational cell is a pair of template
+    fields: %d.%0<digits>d at 1 digit or more, %d%.0s at 0 (which consumes
+    the fraction and prints nothing), and %s%s with `exact`, filled with the
+    reduced Fraction and "".  In fixed point the pair is s // 10^digits and
+    s % 10^digits, where s = round(p 10^digits / q), half to even, is worked
+    out once per numerator p:
       * N0 over 2^n gives r0, f2 = r0 (X = P a = N0 mod 2^n, and N0 < 2^n
         once m >= 1) and q = K + r0, as X = N0 + 2^n K;
       * B = P mod 2^n over 2^n gives P/2^n = A + B/2^n with A = P >> n, and
@@ -264,81 +231,42 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     scale = 1 if exact or past_limit else 10**digits
 
     out.write(TRAJECTORY_CSV_HEADER + "\n")
-    bits = gen.bits()
-    kstar = -1               # X*_0 = 0 = N0_0 - 1
-    ones: list[int] = []     # the one-positions j_k
-    n, m, P, pow2, pow3 = 0, 0, 0, 1, 1
-    while n < horizon:
-        wanted = min(max(2 * n, _FIRST_BLOCK), horizon) - n
-        block = tuple(islice(bits, wanted))
-        if past_limit and block:
-            raise _digit_limit_error(limit, digits)
-        start, width = n, n + len(block)
-        mask = (1 << width) - 1
-        ones += compress(range(start + 1, width + 1), block)
-        counts, w = [], -1
-        for j in ones:
-            # exact w/3 mod 2^width as in `_xstar_terms`: 2^width = (-1)^width mod 3 gives r
-            w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
-            _add_columns(counts, w << (j - 1) & mask)
-        w = w * 3 ** (len(ones) - m) & mask   # w_m at the block start, as w_(k-1) = 3 w_k
-        # column c's count in field width - 1 - c, and X*_width - 1 = N0_width - 1 mod 2^width
-        size, code = (1, "B") if width < 1 << 8 else (2, "H") if width < 1 << 16 else (4, "I")
-        spread, fields, lifted = bytearray(width * size), 0, -1
-        for i, level in enumerate(counts):
-            spread[(sys.byteorder == "big") * (size - 1)::size] = (
-                format(level, f"0{width}b").encode().translate(_BITS))
-            fields += int.from_bytes(spread, sys.byteorder) << i
-            lifted += level << i
-        table = memoryview(fields.to_bytes(width * size, sys.byteorder)).cast(code)
-        lifted &= mask           # bit n - 1 is set when N0 lifted at row n
-        for n, e in enumerate(block, start + 1):
-            if e:
-                P = 3 * P + pow2
-                pow3 *= 3
-                m += 1
-                w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
-            pow2 <<= 1
-            low = pow2 - 1
-            N0 = (lifted & low) + 1
-            kstar = (kstar + table[width - n] - (lifted >> (n - 1) & 1)) >> 1
-            if m:
-                a = w & low   # w_m mod 2^n, as width >= n
-                b = (pow3 * a + 1) >> n
-                K = (P * a - N0) >> n   # X = P a
-            if exact:
-                r0i, r0f = Fraction(N0, pow2), ""
-                ratios = (Fraction(m, n), "", Fraction(P, pow2), "", Fraction(P, pow2 * pow3), "",
-                          Fraction(P // pow3, pow2), "", Fraction(P >> n, pow3), "")
-            else:
-                # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
-                # (2t + n - 1 + parity of t // n) // 2n rounds t/n
-                half = (pow2 >> 1) - 1
-                t = N0 * scale
-                r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
-                t = (P & low) * scale
-                Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
-                t = P // pow3 * scale
-                alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
-                t = m * scale
-                m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
-                q = pow2 * pow3
-                P_q = divmod((P * scale + (q >> 1)) // q, scale)
-                A = P >> n
-                A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
-                Pi = A + Bi   # the integer part of P/2^n
-                ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
-            if m:
-                qi = K + r0i   # q = K + r0, in fixed point its integer part; f2 = r0
-                if not exact and (qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits):
-                    str(qi * scale), str(Pi * scale)   # raises where str(s) would
-                out.write(row % (n, n, m, P, pow2 - pow3, a, b, N0, r0i, r0f, qi, r0f,
-                                 K, kstar, *ratios, r0i, r0f))
-            else:
-                out.write(row0 % (n, n, m, P, pow2 - pow3, N0, r0i, r0f, *ratios))
-        if len(block) < wanted:   # the rows of a source that ran dry are written
-            raise BitStreamExhausted(
-                f"bit source exhausted after {n} complete rows (requested horizon {horizon})", n)
+    rows = _rows(gen, horizon)
+    if past_limit:
+        next(rows)   # a source with no bits raises BitStreamExhausted here
+        raise _digit_limit_error(limit, digits)
+    for n, m, P, pow2, pow3, N0, kstar, a in rows:
+        if exact:
+            r0i, r0f = Fraction(N0, pow2), ""
+            ratios = (Fraction(m, n), "", Fraction(P, pow2), "", Fraction(P, pow2 * pow3), "",
+                      Fraction(P // pow3, pow2), "", Fraction(P >> n, pow3), "")
+        else:
+            # (t + 2^(n-1) - 1 + parity of t >> n) >> n rounds t/2^n half to even, and
+            # (2t + n - 1 + parity of t // n) // 2n rounds t/n
+            half = (pow2 >> 1) - 1
+            t = N0 * scale
+            r0i, r0f = divmod((t + half + (t >> n & 1)) >> n, scale)
+            t = (P & pow2 - 1) * scale
+            Bi, Bf = divmod((t + half + (t >> n & 1)) >> n, scale)
+            t = P // pow3 * scale
+            alpha = divmod((t + half + (t >> n & 1)) >> n, scale)
+            t = m * scale
+            m_n = divmod((2 * t + n - 1 + (t // n & 1)) // (2 * n), scale)
+            q = pow2 * pow3
+            P_q = divmod((P * scale + (q >> 1)) // q, scale)
+            A = P >> n
+            A_3m = divmod((A * scale + (pow3 >> 1)) // pow3, scale)
+            Pi = A + Bi   # the integer part of P/2^n
+            ratios = (*m_n, Pi, Bf, *P_q, *alpha, *A_3m)
+        if m:
+            K = (P * a - N0) >> n   # X = P a
+            qi = K + r0i   # q = K + r0, in fixed point its integer part; f2 = r0
+            if not exact and (qi.bit_length() > safe_bits or Pi.bit_length() > safe_bits):
+                str(qi * scale), str(Pi * scale)   # raises where str(s) would
+            out.write(row % (n, n, m, P, pow2 - pow3, a, (pow3 * a + 1) >> n, N0, r0i, r0f,
+                             qi, r0f, K, kstar, *ratios, r0i, r0f))
+        else:
+            out.write(row0 % (n, n, m, P, pow2 - pow3, N0, r0i, r0f, *ratios))
 
 
 # ---------------------------------------------------------------------------

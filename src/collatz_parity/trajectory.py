@@ -3,23 +3,20 @@
 For an infinite bit stream V the length-j prefix has its own characteristic
 set; those values as functions of j are the order-j characteristic numbers.
 Each row is a CharacteristicSet with n = j, the same type `char_set` returns
-for a finite vector; a row stores only n, m_j, P_j and N0_j:
+for a finite vector; a row stores only n, m_j, P_j and N0_j.
 
-  * P_j by the one-step recurrence,
-  * N0_j by lifting the residue from mod 2^j to mod 2^{j+1}: the lift that
-    matches the parity of T^j(N0_j) keeps the vector realized (the dichotomy
-    N0_{j+1} in {N0_j, N0_j + 2^j}),
-  * m_j as a counter, one more on a 1 bit.
+One engine, `_rows`, works out every row's state: it reads the bits a block
+at a time and takes N0, K* and a of each row from per-block counts of the
+X* terms, as its docstring states.  `iter_trajectory` wraps its rows in
+CharacteristicSets and the CSV writer in `report` renders them.  a_j and
+b_j of a CharacteristicSet cost one Newton-Hensel inverse of 3^{m_j} mod
+2^j on first read; X*_j needs the one-positions, so it comes from
+`xstar_decompose(gen.prefix(j))`.
 
-`iter_trajectory` carries P_j, 3^{m_j}, 2^j, N0_j and T^j(N0_j) from row to
-row (a row holds O(j) bits).  Neither `classify` nor the CSV writer reads
-its rows: N0_j = ((N0_W - 1) mod 2^j) + 1 for every j <= W, so they read N0
-off one N0_W, of the horizon or of a block of bits.  a_j and b_j cost one
-Newton-Hensel inverse of 3^{m_j} mod 2^j on first read.  X*_j needs the
-one-positions, so it comes from `xstar_decompose(gen.prefix(j))`;
-the classifier does without it, since X_j and X*_j are both N0_j mod 2^j.
-The CSV reads none of these closed forms; `write_trajectory_csv` states how
-it carries a_j, b_j and K*_j and what that costs.
+`classify` reads no rows: it needs only N0_H, which one `char_set` of the
+H-bit prefix gives as P_H a_H mod 2^H.  That prefix is the engine's last
+block, of width H, but the engine would also count the X* terms and build
+the per-row K* table, which the classifier has no use for.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.
@@ -27,10 +24,12 @@ classifier says only what the bits it read support.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from itertools import compress, islice
 
-from .core import BitStreamExhausted, PrefixGenerator, Record, collatz_step
+from .core import _BITS, BitStreamExhausted, PrefixGenerator, Record
 from .characteristics import CharacteristicSet, _int_distance, char_set
 
 HALVED = "halved"
@@ -42,43 +41,104 @@ INCONCLUSIVE = "inconclusive"
 
 DEFAULT_HORIZON = 256
 DEFAULT_WINDOW = 32
+# the first block of bits `_rows` reads: later blocks double it, capped at the horizon
+_FIRST_BLOCK = 256
+
+
+def _add_columns(counts: list[int], z: int) -> None:
+    """Add z to the bit-sliced column counts: bit c of counts[i] is bit i of column c's count."""
+    for i, level in enumerate(counts):   # ripple carry: the sum bit stays, the carry goes up
+        counts[i] = level ^ z
+        z &= level
+        if not z:
+            return
+    counts.append(z)
+
+
+def _rows(gen: PrefixGenerator, horizon: int) -> Iterator[tuple]:
+    """Yield (n, m, P, 2^n, 3^m, N0, K*, a) for rows n = 1..horizon of `gen`, horizon >= 1.
+
+    a is None until m >= 1.  The bits are read a block at a time.  A block
+    ends at row W: W = min(256, horizon), then doubled and capped at the
+    horizon, so at most max(256, 2n) bits are read by row n.  Each block
+    takes one pass over the one-positions j_k up to W: w_k = -3^-k mod 2^W
+    comes from w_(k-1) by one exact division by 3, and z_k = 2^(j_k - 1) w_k
+    mod 2^W, the X* term theta_k cut to W bits, is added to bit-sliced
+    column counts (bit c of counts[i] is bit i of column c's count).  Then:
+      * N0_W - 1 = X*_W - 1 mod 2^W, X*_W being the sum of the counts[i] 2^i;
+        row n's N0 - 1 is its low n bits, and N0 lifted at row n (d) when
+        its bit n - 1 is set.  No row lifts N0.
+      * K*, where X* = N0 + 2^n K*: z_k mod 2^n gains only bit n - 1 at row
+        n, so if L of the z_k have that bit (a new one among them), K* =
+        (K* + L - d)/2.  The counts are transposed once per block into one
+        field per column, each level spread to the fields by format() and
+        summed weighted by 2^i, so L is one lookup per row.
+      * a = w_m cut to n bits, the least positive solution of 3^m a + 1 =
+        2^n b, goes on by one division per one from w_m at the block start,
+        3^(m_W - m) w_(m_W) as w_(k-1) = 3 w_k.  `ab_recurrence` is the
+        test oracle.
+    A block costs O(W log m) bit operations per one-position; a row costs
+    O(1) operations on ints of at most W bits, with no modular power.
+
+    A finite source that runs dry raises BitStreamExhausted after the last
+    row it completed, with that row as its `position`.
+    """
+    bits = gen.bits()
+    kstar = -1               # X*_0 = 0 = N0_0 - 1
+    ones: list[int] = []     # the one-positions j_k
+    n, m, P, pow2, pow3, a = 0, 0, 0, 1, 1, None
+    while n < horizon:
+        wanted = min(max(2 * n, _FIRST_BLOCK), horizon) - n
+        block = tuple(islice(bits, wanted))
+        start, width = n, n + len(block)
+        mask = (1 << width) - 1
+        ones += compress(range(start + 1, width + 1), block)
+        counts, w = [], -1
+        for j in ones:
+            # exact w/3 mod 2^width as in `_xstar_terms`: 2^width = (-1)^width mod 3 gives r
+            w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
+            _add_columns(counts, w << (j - 1) & mask)
+        w = w * 3 ** (len(ones) - m) & mask   # w_m at the block start, as w_(k-1) = 3 w_k
+        # column c's count in field width - 1 - c, and X*_width - 1 = N0_width - 1 mod 2^width
+        size, code = (1, "B") if width < 1 << 8 else (2, "H") if width < 1 << 16 else (4, "I")
+        spread, fields, lifted = bytearray(width * size), 0, -1
+        for i, level in enumerate(counts):
+            spread[(sys.byteorder == "big") * (size - 1)::size] = (
+                format(level, f"0{width}b").encode().translate(_BITS))
+            fields += int.from_bytes(spread, sys.byteorder) << i
+            lifted += level << i
+        table = memoryview(fields.to_bytes(width * size, sys.byteorder)).cast(code)
+        lifted &= mask           # bit n - 1 is set when N0 lifted at row n
+        for n, e in enumerate(block, start + 1):
+            if e:
+                P = 3 * P + pow2
+                pow3 *= 3
+                m += 1
+                w = (w + ((w if width & 1 else -w) % 3 << width)) // 3
+            pow2 <<= 1
+            low = pow2 - 1
+            kstar = (kstar + table[width - n] - (lifted >> (n - 1) & 1)) >> 1
+            if m:
+                a = w & low   # w_m mod 2^n, as width >= n
+            yield n, m, P, pow2, pow3, (lifted & low) + 1, kstar, a
+        if len(block) < wanted:
+            raise BitStreamExhausted(
+                f"bit source exhausted after {n} complete rows (requested horizon {horizon})", n)
 
 
 def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[CharacteristicSet]:
     """Stream rows for j = 1..horizon: the characteristic set of each length-j prefix.
 
+    The rows come from `_rows`, which reads the bits in blocks, so by the time
+    row j is yielded at most max(256, 2j) bits have been drawn from `gen`.
     A finite bit source that runs dry raises BitStreamExhausted whose
     `position` is the last complete row index; rows up to it have already
     been yielded.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    bits = gen.bits()
-    P = 0
-    pow3m = 1
-    pow2 = 1          # 2^{j-1} while processing row j
-    N0 = 1
-    u = 1             # T^{j}(N0_j) after each row
-    m = 0
-    for j in range(1, horizon + 1):
-        try:
-            e = next(bits)
-        except StopIteration:
-            raise BitStreamExhausted(
-                f"bit source exhausted after {j - 1} complete rows "
-                f"(requested horizon {horizon})",
-                j - 1,
-            ) from None
-        if (u & 1) != e:  # lift N0 by 2^{j-1}
-            N0 += pow2
-            u += pow3m
-        u = collatz_step(u)
-        if e:
-            P = 3 * P + pow2
-            pow3m *= 3
-            m += 1
-        pow2 <<= 1
-        yield CharacteristicSet(j, m, P, N0)
+    for n, m, P, _, _, N0, _, _ in _rows(gen, horizon):
+        yield CharacteristicSet(n, m, P, N0)
 
 
 def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
+from itertools import islice
 
 import oracle
 import pytest
@@ -27,7 +28,6 @@ from collatz_parity.report import (
     DEFAULT_PRECISION,
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
-    _add_columns,
     charset_to_json_dict,
     format_rational,
     load_fixtures,
@@ -37,6 +37,7 @@ from collatz_parity.report import (
     write_xstar_json,
     write_xstar_table,
 )
+from collatz_parity.trajectory import _add_columns
 
 PV = ParityVector.from_string
 
@@ -54,6 +55,13 @@ def test_format_rational_half_even():
     assert format_rational(Fraction(3, 2), 0) == "2"
     assert format_rational(Fraction(25, 1000), 2) == "0.02"
     assert format_rational(Fraction(35, 1000), 2) == "0.04"
+
+
+def test_format_rational_of_zero_builds_no_power_of_ten():
+    # 10^digits is never built for a zero numerator: at 10^7 digits it took seconds
+    assert format_rational(Fraction(0), 0) == "0"
+    assert format_rational(Fraction(0), 1) == "0.0"
+    assert format_rational(Fraction(0), 10**7) == "0." + "0" * 10**7
 
 
 def test_format_rational_exact():
@@ -421,14 +429,29 @@ class _StopAfterRows(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("rows", [1, 255, 256, 257, 300, 512, 513, 1000, 1025])
-def test_trajectory_csv_reads_at_most_twice_the_rows_written(rows):
-    # blocks end at rows 256, 512, 1024, ..., so by the time row r is
-    # written at most max(256, 2r) bits were drawn, under any horizon
-    source, out = _CountingSource(), _StopAfterRows(rows)
+def _write_rows(source, rows):
+    out = _StopAfterRows(rows)
     with pytest.raises(_RowsWritten):
         write_trajectory_csv(source, 10**8, out)
     assert out.getvalue().count("\n") == rows + 1
+
+
+def _take_rows(source, rows):
+    assert len(list(islice(iter_trajectory(source, 10**8), rows))) == rows
+
+
+_LOOK_AHEAD_ROWS = (1, 255, 256, 257, 300, 512, 513, 1000, 1025)
+
+
+@pytest.mark.parametrize("consume, rows", [
+    *(pytest.param(_write_rows, rows, id=str(rows)) for rows in _LOOK_AHEAD_ROWS),
+    *(pytest.param(_take_rows, rows, id=f"iter_trajectory-{rows}") for rows in _LOOK_AHEAD_ROWS),
+])
+def test_trajectory_csv_reads_at_most_twice_the_rows_written(consume, rows):
+    # blocks end at rows 256, 512, 1024, ..., so by the time row r is
+    # written or yielded at most max(256, 2r) bits were drawn, under any horizon
+    source = _CountingSource()
+    consume(source, rows)
     assert source.drawn[0] <= max(256, 2 * rows)
 
 
@@ -481,6 +504,8 @@ def test_csv_equals_the_closed_form_rendering(spec, horizon):
                           (640, False), (700, False), (DEFAULT_PRECISION, True)):
         assert csv_lines(gen, horizon, digits, exact) == (
             oracle.trajectory_csv(rows, digits, exact).split("\n"))
+    assert [(r.n, r.m, r.P, r.N0) for r in iter_trajectory(gen, horizon)] == (
+        [(r["n"], r["m"], r["P"], r["N0"]) for r in rows])
 
 
 # each fixed-point column of the CSV and the row property it rounds

@@ -6,14 +6,15 @@ from any directory:
     python3 tools/smoke.py
 
 It runs `verify`, every demo and CLI calls with this checkout's src/ on the
-path, and compares the `trajectory` CSV in every rendering mode, the
-`classify` text and --json document and the `xstar` table and --json
-document, byte for byte, with tools/oracle.py, which computes each number
-from its definition and imports nothing of the package.  It also checks the
-exit codes, the digit limit, that the CLI's lazily built parsers parse and
-print what parsers built in full up front do, and that importing the CLI
-loads no module it has no use for at start-up.  It prints one PASS or FAIL
-line per check, and exits 0 when every check passes and 1 otherwise.
+path, and compares the `trajectory` CSV in every rendering mode, the rows
+of `iter_trajectory`, the `classify` text and --json document and the
+`xstar` table and --json document, byte for byte, with tools/oracle.py,
+which computes each number from its definition and imports nothing of the
+package.  It also checks the exit codes, the digit limit, that the CLI's
+lazily built parsers parse and print what parsers built in full up front
+do, and that importing the CLI loads no module it has no use for at
+start-up.  It prints one PASS or FAIL line per check, and exits 0 when
+every check passes and 1 otherwise.
 """
 
 import io
@@ -185,6 +186,16 @@ def check_csv_oracle() -> str:
             if proc.returncode != 0 or proc.stdout != oracle.trajectory_csv(rows, digits, exact):
                 return (f"{spec} --horizon {horizon} {' '.join(flags)}: exit {proc.returncode}; "
                         "the CSV differs from the oracle's")
+    # iter_trajectory reads the same block rows as the writer: past the blocks ending
+    # at rows 256 and 512, with cycle:1's column counts in 2-byte fields
+    sys.path.insert(0, str(SRC))
+    from collatz_parity import iter_trajectory, parse_generator
+
+    for spec in ("int:27", "cycle:1"):
+        got = [(r.n, r.m, r.P, r.N0) for r in iter_trajectory(parse_generator(spec), 600)]
+        if got != [(r["n"], r["m"], r["P"], r["N0"])
+                   for r in oracle.rows(oracle.spec_bits(spec, 600))]:
+            return f"iter_trajectory {spec} 600: the rows differ from the oracle's"
     return ""
 
 
