@@ -29,7 +29,7 @@ sum `p_closed_form` as its oracle.  Realizers of v are exactly N0 + 2^n * k.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
 
 from .core import ParityVector, Record
@@ -246,15 +246,18 @@ def _xstar_terms(v: ParityVector) -> Iterator[tuple[int, int, int, int, int]]:
         yield k, j, theta, t, s
 
 
-def _xstar_totals(v: ParityVector, rows: list[XStarRow] | None = None) -> tuple[int, int, int]:
-    """X*, Y* and J of v from one pass of `_xstar_terms`, each row appended to `rows` if given."""
+def _xstar_totals(v: ParityVector, each_row: Callable | None = None) -> tuple[int, int, int]:
+    """X*, Y* and J = a Y* - b X* of v from one pass of `_xstar_terms`.
+
+    Each row (k, j_k, theta_k, z_k, t_k, s_k) goes to `each_row`, if given, as it is made.
+    """
     Xstar = Ystar = 0
-    for k, j, theta, t, _ in _xstar_terms(v):
+    for k, j, theta, t, s in _xstar_terms(v):
         z = theta << (j - 1)
         Xstar += z
         Ystar = 3 * Ystar + t
-        if rows is not None:
-            rows.append(XStarRow(k, j, theta, z, t))
+        if each_row is not None:
+            each_row(k, j, theta, z, t, s)
     a, b = _solve_ab(k, v.n)
     return Xstar, Ystar, a * Ystar - b * Xstar
 
@@ -378,7 +381,7 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
     Y* = sum 3^{m-k} t_k satisfies T^n(X*) = Y*.
     """
     rows: list[XStarRow] = []
-    totals = _xstar_totals(v, rows)
+    totals = _xstar_totals(v, lambda k, j, theta, z, t, s: rows.append(XStarRow(k, j, theta, z, t)))
     return XStarDecomposition(tuple(rows), *totals)
 
 

@@ -10,17 +10,15 @@ whose docstring states how it reads N0, K* and a off per-block counts and at
 what cost; `write_trajectory_csv` states which cells share which numerator,
 which denominators can tie, and how its row template keeps the digit limit.
 
-The X* table of a length-n vector is written in two passes over its
-one-positions, each drawn from the theta recurrence `_xstar_terms` and each
-holding O(n) bits, where a table of every row's theta_k, z_k and t_k would
-hold O(n m).  The first pass sums X* and Y* and converts X*, Y* and J through
-str(); no cell has more digits than they do, so a digit-limit error writes
-nothing.  The second writes each row as it is made, one `write` per row, in
-the layout `json.dump` with `indent=2` gives (that encoder runs in pure
-Python and writes once per token, about 24,600 writes for 2048 bits with
-1024 ones).  theta_k and t_k print through str().  z_k has n bits on every
-row, where str() is quadratic, so it is carried in a Decimal by an exact
-recurrence of linear work per row (`_write_xstar_rows`).
+The X* table of a length-n vector is written in one pass of `_xstar_totals`
+over its one-positions, which sums X* and Y* as each row is written, one
+`write` per row, in the layout `json.dump` with `indent=2` gives (that
+encoder runs in pure Python and writes once per token, about 24,600 writes
+for 2048 bits with 1024 ones).  The pass holds O(n) bits, where a table of
+every row's theta_k, z_k and t_k would hold O(n m).  Every number printed is
+below 2^(n + 2m + bits(m)), so a first pass converts X*, Y* and J through
+str() only where that bound does not rule out the digit limit: a
+digit-limit error writes nothing (`_write_xstar_rows`).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ from fractions import Fraction
 
 from .characteristics import (
     CharacteristicSet,
-    _xstar_terms,
     _xstar_totals,
     ab_recurrence,
     apply_vector,
@@ -125,29 +122,42 @@ def charset_to_json_dict(cs: CharacteristicSet) -> dict:
     }
 
 
-def _write_xstar_rows(v: ParityVector, out: IO[str], first: str, rest: str) -> None:
-    """Write `first`, then `rest` for each later row, % (k, j, theta_k, z_k, t_k).
+def _write_xstar_rows(v: ParityVector, out: IO[str], first: str, rest: str, last: str) -> None:
+    """Write `first`, then `rest`, % (k, j, theta_k, z_k, t_k) per row, then `last` % (X*, Y*, J).
 
-    Each row is written as `_xstar_terms` makes it, so the pass holds O(n)
-    bits.  z_k = 2^(j_k - 1) theta_k has n bits on every row, so str() of it
-    costs O(n^2) per row; here it is carried in a Decimal through the exact
-    3 z_k = 2^(j_k - j_(k-1)) z_(k-1) + s_k 2^n from z_0 = -1 at j_0 = 1 (3
-    theta_k = theta_(k-1) + s_k 2^(n - j_k + 1), times 2^(j_k - 1)).  Each row
-    is one multiply by 2^(j_k - j_(k-1)), one by s_k, an add and a // 3, so
-    linear work.  No intermediate has more than n + 1 digits, and Inexact
-    and Rounded are trapped, so a wrong digit would raise.
+    One pass of `_xstar_totals` writes each row as it is made and sums X* and
+    Y*, holding O(n) bits.  z_k = 2^(j_k - 1) theta_k has n bits on every
+    row, where str() is quadratic, so it is carried in a Decimal through the
+    exact 3 z_k = 2^(j_k - j_(k-1)) z_(k-1) + s_k 2^n from z_0 = -1 at j_0 =
+    1 (3 theta_k = theta_(k-1) + s_k 2^(n - j_k + 1), times 2^(j_k - 1)),
+    linear work per row; no intermediate has more than n + 1 digits, and
+    Inexact and Rounded are trapped.  theta_k, z_k < 2^n, t_k < 3^k, X* <
+    m 2^n, Y* < m 3^m and |J| < m 2^n 3^m (a < 2^n, b < 3^m), so every
+    number is below 2^(n + 2m + bits(m)).  Only where that does not rule out
+    the digit limit does a first pass convert X*, Y* and J, the largest,
+    through str().  So a number past the limit writes nothing, nor does a
+    vector with no one, as `first` goes out with the first row.
     """
-    n = v.n
+    n, m = v.n, v.ones
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    # below 2^(limit * 3.32192) a number has at most `limit` digits, as 3.32192 < log2(10)
+    if limit and (n + 2 * m + m.bit_length()) * 100000 > limit * 332192:
+        list(map(str, _xstar_totals(v)))   # raises before anything is written
     with localcontext() as ctx:
         ctx.prec = n + 1
         ctx.Emax = MAX_EMAX   # the caller's context may cap the exponent lower
         ctx.traps[Inexact] = ctx.traps[Rounded] = True
         pow2n = Decimal(1 << n)
         z, last_j, row = Decimal(-1), 1, first
-        for k, j, theta, t, s in _xstar_terms(v):
+
+        def write_row(k: int, j: int, theta: int, _: int, t: int, s: int) -> None:
+            nonlocal z, last_j, row
             z = (z * (1 << (j - last_j)) + s * pow2n) // 3
             out.write(row % (k, j, theta, z, t))
             last_j, row = j, rest
+
+        totals = _xstar_totals(v, write_row)
+    out.write(last % totals)
 
 
 _JSON_ROW = ('    {\n      "k": %d,\n      "j": %d,\n      "theta": "%s",\n'
@@ -157,24 +167,19 @@ _JSON_ROW = ('    {\n      "k": %d,\n      "j": %d,\n      "theta": "%s",\n'
 def write_xstar_json(v: ParityVector, out: IO[str]) -> None:
     """The X* table of v as JSON, byte for byte as `json.dump(..., indent=2)` and a newline give it.
 
-    Integers other than k and j are decimal strings.  Two passes over the
-    one-positions, each holding O(n) bits: the first converts X*, Y* and J
-    through str(), so nothing is written if a number is past the
-    interpreter's digit limit; the second writes each row as it is made.
+    Integers other than k and j are decimal strings.  One pass over the
+    one-positions, holding O(n) bits, writes each row as it is made and then
+    X*, Y* and J; a number past the interpreter's digit limit writes nothing.
     """
-    xstar, ystar, J = map(str, _xstar_totals(v))
-    out.write('{\n  "rows": [')
-    _write_xstar_rows(v, out, "\n" + _JSON_ROW, ",\n" + _JSON_ROW)
-    out.write(f'\n  ],\n  "Xstar": "{xstar}",\n  "Ystar": "{ystar}",\n  "J": "{J}"\n}}\n')
+    _write_xstar_rows(v, out, '{\n  "rows": [\n' + _JSON_ROW, ",\n" + _JSON_ROW,
+                      '\n  ],\n  "Xstar": "%s",\n  "Ystar": "%s",\n  "J": "%s"\n}\n')
 
 
 def write_xstar_table(v: ParityVector, out: IO[str]) -> None:
-    """The X* table of v as fixed-width text, in the two O(n)-bit passes of `write_xstar_json`."""
-    xstar, ystar, J = map(str, _xstar_totals(v))
-    out.write(f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}\n")
+    """The X* table of v as fixed-width text, in the one O(n)-bit pass of `write_xstar_json`."""
     row = "%3d %5d %24s %24s %24s\n"
-    _write_xstar_rows(v, out, row, row)
-    out.write(f"Xstar = {xstar}\nYstar = {ystar}\nJ = {J}\n")
+    header = f"{'k':>3} {'j_k':>5} {'theta_k':>24} {'z_k':>24} {'t_k':>24}\n"
+    _write_xstar_rows(v, out, header + row, row, "Xstar = %s\nYstar = %s\nJ = %s\n")
 
 
 TRAJECTORY_CSV_HEADER = (

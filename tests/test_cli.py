@@ -293,7 +293,7 @@ def test_xstar_past_the_digit_limit_writes_nothing(capsys, tmp_path, flags, to_f
 @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["table", "json"])
 def test_xstar_of_an_all_zero_vector_writes_nothing(capsys, tmp_path, flags, to_file):
-    # the writers' first pass raises before any write, as xstar_decompose does
+    # the writers' one pass raises on its first row, before the header goes out with it
     path = tmp_path / "xstar.out"
     path.write_text("keep\n")
     out_flag = ["--out", str(path)] if to_file else []

@@ -14,6 +14,7 @@ import oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collatz_parity import characteristics
 from collatz_parity import (
     BitStreamExhausted,
     CharacteristicSet,
@@ -22,6 +23,7 @@ from collatz_parity import (
     char_set,
     iter_trajectory,
     parse_generator,
+    xstar_decompose,
 )
 from collatz_parity.cli import main
 from collatz_parity.report import (
@@ -264,13 +266,115 @@ def xstar_writer_peak(write, v: ParityVector) -> int:
 @pytest.mark.parametrize("write", [write_xstar_json, write_xstar_table],
                          ids=["json", "table"])
 def test_xstar_writers_hold_o_n_bits(write):
-    # both passes keep only the last theta_k, t_k, 3^(k-1), z_k and the sums,
-    # each of O(n) bits; keeping every row's theta_k, z_k and t_k took about
+    # the one pass keeps only the last theta_k, t_k, 3^(k-1), z_k and the
+    # sums, each of O(n) bits; keeping every row's theta_k, z_k and t_k took about
     # 760 KiB at 2048 bits and grows as n*m, about 4x per doubling of n
     small = xstar_writer_peak(write, PV(XSTAR_STRESS["2048-bits"]))
     large = xstar_writer_peak(write, PV(half_ones(4096)))
     assert small < 200 * 1024
     assert large < 3 * small
+
+
+XSTAR_WRITERS = [pytest.param(write_xstar_table, 0, id="table"),
+                 pytest.param(write_xstar_json, 1, id="json")]
+
+
+def xstar_passes(monkeypatch, write, v: ParityVector) -> tuple[int, str]:
+    """How many times one writer call draws `_xstar_terms`, and what it writes."""
+    calls = []
+    loop = characteristics._xstar_terms
+
+    def counted(*args):
+        calls.append(args)
+        return loop(*args)
+
+    monkeypatch.setattr(characteristics, "_xstar_terms", counted)
+    out = io.StringIO()
+    write(v, out)
+    return len(calls), out.getvalue()
+
+
+@pytest.mark.parametrize("write, layout", XSTAR_WRITERS)
+def test_xstar_writers_make_one_pass(monkeypatch, write, layout):
+    # 2048 + 2*1024 + 11 bits bound every number printed, far inside the
+    # default limit of 4300 digits, so no pass runs before the rows
+    v = PV(XSTAR_STRESS["2048-bits"])
+    assert xstar_passes(monkeypatch, write, v) == (1, oracle.xstar_outputs(v.bits)[layout])
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+@pytest.mark.parametrize("write, layout", XSTAR_WRITERS)
+def test_xstar_writers_convert_first_where_the_bound_passes_the_limit(monkeypatch, write,
+                                                                      layout):
+    # 1200 + 2*600 + 10 = 2410 bits against the 2126 that 640 digits surely
+    # hold, so the totals go through str() first; every number fits, and
+    # the rows follow in a second pass
+    v = PV(half_ones(1200))
+    expected = oracle.xstar_outputs(v.bits)[layout]
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        assert xstar_passes(monkeypatch, write, v) == (2, expected)
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def assert_below_the_xstar_bound(v: ParityVector) -> None:
+    # the bounds `_write_xstar_rows` states, and the one it tests the digit
+    # limit against: every number printed is below 2^(n + 2m + bits(m))
+    dec = xstar_decompose(v)
+    n, m = v.n, v.ones
+    for row in dec.rows:
+        assert 0 < row.theta < 1 << n and 0 < row.z < 1 << n and 0 < row.t < 3**row.k
+    assert 0 < dec.Xstar < m << n and 0 < dec.Ystar < m * 3**m
+    assert abs(dec.J) < (m << n) * 3**m <= 1 << (n + 2 * m + m.bit_length())
+
+
+@pytest.mark.parametrize("bits", XSTAR_VECTORS)
+def test_xstar_numbers_are_below_the_writers_bound(bits):
+    assert_below_the_xstar_bound(PV(bits))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(vectors_with_a_one)
+def test_xstar_numbers_are_below_the_writers_bound_random(drawn):
+    bits, one = drawn
+    bits[one] = 1
+    assert_below_the_xstar_bound(ParityVector(tuple(bits)))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+def test_xstar_writers_at_the_digit_limit_write_all_or_nothing():
+    # at 640 digits X* passes the limit from about 2130 bits and Y* from
+    # about 1340 ones, and here J only with one of them; the vectors of
+    # 1100 and 1650 bits with 10% ones make one pass, the rest convert the
+    # totals first.  Each writer writes the oracle's bytes exactly when X*,
+    # Y* and J all fit, and else raises having written nothing
+    rng = random.Random(640)
+    outcomes = set()
+    for n in (1100, 1650, 2100, 2200):
+        for share in (0.1, 0.5, 0.9):
+            ones = set(rng.sample(range(n), round(n * share)))
+            bits = [int(i in ones) for i in range(n)]
+            _, Xstar, Ystar, J = oracle.xstar(bits)
+            fits = all(len(str(abs(x))) <= 640 for x in (Xstar, Ystar, J))
+            expected = oracle.xstar_outputs(bits) if fits else ("", "")
+            previous = sys.get_int_max_str_digits()
+            try:
+                sys.set_int_max_str_digits(640)
+                for write, doc in zip((write_xstar_table, write_xstar_json), expected):
+                    out = io.StringIO()
+                    try:
+                        write(ParityVector(tuple(bits)), out)
+                    except ValueError as exc:
+                        assert "int_max_str_digits" in str(exc) and not fits
+                    assert out.getvalue() == doc
+            finally:
+                sys.set_int_max_str_digits(previous)
+            outcomes.add(fits)
+    assert outcomes == {True, False}
 
 
 def test_trajectory_csv_header_and_shape():

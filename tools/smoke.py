@@ -225,14 +225,13 @@ def check_classify_oracle() -> str:
 
 
 def check_xstar_oracle() -> str:
-    # the CLI makes two passes over the one-positions, each taking theta_k
-    # from the one before: the first sums X* and Y* and converts them and J,
-    # the second writes each row as it is made, z_k printed from the one
-    # before through a Decimal.  The oracle solves each theta from scratch
-    # and prints every integer through str().  The first vector has 300
-    # bits, 151 of them ones; the second has its first one at bit 46 and a
-    # run of 1100 zeros; the third has 4096 bits, half of them ones, more
-    # than the benchmark's largest vector
+    # the CLI writes each row in one pass over the one-positions, taking
+    # theta_k from the one before and summing X* and Y* as it goes, z_k
+    # printed from the one before through a Decimal.  The oracle solves
+    # each theta from scratch and prints every integer through str().  The
+    # first vector has 300 bits, 151 of them ones; the second has its first
+    # one at bit 46 and a run of 1100 zeros; the third has 4096 bits, half
+    # of them ones, more than the benchmark's largest vector
     rng = random.Random(4096)
     ones = set(rng.sample(range(4096), 2048))
     for bits in (format(3**189, "b"), "0" * 45 + format(3**40, "b") + "0" * 1100 + "1011",
@@ -243,6 +242,24 @@ def check_xstar_oracle() -> str:
             if proc.returncode != 0 or proc.stdout != doc:
                 return (f"{len(bits)} bits {' '.join(flags)}: exit {proc.returncode}; the X* "
                         "table differs from the oracle's")
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return ""
+    # at 640 digits the bound 2^(n + 2m + bits(m)) on every number printed
+    # no longer rules the limit out: 1200 bits with 600 ones convert X*, Y*
+    # and J first and then fit, while Y* of 2000 ones passes the limit and
+    # nothing is written
+    ones = set(random.Random(1200).sample(range(1200), 600))
+    bits = "".join("1" if i in ones else "0" for i in range(1200))
+    expected = oracle.xstar_outputs([int(ch) for ch in bits])
+    for flags, doc in zip(((), ("--json",)), expected):
+        proc = cli("--max-digits", "640", "xstar", bits, *flags)
+        if proc.returncode != 0 or proc.stdout != doc:
+            return (f"--max-digits 640, 1200 bits {' '.join(flags)}: exit {proc.returncode}; "
+                    "the X* table differs from the oracle's")
+        proc = cli("--max-digits", "640", "xstar", "1" * 2000, *flags)
+        if proc.returncode != 1 or proc.stdout != "" or "--max-digits" not in proc.stderr:
+            return (f"--max-digits 640, 2000 ones {' '.join(flags)}: exit {proc.returncode}, "
+                    f"{len(proc.stdout)} characters written")
     return ""
 
 
