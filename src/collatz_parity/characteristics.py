@@ -39,10 +39,11 @@ class CharacteristicSet(Record):
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
     Only n, m, P and N0 are stored; every other number is computed on read.
-    a and b come from one solve, kept in the `_ab` slot on first read; they
-    and the numbers that need them are None when m = 0 (the equation needs
-    m >= 1).  X* needs the one-positions, so `xstar_decompose` reads it from
-    the vector.
+    a and b are kept in the `_ab` slot: `char_set` and `iter_trajectory`
+    fill it as they make the set, and any other set solves once on first
+    read.  They and the numbers that need them are None when m = 0 (the
+    equation needs m >= 1).  X* needs the one-positions, so
+    `xstar_decompose` reads it from the vector.
     """
 
     __slots__ = ("n", "m", "P", "N0", "_ab")

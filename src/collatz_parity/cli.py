@@ -2,19 +2,23 @@
 
 Exit status: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 
-A call that starts with a command builds one parser, that command's, with
-its flags only.  argparse sets up a help formatter and looks up messages
+A call that starts with a command parses with that command's parser alone,
+which has its flags only.  Each command's parser is built on its first use
+and kept for the life of the process (`_command_parser`): a command-line
+run builds one parser, and an in-process caller such as the benchmark
+builds each once.  argparse sets up a help formatter and looks up messages
 once per argument, so a parser with every command's flags takes about
 0.7 ms to build, against 0.1 ms for the top-level parser alone (Python
-3.11.7, best of 500); a parser here looks the terminal width up once, not
-per formatter.  A bench `classify` call parses in 0.21 ms by its command's
-parser alone (0.23 ms with a lookup per formatter), and in 0.33 ms through
-the top-level parser (Python 3.11.7, best of 6 timeit runs, shared 2-core
-machine).  The top-level parser names every command and builds the flags
-of only the one it dispatches to.  It parses every other call (`-h`, no or
-an unknown command, `--max-digits` first) and reports its own errors:
-arguments the command leaves over, and a `--window` past `--horizon`.  No
-parser is kept between calls; a command-line run builds one anyway.
+3.11.7, best of 500).  Keeping the parsers cut the benchmark's
+`classify-cycle` `call_s` from 0.413 to 0.240 ms (medians of 10
+alternating pairs of 10 s runs, seeds 1 and 2, faster in 10 of 10; Python
+3.11.7, shared 2-core machine).  The top-level parser is built anew for
+each call that needs it: every other call (`-h`, no or an unknown command,
+`--max-digits` first) and its own errors, which are arguments the command
+leaves over and a `--window` past `--horizon`.  It names every command and
+takes the parser of the one it dispatches to from the same cache.
+argparse looks the terminal width up each time it formats help or usage,
+so a kept parser wraps to the width at the time of the call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import shutil
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
 
@@ -48,12 +51,6 @@ _C_INT_MAX = 2**31 - 1
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs):
-        # one terminal-width lookup per parser, where argparse makes one per argument
-        width = shutil.get_terminal_size().columns - 2
-        kwargs.setdefault("formatter_class", functools.partial(argparse.HelpFormatter, width=width))
-        super().__init__(**kwargs)
-
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -269,33 +266,40 @@ _COMMANDS = {
 }
 
 
-class _Command:
-    """A command's parser, built with its flags when argparse dispatches to it.
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of command `name` with its flags, built on its first use in the process."""
+    parser = _Parser(prog=f"collatz-parity {name}")
+    _COMMANDS[name][1](parser)
+    return parser
 
-    argparse's `add_parser` hands its keyword arguments (prog and the flag
-    builder) to the parser class, and argparse calls nothing on a command's
-    parser but `parse_known_args`.
+
+class _Command:
+    """Stands in for a command's parser, which it takes from `_command_parser` when dispatched to.
+
+    argparse's `add_parser` hands its keyword arguments (prog and the
+    command's name) to the parser class, and argparse calls nothing on a
+    command's parser but `parse_known_args`.  The kept parser's prog is the
+    one argparse passes, "collatz-parity <command>".
     """
 
-    def __init__(self, add_flags, **kwargs):
-        self.add_flags, self.kwargs = add_flags, kwargs
+    def __init__(self, command, **kwargs):
+        self.command = command
 
     def parse_known_args(self, args=None, namespace=None):
-        parser = _Parser(**self.kwargs)
-        self.add_flags(parser)
-        return parser.parse_known_args(args, namespace)
+        return _command_parser(self.command).parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser; a command's flags are added when a call reaches the command."""
+    """A new top-level parser; a call that reaches a command takes that command's kept parser."""
     parser = _Parser(prog="collatz-parity",
                      description="Characteristic numbers of Collatz parity vectors")
     parser.add_argument("--max-digits", type=_max_digits, metavar="N",
                         help="most decimal digits an integer may have in input or output, "
                              "0 for no limit (default: the interpreter's limit, 4300)")
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
-    for name, (help_text, add_flags, _) in _COMMANDS.items():
-        subs.add_parser(name, help=help_text, add_flags=add_flags)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        subs.add_parser(name, help=help_text, command=name)
     return parser
 
 
@@ -313,9 +317,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     if name not in _COMMANDS or any(arg.startswith("--=") for arg in argv):
         args = build_parser().parse_args(argv)
     else:
-        parser = _Parser(prog=f"collatz-parity {name}")
-        _COMMANDS[name][1](parser)
-        args, extras = parser.parse_known_args(argv[1:])
+        args, extras = _command_parser(name).parse_known_args(argv[1:])
         if extras:
             build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command, args.max_digits = name, None

@@ -8,10 +8,10 @@ for a finite vector; a row stores only n, m_j, P_j and N0_j.
 One engine, `_rows`, works out every row's state: it reads the bits a block
 at a time and takes N0, K* and a of each row from per-block counts of the
 X* terms, as its docstring states.  `iter_trajectory` wraps its rows in
-CharacteristicSets and the CSV writer in `report` renders them.  a_j and
-b_j of a CharacteristicSet cost one Newton-Hensel inverse of 3^{m_j} mod
-2^j on first read; X*_j needs the one-positions, so it comes from
-`xstar_decompose(gen.prefix(j))`.
+CharacteristicSets and the CSV writer in `report` renders them.  Each
+set gets the row's a_j, and b_j = (3^{m_j} a_j + 1)/2^j, in its (a, b)
+cache, so reading them solves nothing; X*_j needs the one-positions, so it
+comes from `xstar_decompose(gen.prefix(j))`.
 
 `classify` reads no rows: it needs only N0_H, which one `char_set` of the
 H-bit prefix gives as P_H a_H mod 2^H.  That prefix is the engine's last
@@ -137,8 +137,11 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    for n, m, P, _, _, N0, _, _ in _rows(gen, horizon):
-        yield CharacteristicSet(n, m, P, N0)
+    for n, m, P, _, pow3, N0, _, a in _rows(gen, horizon):
+        cs = CharacteristicSet(n, m, P, N0)
+        # the row's a fills the set's (a, b) cache, as char_set's solve does
+        object.__setattr__(cs, "_ab", (a, (pow3 * a + 1) >> n) if m else (None, None))
+        yield cs
 
 
 def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:

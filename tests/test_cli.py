@@ -21,6 +21,18 @@ from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
 from collatz_parity import char_set, ParityVector
 
 
+@pytest.fixture(autouse=True)
+def fresh_command_parsers():
+    """Each test starts and ends with no command parser cached.
+
+    The tests that count parsers and flag builds, or patch cli._Parser,
+    would otherwise reuse a parser an earlier test cached and compare nothing.
+    """
+    cli._command_parser.cache_clear()
+    yield
+    cli._command_parser.cache_clear()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -548,9 +560,9 @@ def test_cli_contract(argv):
 # command; the top-level parser with argparse's default parser class, given
 # the same keyword arguments, builds every command's flags up front and
 # must give the same bytes, exit code and --out file
-def _eager_command(add_flags, **kwargs):
+def _eager_command(command, **kwargs):
     parser = cli._Parser(**kwargs)
-    add_flags(parser)
+    cli._COMMANDS[command][1](parser)
     return parser
 
 
@@ -630,6 +642,7 @@ def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, 
                                                              columns):
     monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help to the terminal width
     _assert_scoped_equals_full(argv)
+    cli._command_parser.cache_clear()
     built = _count_flag_builds(monkeypatch)
     with tempfile.TemporaryDirectory() as tmp:
         _call(argv, tmp)
@@ -637,7 +650,9 @@ def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, 
 
 
 def test_a_call_builds_only_the_flags_of_its_command(monkeypatch, tmp_path):
-    # a command-first call builds the command's parser and no other
+    # a first call builds the parser of its command and no other; the same
+    # call again builds no command parser, and only the top-level parser
+    # again if it needed it the first time
     cases = [([*call.argv, "--out", "@/out"], call.argv[0], False)
              for call in _bench_calls(monkeypatch, 1)]
     cases += [(["classify", "-h"], "classify", False),
@@ -647,25 +662,43 @@ def test_a_call_builds_only_the_flags_of_its_command(monkeypatch, tmp_path):
     built = _count_flag_builds(monkeypatch)
     parsers = _count_parsers(monkeypatch)
     for argv, command, top_level in cases:
-        built.clear()
-        parsers.clear()
-        _call(argv, str(tmp_path))
-        assert built == ([] if command is None else [command]), argv
-        progs = ["collatz-parity"] * top_level
-        progs += [] if command is None else [f"collatz-parity {command}"]
-        assert parsers == progs, argv
+        cli._command_parser.cache_clear()
+        for first in (True, False):
+            built.clear()
+            parsers.clear()
+            _call(argv, str(tmp_path))
+            assert built == ([command] if first and command else []), argv
+            progs = ["collatz-parity"] * top_level
+            progs += [f"collatz-parity {command}"] if first and command else []
+            assert parsers == progs, argv
+
+
+@pytest.mark.parametrize("argvs", [
+    [["classify", "int:27", "--horizon", "40", "--window", "8", "--json", "--exact-rationals",
+      "--precision", "3"], ["classify", "int:27", "--horizon", "40", "--window", "8"]],
+    [["--max-digits", "5000", "classify", "int:27", "--json"], ["classify", "int:27"]],
+    [["trajectory", "int:7", "--horizon", "5", "--exact-rationals", "--out", "@/out"],
+     ["trajectory", "int:7", "--horizon", "5"]],
+])
+def test_parsed_values_do_not_carry_over_between_calls(tmp_path, argvs):
+    # a cached parser keeps no value from the call before: each call gives
+    # what it gives with no parser cached
+    fresh = []
+    for argv in argvs:
+        cli._command_parser.cache_clear()
+        fresh.append(_call(argv, str(tmp_path)))
+    cli._command_parser.cache_clear()
+    assert [_call(argv, str(tmp_path)) for argv in argvs] == fresh
+    assert fresh[0] != fresh[1]
 
 
 class _PlainParser(argparse.ArgumentParser):
-    """argparse's own parser, which looks the terminal width up per help formatter."""
+    """argparse's own parser, with the CLI's exit code for a usage error."""
 
-    error = cli._Parser.error  # the CLI's exit code for a usage error
+    error = cli._Parser.error
 
 
-# cli._Parser looks the terminal width up once, when it is built; every
-# parser built as argparse builds it must print the same help and errors
-@pytest.mark.parametrize("columns", ["40", "200"])
-@pytest.mark.parametrize("argv", [
+HELP_AND_USAGE_ERRORS = [
     ["-h"],
     *[[name, "-h"] for name in sorted(cli._COMMANDS)],
     ["--max-digits", "5000", "xstar", "-h"],
@@ -673,11 +706,17 @@ class _PlainParser(argparse.ArgumentParser):
     ["classify"],
     ["trajectory", "int:27", "--horizon", "0"],
     ["classify", "int:27", "--horizon", "3", "--window", "5"],
-])
+]
+
+
+# every parser built as argparse builds it must print the same help and errors
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS)
 def test_help_and_usage_errors_wrap_as_argparse_wraps_them(monkeypatch, argv, columns):
     monkeypatch.setenv("COLUMNS", columns)
     with tempfile.TemporaryDirectory() as tmp:
         got = _call(argv, tmp)
+        cli._command_parser.cache_clear()
         with mock.patch.object(cli, "_Parser", _PlainParser):
             expected = _call(argv, tmp)
     assert got == expected
@@ -687,6 +726,27 @@ def test_help_and_usage_errors_wrap_as_argparse_wraps_them(monkeypatch, argv, co
         plain = argparse.ArgumentParser(prog=f"collatz-parity {argv[0]}")
         cli._COMMANDS[argv[0]][1](plain)
         assert got[1] == plain.format_help()
+
+
+@pytest.mark.parametrize("argv", HELP_AND_USAGE_ERRORS)
+def test_a_parser_cached_at_80_columns_wraps_to_the_width_of_each_call(monkeypatch, argv):
+    # argparse looks the terminal width up each time it formats help or usage
+    widths = ("200", "40", "80")
+    expected = {}
+    for columns in widths:
+        monkeypatch.setenv("COLUMNS", columns)
+        with mock.patch.object(cli, "_Parser", _PlainParser), \
+                tempfile.TemporaryDirectory() as tmp:
+            expected[columns] = _call(argv, tmp)
+        cli._command_parser.cache_clear()
+    if argv[-1] == "-h":
+        assert expected["200"] != expected["40"]
+    with tempfile.TemporaryDirectory() as tmp:
+        monkeypatch.setenv("COLUMNS", "80")
+        _call(argv, tmp)
+        for columns in widths:
+            monkeypatch.setenv("COLUMNS", columns)
+            assert _call(argv, tmp) == expected[columns], columns
 
 
 # usage errors the top-level parser reports with its own usage line, though

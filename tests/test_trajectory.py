@@ -10,6 +10,7 @@ import oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from collatz_parity import characteristics
 from collatz_parity import (
     BitStreamExhausted,
     BitStreamGenerator,
@@ -110,6 +111,22 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
         if row.m:
             dec = xstar_decompose(v)
             assert apply_vector(v, dec.Xstar) == dec.Ystar
+
+
+@pytest.mark.parametrize("spec, horizon", [("int:27", 1000), ("head:0010;cycle:10110", 300)])
+def test_rows_carry_a_and_b_without_a_solve(monkeypatch, spec, horizon):
+    # the engine's a fills each row's (a, b) cache; the head's leading
+    # zeros give rows with m = 0, where a, b and K are None
+    solves = []
+    solve_ab = characteristics._solve_ab
+    monkeypatch.setattr(characteristics, "_solve_ab",
+                        lambda m, n: solves.append((m, n)) or solve_ab(m, n))
+    got = [(row.a, row.b, row.K) for row in iter_trajectory(parse_generator(spec), horizon)]
+    assert solves == []
+    monkeypatch.setattr(characteristics, "_solve_ab", solve_ab)
+    gen = parse_generator(spec)
+    prefixes = map(gen.prefix, range(1, horizon + 1))
+    assert got == [(cs.a, cs.b, cs.K) for cs in map(char_set, prefixes)]
 
 
 # Up to 200 bits: rows around 64 and 128, inside the CSV writer's first
@@ -368,8 +385,8 @@ def test_classify_reads_exactly_horizon_bits(spec, horizon, window):
 
 
 def test_kept_rows_hold_linear_memory():
-    # a row holds n, m, P and N0, O(j) bits in all: about 1.2 MB for these
-    # 4000 rows; O(j) one-positions per row would take O(H^2), about 16.5 MB
+    # a row holds n, m, P, N0, a and b, O(j) bits in all: about 3.4 MB for
+    # these 4000 rows; O(j) one-positions per row would take O(H^2), about 16.5 MB
     tracemalloc.start()
     try:
         rows = list(iter_trajectory(parse_generator("cycle:10"), 4000))

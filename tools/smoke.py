@@ -11,10 +11,11 @@ of `iter_trajectory`, the `classify` text and --json document and the
 `xstar` table and --json document, byte for byte, with tools/oracle.py,
 which computes each number from its definition and imports nothing of the
 package.  It also checks the exit codes, the digit limit, that the CLI's
-lazily built parsers parse and print what parsers built in full up front
-do, and that importing the CLI loads no module it has no use for at
-start-up.  It prints one PASS or FAIL line per check, and exits 0 when
-every check passes and 1 otherwise.
+lazily built parsers, each kept for the life of the process, parse and
+print what new parsers built in full up front do, each argv called twice
+at widths of 40, 200 and again 40 columns, and that importing the CLI loads
+no module it has no use for at start-up.  It prints one PASS or FAIL line
+per check, and exits 0 when every check passes and 1 otherwise.
 """
 
 import io
@@ -278,13 +279,14 @@ def check_lazy_parser() -> str:
     # the CLI's parser relies on argparse handing add_parser's keyword
     # arguments to the parser class and calling only parse_known_args on a
     # command's parser, main parses a command-first argv with the command's
-    # parser alone, and argparse's formatting differs across interpreters
+    # parser alone, each command's parser is built once and kept, and
+    # argparse's formatting differs across interpreters
     sys.path.insert(0, str(SRC))
     from collatz_parity import cli
 
-    def eager_command(add_flags, **kwargs):  # argparse's own parser class, flags added at once
+    def eager_command(command, **kwargs):  # a new parser per call, flags added at once
         parser = cli._Parser(**kwargs)
-        add_flags(parser)
+        cli._COMMANDS[command][1](parser)
         return parser
 
     def full_parse(argv):  # the top-level parser for every argv and every usage error
@@ -306,37 +308,41 @@ def check_lazy_parser() -> str:
     for name in cli._COMMANDS:
         first += [[name, "-h"], [name], [name, "--bogus"], [name, "0", "--bogus"], [name, "0", "0"]]
     argvs += first
-    for width in ("80", "200"):
-        # argparse wraps to the terminal width
+    for width in ("40", "200", "40"):
+        # argparse wraps to the terminal width, which a kept parser must not fix
         with mock.patch.dict(os.environ, {"COLUMNS": width}):
-            lazy = [output(full_parse, argv) for argv in argvs]
-            lazy += [output(cli.main, argv) for argv in first]
             with mock.patch.object(cli, "_Command", eager_command), \
                     mock.patch.object(cli, "_parse_args", full_parse):
                 eager = [output(full_parse, argv) for argv in argvs]
                 eager += [output(cli.main, argv) for argv in first]
-        for argv, got, expected in zip(argvs + first, lazy, eager):
-            if got != expected:
-                return f"{' '.join(argv)}, width {width}: the output differs"
+            for attempt in ("first", "second"):  # the second call reuses the kept parsers
+                lazy = [output(full_parse, argv) for argv in argvs]
+                lazy += [output(cli.main, argv) for argv in first]
+                for argv, got, expected in zip(argvs + first, lazy, eager):
+                    if got != expected:
+                        return (f"{' '.join(argv)}, width {width}, {attempt} call: "
+                                "the output differs")
     return ""
 
 
 def check_plain_help() -> str:
-    # the CLI's parser looks the terminal width up once, when it is built,
-    # and argparse's own parser once per help formatter; the help of every
-    # command, and of the CLI, must wrap alike on every interpreter
+    # a command's parser is kept from call to call at whatever width it was
+    # built; the help of every command, called twice at each width, and of
+    # the CLI must wrap as argparse's own new parser wraps it, on every
+    # interpreter
     sys.path.insert(0, str(SRC))
     import argparse
 
     from collatz_parity import cli
 
-    for width in ("40", "200"):
+    for width in ("40", "200", "40"):
         with mock.patch.dict(os.environ, {"COLUMNS": width}):
             for name, (_, add_flags, _) in cli._COMMANDS.items():
                 plain = argparse.ArgumentParser(prog=f"collatz-parity {name}")
                 add_flags(plain)
-                if output(cli.main, [name, "-h"]) != (0, plain.format_help(), ""):
-                    return f"{name} -h, width {width}: the help differs"
+                for attempt in ("first", "second"):
+                    if output(cli.main, [name, "-h"]) != (0, plain.format_help(), ""):
+                        return f"{name} -h, width {width}, {attempt} call: the help differs"
             got = output(cli.main, ["-h"])
             with mock.patch.object(cli, "_Parser", argparse.ArgumentParser):
                 if got != output(cli.main, ["-h"]):
@@ -367,8 +373,8 @@ CHECKS = {
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
-    "the lazy parser = one built up front": check_lazy_parser,
-    "help = argparse's own, at 40 and 200 columns": check_plain_help,
+    "the lazy, kept parsers = new ones built up front": check_lazy_parser,
+    "help = argparse's own, at 40, 200 and again 40 columns": check_plain_help,
     "the CLI's import loads no dataclasses, inspect, importlib.resources or typing":
         check_lean_import,
 }
