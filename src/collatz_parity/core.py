@@ -291,6 +291,7 @@ def parse_generator(spec: str) -> PrefixGenerator:
         path = spec[5:]
         if not os.path.exists(path):
             raise ValueError(f"bit file not found: {path}")
+        # read whole before the CLI's first write, which may rewrite this file in place (--out)
         with open(path, "r", encoding="ascii") as fh:
             text = "".join(fh.read().split())
         if not text:

@@ -379,6 +379,7 @@ def default_fixture_path() -> str:
 
 def load_fixtures(path=None) -> list[FixtureCase]:
     """Load a JSONL fixture corpus; malformed lines are reported with their number."""
+    # read whole before the CLI's first write, which may rewrite this file in place (--out)
     with open(default_fixture_path() if path is None else path, encoding="utf-8") as fh:
         text = fh.read()
     cases = []

@@ -4,6 +4,8 @@ import argparse
 import importlib
 import io
 import json
+import os
+import stat
 import sys
 import tempfile
 import time
@@ -17,7 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from collatz_parity import characteristics, cli
 from collatz_parity.cli import main
-from collatz_parity.report import TRAJECTORY_CSV_HEADER, charset_to_json_dict
+from collatz_parity.report import (
+    TRAJECTORY_CSV_HEADER, charset_to_json_dict, default_fixture_path)
 from collatz_parity import char_set, ParityVector
 
 
@@ -117,6 +120,77 @@ def test_trajectory_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     lines = path.read_text().splitlines()
     assert lines[0] == TRAJECTORY_CSV_HEADER and len(lines) == 6
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "1011010111"],
+    ["solve", "1011010111", "--count", "5"],
+    ["xstar", "1" * 64, "--json"],
+    ["trajectory", "int:27", "--horizon", "40"],
+    ["classify", "int:27", "--horizon", "80", "--window", "10", "--json"],
+    ["verify"],
+], ids=lambda argv: argv[0])
+def test_an_existing_out_file_holds_exactly_what_the_call_writes(capsys, tmp_path, argv):
+    # --out is rewritten in place and cut to the written length at the end
+    path = tmp_path / "old.out"
+    path.write_bytes(b"x" * (1 << 20))
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0 and len(expected) < 1 << 20
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == expected
+
+
+_FAILING_CASE = ('{"id": "bad", "kind": "n0", "input": {"v": "101110", "count": 1}, '
+                 '"expected": {"realizers": ["8"]}, "source": "made up"}\n')
+
+
+@pytest.mark.parametrize("text, argv, longer", [
+    # the CSV is longer than the bit file, the --json report than its one failing case
+    ("1011\n0110\n", ["trajectory", "file:@", "--horizon", "8"], True),
+    (_FAILING_CASE, ["verify", "--fixtures", "@", "--json"], True),
+    # the text report of the paper's corpus is shorter than the corpus
+    (None, ["verify", "--fixtures", "@"], False),
+], ids=["trajectory-file", "verify-json", "verify-shorter"])
+def test_out_may_name_the_input_file(capsys, tmp_path, text, argv, longer):
+    # every command reads its input whole before its first write; writing
+    # --out in place relies on it
+    path = tmp_path / "input"
+    if text is None:
+        text = Path(default_fixture_path()).read_text(encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
+    argv = [arg.replace("@", str(path)) for arg in argv]
+    code, expected, _ = run(capsys, *argv)
+    assert (len(expected) > len(text)) == longer
+    assert run(capsys, *argv, "--out", str(path)) == (code, "", "")
+    assert path.read_text(encoding="utf-8") == expected
+
+
+def test_out_to_a_device_is_not_cut(capsys):
+    # /dev/null is no regular file, so the call writes without a truncate
+    if not Path("/dev/null").exists():
+        pytest.skip("no /dev/null here")
+    assert run(capsys, "trajectory", "int:27", "--horizon", "40", "--out", "/dev/null") == (
+        0, "", "")
+
+
+@pytest.mark.parametrize("umask", [None, 0o002, 0o077], ids=["current", "002", "077"])
+def test_a_new_out_file_gets_the_mode_of_open_w(capsys, tmp_path, umask):
+    previous = None if umask is None else os.umask(umask)
+    try:
+        with open(tmp_path / "plain", "w"):
+            pass
+        assert run(capsys, "analyze", "11", "--out", str(tmp_path / "out"))[0] == 0
+    finally:
+        if previous is not None:
+            os.umask(previous)
+    assert stat.S_IMODE((tmp_path / "out").stat().st_mode) == stat.S_IMODE(
+        (tmp_path / "plain").stat().st_mode)
+
+
+def test_out_naming_a_directory_is_a_one_line_error(capsys, tmp_path):
+    code, out, err = run(capsys, "analyze", "11", "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_classify_growing(capsys):
@@ -337,13 +411,19 @@ def test_a_call_past_the_digit_limit_writes_nothing(capsys, tmp_path, argv, to_f
     assert path.read_text() == "keep\n"
 
 
-@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-def test_trajectory_stops_at_the_first_row_past_the_digit_limit(capsys, tmp_path, to_file):
+@pytest.mark.parametrize("to_file, prefill", [(False, 0), (True, 0), (True, 5 << 20)],
+                         ids=["stdout", "out", "out-prefilled"])
+def test_trajectory_stops_at_the_first_row_past_the_digit_limit(capsys, tmp_path, to_file,
+                                                                prefill):
     # q of row 2087 has an integer part of 629 digits, and 641 at the default
-    # precision of 12; the integer cells first pass 640 digits at row 2127
+    # precision of 12; the integer cells first pass 640 digits at row 2127.
+    # A prefilled --out file, longer than the 4.1 MB of rows written, is cut
+    # after row 2086 all the same
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int/str digit limit")
     path = tmp_path / "rows.csv"
+    if prefill:
+        path.write_bytes(b"x" * prefill)
     out_flag = ["--out", str(path)] if to_file else []
     code, out, err = run(capsys, "--max-digits", "640", "trajectory", "int:27",
                          "--horizon", "2200", *out_flag)

@@ -10,7 +10,8 @@ path, and compares the `trajectory` CSV in every rendering mode, the rows
 of `iter_trajectory`, the `classify` text and --json document and the
 `xstar` table and --json document, byte for byte, with tools/oracle.py,
 which computes each number from its definition and imports nothing of the
-package.  It also checks the exit codes, the digit limit, that the CLI's
+package.  It also checks the exit codes, the digit limit, that an existing
+--out file holds exactly what each call wrote, that the CLI's
 lazily built parsers, each kept for the life of the process, parse and
 print what new parsers built in full up front do, each argv called twice
 at widths of 40, 200 and again 40 columns, and that importing the CLI loads
@@ -144,6 +145,47 @@ def check_digit_limit() -> str:
             return (f"--max-digits 640 trajectory int:27: last row {last}, exit "
                     f"{first.returncode} and {second.returncode} at --horizon 2200 and "
                     f"100000000, stderr {second.stderr[:200]!r}")
+    return ""
+
+
+def check_out_in_place() -> str:
+    # an existing --out file is rewritten in place and cut to the written
+    # length when the call ends (open without O_TRUNC, truncate() at the
+    # written position if fstat says the file is regular): each command
+    # writes a long output and then a short one into the same path, which
+    # must then hold the short call's stdout, and the digit-limit stop of
+    # the CSV over a prefilled file must end after row 2086 all the same
+    with tempfile.TemporaryDirectory() as tmp:
+        out, corpus = os.path.join(tmp, "out"), os.path.join(tmp, "one.jsonl")
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write('{"id": "one", "kind": "n0", "input": {"v": "1", "count": 1}, '
+                     '"expected": {"realizers": ["1"]}, "source": "x"}\n')
+        for long, short in ((("analyze", "1" * 2000), ("analyze", "11")),
+                            (("solve", "1011010111", "--count", "400"), ("solve", "11")),
+                            (("xstar", "10" * 600, "--json"), ("xstar", "11", "--json")),
+                            (("trajectory", "int:27", "--horizon", "300"),
+                             ("trajectory", "int:27", "--horizon", "5")),
+                            (("classify", "int:27", "--horizon", "200", "--window", "20",
+                              "--json", "--precision", "300"),
+                             ("classify", "int:27", "--horizon", "20", "--window", "5", "--json")),
+                            (("verify", "--json"), ("verify", "--fixtures", corpus))):
+            for argv in (long, short):
+                proc = cli(*argv, "--out", out)
+                if (proc.returncode, proc.stdout, proc.stderr) != (0, "", ""):
+                    return f"{argv[0]} --out: exit {proc.returncode}, stderr {proc.stderr!r}"
+            with open(out, encoding="utf-8") as fh:
+                if fh.read() != cli(*short).stdout:
+                    return f"{short[0]}: the --out file is not the short call's output"
+        if hasattr(sys, "set_int_max_str_digits"):
+            argv = ("--max-digits", "640", "trajectory", "int:27", "--horizon", "2200")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write("x" * (5 << 20))  # longer than the 4.1 MB of rows written
+            proc = cli(*argv, "--out", out)
+            with open(out, encoding="utf-8") as fh:
+                got = fh.read()
+            if proc.returncode != 1 or got != cli(*argv).stdout:
+                return (f"{' '.join(argv)} over a prefilled --out: exit {proc.returncode}, "
+                        f"last row {(got.splitlines() or [''])[-1][:20]!r}")
     return ""
 
 
@@ -370,6 +412,7 @@ CHECKS = {
     "exit 1, one error line": check_domain_errors,
     "exit 64, nothing written": check_usage_errors,
     "digit limit and --max-digits": check_digit_limit,
+    "--out rewritten in place and cut at the end of the call": check_out_in_place,
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
