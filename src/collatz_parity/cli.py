@@ -3,32 +3,15 @@
 Exit status: 0 success, 1 domain error, 2 verification failure, 64 usage error.
 
 A call that starts with a command parses with that command's parser alone,
-which has its flags only.  Each command's parser is built on its first use
-and kept for the life of the process (`_command_parser`): a command-line
-run builds one parser, and an in-process caller such as the benchmark
-builds each once.  argparse sets up a help formatter and looks up messages
-once per argument, so a parser with every command's flags takes about
-0.7 ms to build, against 0.1 ms for the top-level parser alone (Python
-3.11.7, best of 500).  Keeping the parsers cut the benchmark's
-`classify-cycle` `call_s` from 0.413 to 0.240 ms (medians of 10
-alternating pairs of 10 s runs, seeds 1 and 2, faster in 10 of 10; Python
-3.11.7, shared 2-core machine).  The top-level parser is built anew for
-each call that needs it: every other call (`-h`, no or an unknown command,
-`--max-digits` first) and its own errors, which are arguments the command
-leaves over and a `--window` past `--horizon`.  It names every command and
-takes the parser of the one it dispatches to from the same cache.
-argparse looks the terminal width up each time it formats help or usage,
-so a kept parser wraps to the width at the time of the call.
-
-An existing `--out` file is rewritten in place (`_OutFile`): opened without
-O_TRUNC and cut to the written length when the call ends.  A 400-byte
-rewrite took about 80 µs through the truncating open of mode "w" and 12 µs
-in place (ext4, best of 5x500).  Writing in place cut the benchmark's
-`call_s` from 0.265 to 0.204 ms on `classify-cycle`, from 2.429 to 2.070
-ms on `finite-vectors` and from 1.484 to 1.346 ms on `trajectory-int`
-(medians of 10 alternating pairs of 10 s runs, seeds 11-20, faster in 10
-of 10 on each; Python 3.11.7, shared 2-core machine), with `peak_rss_mb`
-level.
+which has its flags only (`_command_parser`).  Every other call (`-h`, no
+or an unknown command, `--max-digits` first) and the usage errors a
+command-first call leaves over (extra arguments, a `--window` past
+`--horizon`) take the top-level parser (`build_parser`), a plain argparse
+tree of every command.  argparse sets up each argument as it is added, so
+the command-first path builds one command's flags where the tree builds
+every command's.  Each parser is built on its first use and kept for the
+life of the process; argparse looks the terminal width up each time it
+formats help or usage, so a kept parser wraps to the width of each call.
 """
 
 from __future__ import annotations
@@ -140,9 +123,7 @@ class _OutFile(AbstractContextManager):
 
 
 def _open_out(args):
-    if getattr(args, "out", None):
-        return _OutFile(args.out)
-    return nullcontext(sys.stdout)
+    return _OutFile(args.out) if args.out else nullcontext(sys.stdout)
 
 
 def _analyze_flags(p):
@@ -304,44 +285,26 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-class _Command:
-    """Stands in for a command's parser, which it takes from `_command_parser` when dispatched to.
-
-    argparse's `add_parser` hands its keyword arguments (prog and the
-    command's name) to the parser class, and argparse calls nothing on a
-    command's parser but `parse_known_args`.  The kept parser's prog is the
-    one argparse passes, "collatz-parity <command>".
-    """
-
-    def __init__(self, command, **kwargs):
-        self.command = command
-
-    def parse_known_args(self, args=None, namespace=None):
-        return _command_parser(self.command).parse_known_args(args, namespace)
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A new top-level parser; a call that reaches a command takes that command's kept parser."""
+    """The top-level parser with every command's flags, built on its first use in the process."""
     parser = _Parser(prog="collatz-parity",
                      description="Characteristic numbers of Collatz parity vectors")
     parser.add_argument("--max-digits", type=_max_digits, metavar="N",
                         help="most decimal digits an integer may have in input or output, "
                              "0 for no limit (default: the interpreter's limit, 4300)")
-    subs = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        subs.add_parser(name, help=help_text, command=name)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        add_flags(subs.add_parser(name, help=help_text))
     return parser
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """The call's arguments; an argv that starts with a command takes its parser alone.
+    """The call's arguments; an argv that starts with a command takes that command's parser alone.
 
-    The top-level parser hands argv[1:] to that same parser, so it is built
-    only for its own errors: leftover arguments, a `--window` past
-    `--horizon`, and an argument it reads as an ambiguous option of its own
-    before it dispatches.  Only one that starts with `--=` can be that (it
-    could be --help or --max-digits), and such an argv, like any other, goes
-    through the top-level parser.
+    The top-level parser could read an argument that starts with `--=` as an
+    ambiguous abbreviation of --help or --max-digits before it dispatches,
+    so an argv with one goes through the top-level parser whole.
     """
     name = argv[0] if argv else None
     if name not in _COMMANDS or any(arg.startswith("--=") for arg in argv):

@@ -16,6 +16,7 @@ instances cheap to construct.
 from __future__ import annotations
 
 import os
+import sys
 from collections.abc import Iterator
 from itertools import compress, islice
 
@@ -190,8 +191,8 @@ class PrefixGenerator(Record):
 
     def prefix(self, j: int) -> ParityVector:
         """The first j bits as a parity vector."""
-        if j < 1:
-            raise ValueError(f"prefix length must be >= 1, got {j}")
+        if not 1 <= j <= sys.maxsize:  # islice takes no stop past sys.maxsize
+            raise ValueError(f"prefix length must be 1 to sys.maxsize ({sys.maxsize}), got {j}")
         bits = tuple(islice(self.bits(), j))
         if len(bits) < j:
             raise BitStreamExhausted(

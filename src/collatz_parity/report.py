@@ -56,6 +56,8 @@ DEFAULT_PRECISION = 12
 # No nonzero int/str digit limit is lower than this, and below it 10^digits
 # is cheap to build: str() of the rounded value then makes the same check.
 _LOWEST_DIGIT_LIMIT = getattr(sys.int_info, "str_digits_check_threshold", 640)
+# the interpreter's int/str digit limit, 0 for none (interpreters before 3.10.7 have none)
+_digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _digit_limit_error(limit: int, digits: int) -> ValueError:
@@ -71,7 +73,7 @@ def _check_digit_limit(p: int, q: int, digits: int) -> None:
     least 10^(digits + e*log10(2)); this bound needs no 10^digits, which at
     a precision of millions takes seconds to build.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     if not limit:
         return
     e = abs(p).bit_length() - q.bit_length() - 1
@@ -139,7 +141,7 @@ def _write_xstar_rows(v: ParityVector, out: IO[str], first: str, rest: str, last
     vector with no one, as `first` goes out with the first row.
     """
     n, m = v.n, v.ones
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     # below 2^(limit * 3.32192) a number has at most `limit` digits, as 3.32192 < log2(10)
     if limit and (n + 2 * m + m.bit_length()) * 100000 > limit * 332192:
         list(map(str, _xstar_totals(v)))   # raises before anything is written
@@ -221,7 +223,7 @@ def write_trajectory_csv(gen: PrefixGenerator, horizon: int, out: IO[str],
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     if exact:
         fixed = "%s%s"
     elif digits < 0:

@@ -24,16 +24,21 @@ from collatz_parity.report import (
 from collatz_parity import char_set, ParityVector
 
 
+def _forget_parsers():
+    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_command_parsers():
-    """Each test starts and ends with no command parser cached.
+    """Each test starts and ends with no command parser and no top-level parser cached.
 
     The tests that count parsers and flag builds, or patch cli._Parser,
     would otherwise reuse a parser an earlier test cached and compare nothing.
     """
-    cli._command_parser.cache_clear()
+    _forget_parsers()
     yield
-    cli._command_parser.cache_clear()
+    _forget_parsers()
 
 
 def run(capsys, *argv):
@@ -302,6 +307,15 @@ def test_domain_error_exit_1(capsys):
     code, _, err = run(capsys, "trajectory", "cycle:102", "--horizon", "5")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("horizon", [sys.maxsize + 1, 10**23])
+def test_a_horizon_past_sys_maxsize_is_a_one_line_error(capsys, horizon):
+    # classify reads its prefix through islice, which takes no longer stop
+    code, out, err = run(capsys, "classify", "int:27", "--horizon", str(horizon))
+    assert (code, out) == (1, "")
+    assert err == (f"error: prefix length must be 1 to sys.maxsize ({sys.maxsize}), "
+                   f"got {horizon}\n")
 
 
 def test_exhausted_bit_source_is_a_one_line_error(capsys):
@@ -636,16 +650,8 @@ def test_cli_contract(argv):
 
 
 # main parses an argv that starts with a command by the command's parser
-# alone, and builds a command's flags only when argparse dispatches to the
-# command; the top-level parser with argparse's default parser class, given
-# the same keyword arguments, builds every command's flags up front and
-# must give the same bytes, exit code and --out file
-def _eager_command(command, **kwargs):
-    parser = cli._Parser(**kwargs)
-    cli._COMMANDS[command][1](parser)
-    return parser
-
-
+# alone; the top-level parser, a plain argparse tree of every command, must
+# give the same bytes, exit code and --out file
 def _full_parse(argv):
     """Every argv through the top-level parser, which also reports a --window past --horizon."""
     parser = cli.build_parser()
@@ -659,8 +665,7 @@ def _assert_scoped_equals_full(argv):
     with tempfile.TemporaryDirectory() as tmp:
         _make_tmp(tmp)
         scoped = _call(argv, tmp)
-        with mock.patch.object(cli, "_Command", _eager_command), \
-                mock.patch.object(cli, "_parse_args", _full_parse):
+        with mock.patch.object(cli, "_parse_args", _full_parse):
             full = _call(argv, tmp)
     assert scoped == full
 
@@ -700,7 +705,7 @@ def test_scoped_parser_equals_full_parser(argv):
     _assert_scoped_equals_full(argv)
 
 
-# command: the one command whose flags the call may build, None for none
+# command: the command the argv names, None for none
 @pytest.mark.parametrize("columns", ["80", "200"])
 @pytest.mark.parametrize("argv, command", [
     (["-h"], None),
@@ -722,41 +727,54 @@ def test_scoped_parser_equals_full_parser_on_help_and_errors(monkeypatch, argv, 
                                                              columns):
     monkeypatch.setenv("COLUMNS", columns)  # argparse wraps help to the terminal width
     _assert_scoped_equals_full(argv)
-    cli._command_parser.cache_clear()
+    _forget_parsers()
+    # a call that starts with a command builds that command's flags; one
+    # that takes the top-level parser, for its argv or for its usage error,
+    # builds every command's; neither builds any flags again
+    command_first = argv[:1] == [command] and "--=x" not in argv
     built = _count_flag_builds(monkeypatch)
     with tempfile.TemporaryDirectory() as tmp:
+        _, _, err, _ = _call(argv, tmp)
+        top_level = not command_first or "collatz-parity: error: " in err
+        assert built == [command] * command_first + list(cli._COMMANDS) * top_level
+        built.clear()
         _call(argv, tmp)
-    assert built in ([], [command])
+    assert built == []
 
 
 def test_a_call_builds_only_the_flags_of_its_command(monkeypatch, tmp_path):
-    # a first call builds the parser of its command and no other; the same
-    # call again builds no command parser, and only the top-level parser
-    # again if it needed it the first time
+    # a first call that starts with a command builds that command's parser
+    # and no other; a first call that takes the top-level parser builds it
+    # with every command's parser and flags; the same call again builds none
     cases = [([*call.argv, "--out", "@/out"], call.argv[0], False)
              for call in _bench_calls(monkeypatch, 1)]
     cases += [(["classify", "-h"], "classify", False),
               (["-h"], None, True), ([], None, True), (["frobnicate"], None, True),
-              (["--max", "5000", "classify", "int:27"], "classify", True),
-              (["--max-digits", "5000", "xstar", "-h"], "xstar", True)]
+              (["--max", "5000", "classify", "int:27"], None, True),
+              (["--max-digits", "5000", "xstar", "-h"], None, True),
+              (["classify", "int:27", "--bogus"], "classify", True)]
+    tree = ["collatz-parity", *(f"collatz-parity {name}" for name in cli._COMMANDS)]
     built = _count_flag_builds(monkeypatch)
     parsers = _count_parsers(monkeypatch)
     for argv, command, top_level in cases:
-        cli._command_parser.cache_clear()
+        _forget_parsers()
         for first in (True, False):
             built.clear()
             parsers.clear()
             _call(argv, str(tmp_path))
-            assert built == ([command] if first and command else []), argv
-            progs = ["collatz-parity"] * top_level
-            progs += [f"collatz-parity {command}"] if first and command else []
-            assert parsers == progs, argv
+            own = [command] if first and command else []
+            assert built == own + list(cli._COMMANDS) * (first and top_level), argv
+            progs = [f"collatz-parity {name}" for name in own]
+            assert parsers == progs + tree * (first and top_level), argv
 
 
 @pytest.mark.parametrize("argvs", [
     [["classify", "int:27", "--horizon", "40", "--window", "8", "--json", "--exact-rationals",
       "--precision", "3"], ["classify", "int:27", "--horizon", "40", "--window", "8"]],
     [["--max-digits", "5000", "classify", "int:27", "--json"], ["classify", "int:27"]],
+    [["--max-digits", "5000", "classify", "int:27", "--horizon", "40", "--window", "8", "--json",
+      "--exact-rationals"], ["--max-digits", "5000", "classify", "int:27", "--horizon", "40",
+                             "--window", "8"]],
     [["trajectory", "int:7", "--horizon", "5", "--exact-rationals", "--out", "@/out"],
      ["trajectory", "int:7", "--horizon", "5"]],
 ])
@@ -765,9 +783,9 @@ def test_parsed_values_do_not_carry_over_between_calls(tmp_path, argvs):
     # what it gives with no parser cached
     fresh = []
     for argv in argvs:
-        cli._command_parser.cache_clear()
+        _forget_parsers()
         fresh.append(_call(argv, str(tmp_path)))
-    cli._command_parser.cache_clear()
+    _forget_parsers()
     assert [_call(argv, str(tmp_path)) for argv in argvs] == fresh
     assert fresh[0] != fresh[1]
 
@@ -796,7 +814,7 @@ def test_help_and_usage_errors_wrap_as_argparse_wraps_them(monkeypatch, argv, co
     monkeypatch.setenv("COLUMNS", columns)
     with tempfile.TemporaryDirectory() as tmp:
         got = _call(argv, tmp)
-        cli._command_parser.cache_clear()
+        _forget_parsers()
         with mock.patch.object(cli, "_Parser", _PlainParser):
             expected = _call(argv, tmp)
     assert got == expected
@@ -818,7 +836,7 @@ def test_a_parser_cached_at_80_columns_wraps_to_the_width_of_each_call(monkeypat
         with mock.patch.object(cli, "_Parser", _PlainParser), \
                 tempfile.TemporaryDirectory() as tmp:
             expected[columns] = _call(argv, tmp)
-        cli._command_parser.cache_clear()
+        _forget_parsers()
     if argv[-1] == "-h":
         assert expected["200"] != expected["40"]
     with tempfile.TemporaryDirectory() as tmp:
@@ -851,12 +869,12 @@ def test_errors_in_the_top_level_parser_voice(monkeypatch, capsys, argv, message
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_build_parser_keeps_every_command(monkeypatch, seed):
+    # the benchmark parses its classify calls with build_parser() to run
+    # classify alone: one kept parser, which parses as the command-first path
     argvs = [call.argv for call in _bench_calls(monkeypatch, seed)]
     assert {argv[0] for argv in argvs} == set(cli._COMMANDS) - {"verify"}
     argvs.append(("verify", "--json", "--fixtures", "corpus.jsonl"))
-    scoped = cli.build_parser()
-    assert scoped.parse_args(["verify", "--json"]).command == "verify"
-    with mock.patch.object(cli, "_Command", _eager_command):
-        full = cli.build_parser()
+    parser = cli.build_parser()
     for argv in argvs:
-        assert scoped.parse_args(argv) == full.parse_args(argv)
+        assert parser.parse_args(argv) == cli._parse_args(list(argv))
+        assert cli.build_parser() is parser

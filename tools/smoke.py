@@ -317,22 +317,17 @@ def output(call, argv: list[str]) -> tuple:
     return result, stdout.getvalue(), stderr.getvalue()
 
 
-def check_lazy_parser() -> str:
-    # the CLI's parser relies on argparse handing add_parser's keyword
-    # arguments to the parser class and calling only parse_known_args on a
-    # command's parser, main parses a command-first argv with the command's
-    # parser alone, each command's parser is built once and kept, and
-    # argparse's formatting differs across interpreters
+def check_command_first_parse() -> str:
+    # main parses a command-first argv with the command's parser alone and
+    # every other argv with the top-level parser; both kinds of parser are
+    # built once and kept, and argparse's formatting differs across
+    # interpreters.  Each argv's parse and each command-first call must give
+    # what a new top-level parser gives, at every width.
     sys.path.insert(0, str(SRC))
     from collatz_parity import cli
 
-    def eager_command(command, **kwargs):  # a new parser per call, flags added at once
-        parser = cli._Parser(**kwargs)
-        cli._COMMANDS[command][1](parser)
-        return parser
-
-    def full_parse(argv):  # the top-level parser for every argv and every usage error
-        parser = cli.build_parser()
+    def top_level_parse(argv):  # a new top-level parser, for every usage error too
+        parser = cli.build_parser.__wrapped__()
         args = parser.parse_args(argv)
         if args.command == "classify" and args.window > args.horizon:
             parser.error(f"argument --window: must not exceed --horizon ({args.horizon})")
@@ -353,14 +348,13 @@ def check_lazy_parser() -> str:
     for width in ("40", "200", "40"):
         # argparse wraps to the terminal width, which a kept parser must not fix
         with mock.patch.dict(os.environ, {"COLUMNS": width}):
-            with mock.patch.object(cli, "_Command", eager_command), \
-                    mock.patch.object(cli, "_parse_args", full_parse):
-                eager = [output(full_parse, argv) for argv in argvs]
-                eager += [output(cli.main, argv) for argv in first]
+            new = [output(top_level_parse, argv) for argv in argvs]
+            with mock.patch.object(cli, "_parse_args", top_level_parse):
+                new += [output(cli.main, argv) for argv in first]
             for attempt in ("first", "second"):  # the second call reuses the kept parsers
-                lazy = [output(full_parse, argv) for argv in argvs]
-                lazy += [output(cli.main, argv) for argv in first]
-                for argv, got, expected in zip(argvs + first, lazy, eager):
+                kept = [output(cli._parse_args, argv) for argv in argvs]
+                kept += [output(cli.main, argv) for argv in first]
+                for argv, got, expected in zip(argvs + first, kept, new):
                     if got != expected:
                         return (f"{' '.join(argv)}, width {width}, {attempt} call: "
                                 "the output differs")
@@ -368,10 +362,10 @@ def check_lazy_parser() -> str:
 
 
 def check_plain_help() -> str:
-    # a command's parser is kept from call to call at whatever width it was
-    # built; the help of every command, called twice at each width, and of
-    # the CLI must wrap as argparse's own new parser wraps it, on every
-    # interpreter
+    # each parser, a command's and the top-level one, is kept from call to
+    # call at whatever width it was built; the help of every command, called
+    # twice at each width, and of the CLI must wrap as argparse's own new
+    # parser wraps it, on every interpreter
     sys.path.insert(0, str(SRC))
     import argparse
 
@@ -385,9 +379,9 @@ def check_plain_help() -> str:
                 for attempt in ("first", "second"):
                     if output(cli.main, [name, "-h"]) != (0, plain.format_help(), ""):
                         return f"{name} -h, width {width}, {attempt} call: the help differs"
-            got = output(cli.main, ["-h"])
+            got = output(cli.main, ["-h"])  # the kept top-level parser
             with mock.patch.object(cli, "_Parser", argparse.ArgumentParser):
-                if got != output(cli.main, ["-h"]):
+                if got != output(cli.build_parser.__wrapped__().parse_args, ["-h"]):
                     return f"-h, width {width}: the help differs"
     return ""
 
@@ -416,7 +410,8 @@ CHECKS = {
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
-    "the lazy, kept parsers = new ones built up front": check_lazy_parser,
+    "a command-first parse = a new top-level parser's, at 40, 200 and again 40 columns":
+        check_command_first_parse,
     "help = argparse's own, at 40, 200 and again 40 columns": check_plain_help,
     "the CLI's import loads no dataclasses, inspect, importlib.resources or typing":
         check_lean_import,
