@@ -19,18 +19,19 @@ from collatz_parity import (
 
 def show(spec: str, horizon: int, window: int) -> None:
     verdict = classify(parse_generator(spec), horizon, window)
-    d = verdict.diagnostics
+    cs = verdict.prefix_set  # the characteristic set of the horizon-bit prefix
     print(f"\n{spec}  (horizon {horizon}, window {window})")
     print(f"  verdict: {verdict.kind} [horizon-bounded]")
     if verdict.kind == "stabilized":
         print(f"  candidate realizer: {verdict.candidate} (stable since row {verdict.stable_since})")
     elif verdict.kind == "growing":
         print(f"  distinct N0 values so far: {verdict.distinct_count}")
-    if d is not None:
-        print(f"  final row: m/n = {d.m_over_n} ~ {float(d.m_over_n):.4f}, "
-              f"P/2^n ~ {float(d.P_over_2n):.4f}")
+    if cs is not None:
+        print(f"  final row: m/n = {cs.m_over_n} ~ {float(cs.m_over_n):.4f}, "
+              f"P/2^n ~ {float(cs.P_over_2n):.4f}")
         # q = X/2^n and q* = X*/2^n differ from r0 = N0/2^n by integers
-        print(f"  nearest-integer distance of q and q*: {float(d.int_distance):.3e}")
+        distance = min(cs.r0 % 1, 1 - cs.r0 % 1)
+        print(f"  nearest-integer distance of q and q*: {float(distance):.3e}")
 
 
 print("== a stream that is realized by 27 ==")

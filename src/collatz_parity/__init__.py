@@ -49,7 +49,6 @@ from .trajectory import (
     INCONCLUSIVE,
     STABILIZED,
     AsymptoticReport,
-    ClassifierDiagnostics,
     RealizabilityVerdict,
     asymptotic_report,
     classify,
@@ -78,7 +77,7 @@ __all__ = [
     "is_member", "nth_realizer", "omega_extremes", "p_closed_form",
     "p_recurrence", "repeat_p", "solve_n0", "xstar_decompose", "xy_points",
     "GROWING", "HALVED", "HALVED_PLUS_HALF", "INCONCLUSIVE", "STABILIZED",
-    "AsymptoticReport", "ClassifierDiagnostics", "RealizabilityVerdict",
+    "AsymptoticReport", "RealizabilityVerdict",
     "asymptotic_report", "classify", "iter_trajectory", "lemma51_check",
     "FixtureCase", "FixtureReport", "FixtureResult",
     "format_rational", "load_fixtures", "run_fixtures",

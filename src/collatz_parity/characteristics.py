@@ -179,11 +179,6 @@ def _solve_ab(m: int, n: int) -> tuple[int, int]:
     return a, (pow3 * a + 1) >> n
 
 
-def _int_distance(x: Fraction) -> Fraction:
-    frac = x - (x.numerator // x.denominator)
-    return min(frac, 1 - frac)
-
-
 XStarRow = namedtuple("XStarRow", [
     "k",      # 1-based index of the one among the ones
     "j",      # 1-based position of that one in the vector
@@ -230,7 +225,7 @@ def _xstar_terms(v: ParityVector) -> Iterator[tuple[int, int, int, int, int]]:
     """
     ones = v.one_positions()
     if not ones:
-        raise ValueError("xstar_decompose requires at least one 1 bit (m >= 1)")
+        raise ValueError("X* needs at least one 1 bit (m >= 1)")
     n = v.n
     pow3 = 1  # 3^(k-1)
     theta = -1

@@ -23,6 +23,7 @@ import os
 import stat
 import sys
 from contextlib import AbstractContextManager, contextmanager, nullcontext
+from fractions import Fraction
 
 from .characteristics import char_set, solve_n0
 from .core import ParityVector, parse_generator
@@ -51,8 +52,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
+    value = _int(text)
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
@@ -67,7 +75,7 @@ def _positive_int(text: str) -> int:
 
 
 def _max_digits(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value != 0 and value < _LOWEST_DIGIT_LIMIT:
         raise argparse.ArgumentTypeError(
             f"must be 0 (no limit) or >= {_LOWEST_DIGIT_LIMIT}, got {value}")
@@ -196,39 +204,47 @@ def _classify_flags(p):
     _add_out_flag(p)
 
 
-def _frac_text(x, args) -> str | None:
-    return None if x is None else format_rational(x, args.precision, args.exact_rationals)
+def _frac_text(x: Fraction, args) -> str:
+    return format_rational(x, args.precision, args.exact_rationals)
+
+
+def _int_distance(x: Fraction) -> Fraction:
+    """The exact distance of x to the nearest integer."""
+    frac = x % 1
+    return min(frac, 1 - frac)
 
 
 def _cmd_classify(args) -> int:
-    gen = parse_generator(args.spec)
-    verdict = classify(gen, args.horizon, args.window)
-    d = verdict.diagnostics
-    with _open_out(args) as out:
-        if args.json:
-            payload = {
-                "kind": verdict.kind,
-                "horizon": verdict.horizon,
-                "window": verdict.window,
-                "rows_computed": verdict.rows_computed,
-                "candidate": None if verdict.candidate is None else str(verdict.candidate),
-                "stable_since": verdict.stable_since,
-                "distinct_count": verdict.distinct_count,
-                "note": "horizon-bounded verdict; limits are not decidable from finitely many bits",
+    verdict = classify(parse_generator(args.spec), args.horizon, args.window)
+    cs = verdict.prefix_set
+    if cs is not None:
+        # each rational is rendered once, for either layout; q = X/2^n and
+        # q* = X*/2^n differ from r0 = N0/2^n by integers, and need m >= 1
+        m_over_n, P_over_2n = _frac_text(cs.m_over_n, args), _frac_text(cs.P_over_2n, args)
+        distance = _frac_text(_int_distance(cs.r0), args) if cs.m else None
+    # the whole text is built before the first write, so an error writes nothing
+    if args.json:
+        payload = {
+            "kind": verdict.kind,
+            "horizon": verdict.horizon,
+            "window": verdict.window,
+            "rows_computed": verdict.rows_computed,
+            "candidate": None if verdict.candidate is None else str(verdict.candidate),
+            "stable_since": verdict.stable_since,
+            "distinct_count": verdict.distinct_count,
+            "note": "horizon-bounded verdict; limits are not decidable from finitely many bits",
+        }
+        if cs is not None:
+            payload["diagnostics"] = {
+                "final_j": cs.n,
+                "q_int_distance": distance,
+                "qstar_int_distance": distance,
+                "m_over_n": m_over_n,
+                "P_over_2n": P_over_2n,
+                "ones_in_window": verdict.ones_in_window,
             }
-            if d is not None:
-                distance = _frac_text(d.int_distance, args)
-                payload["diagnostics"] = {
-                    "final_j": d.final_j,
-                    "q_int_distance": distance,
-                    "qstar_int_distance": distance,
-                    "m_over_n": _frac_text(d.m_over_n, args),
-                    "P_over_2n": _frac_text(d.P_over_2n, args),
-                    "ones_in_window": d.ones_in_window,
-                }
-            out.write(json.dumps(payload, indent=2) + "\n")
-            return 0
-        # every line is built before the first write, so an error writes nothing
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
         lines = [f"verdict: {verdict.kind} (horizon-bounded; horizon={verdict.horizon}, "
                  f"window={verdict.window}, rows={verdict.rows_computed})\n"]
         if verdict.kind == STABILIZED:
@@ -236,16 +252,16 @@ def _cmd_classify(args) -> int:
                          f"(stable since row {verdict.stable_since})\n")
         elif verdict.kind == GROWING:
             lines.append(f"distinct N0 values seen: {verdict.distinct_count}\n")
-        if d is not None:
-            lines.append(f"final row {d.final_j}: m/n = {_frac_text(d.m_over_n, args)}, "
-                         f"P/2^n = {_frac_text(d.P_over_2n, args)}\n")
-            if d.int_distance is not None:  # None when the final row has m = 0
-                distance = _frac_text(d.int_distance, args)
+        if cs is not None:
+            lines.append(f"final row {cs.n}: m/n = {m_over_n}, P/2^n = {P_over_2n}\n")
+            if distance is not None:
                 lines.append(f"nearest-integer distance: q = {distance}, q* = {distance}\n")
-            if d.ones_in_window == 0:
+            if verdict.ones_in_window == 0:
                 lines.append("warning: no 1 bits inside the final window "
                              "(all-zero tail would break the infinite-ones assumption)\n")
-        out.write("".join(lines))
+        text = "".join(lines)
+    with _open_out(args) as out:
+        out.write(text)
     return 0
 
 

@@ -251,7 +251,7 @@ class BitStreamGenerator(PrefixGenerator):
     def __init__(self, data: tuple[int, ...], origin: str = "bits"):
         if len(data) == 0:
             raise ValueError("bit-stream generator requires at least one bit")
-        if any(b not in (0, 1) for b in data):
+        if not {0, 1}.issuperset(data):
             raise ValueError("bit-stream data must be 0/1")
         self._init(data, origin)
 

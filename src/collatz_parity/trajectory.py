@@ -16,7 +16,9 @@ comes from `xstar_decompose(gen.prefix(j))`.
 `classify` reads no rows: it needs only N0_H, which one `char_set` of the
 H-bit prefix gives as P_H a_H mod 2^H.  That prefix is the engine's last
 block, of width H, but the engine would also count the X* terms and build
-the per-row K* table, which the classifier has no use for.
+the per-row K* table, which the classifier has no use for.  The verdict
+keeps that set as `verdict.prefix_set`, so every number of the H-bit prefix
+is read from the one CharacteristicSet type.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.
@@ -30,7 +32,7 @@ from fractions import Fraction
 from itertools import compress, islice
 
 from .core import _BITS, BitStreamExhausted, PrefixGenerator, Record
-from .characteristics import CharacteristicSet, _int_distance, char_set
+from .characteristics import CharacteristicSet, char_set
 
 HALVED = "halved"
 HALVED_PLUS_HALF = "halved-plus-half"
@@ -163,23 +165,6 @@ def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
     )
 
 
-class ClassifierDiagnostics(Record):
-    """Final-row diagnostics attached to a verdict.
-
-    int_distance is the exact distance of q_j = X_j/2^j and q*_j = X*_j/2^j
-    to the nearest integer, None when m_j = 0.  Both differ from r0_j =
-    N0_j/2^j by an integer, so it is read off r0_j.  ones_in_window counts 1
-    bits inside the final window (zero suggests an all-zero tail, outside the
-    infinite-ones assumption).
-    """
-
-    __slots__ = ("final_j", "int_distance", "m_over_n", "P_over_2n", "ones_in_window")
-
-    def __init__(self, final_j: int, int_distance: Fraction | None, m_over_n: Fraction,
-                 P_over_2n: Fraction, ones_in_window: int):
-        self._init(final_j, int_distance, m_over_n, P_over_2n, ones_in_window)
-
-
 class RealizabilityVerdict(Record):
     """Horizon-bounded verdict on the prefix-realizer sequence N0_j.
 
@@ -188,18 +173,24 @@ class RealizabilityVerdict(Record):
                 number of distinct values seen (N0_j is non-decreasing).
     inconclusive: the bit source ran dry before `horizon` rows; rows_computed is
                 the number of rows it delivered.  The verdicts are about infinite
-                streams, so a finite source gets none and no diagnostics.
+                streams, so a finite source gets none, and prefix_set and
+                ones_in_window are None.
+
+    prefix_set is the CharacteristicSet of the H-bit prefix, its (a, b) cache
+    filled: its n, m/n, P/2^n and r0 are the final row's numbers.
+    ones_in_window counts the 1 bits inside the final window (zero suggests an
+    all-zero tail, outside the infinite-ones assumption).
     """
 
     __slots__ = ("kind", "horizon", "window", "rows_computed", "candidate", "stable_since",
-                 "distinct_count", "diagnostics")
+                 "distinct_count", "prefix_set", "ones_in_window")
 
     def __init__(self, kind: str, horizon: int, window: int, rows_computed: int,
                  candidate: int | None = None, stable_since: int | None = None,
                  distinct_count: int | None = None,
-                 diagnostics: ClassifierDiagnostics | None = None):
+                 prefix_set: CharacteristicSet | None = None, ones_in_window: int | None = None):
         self._init(kind, horizon, window, rows_computed, candidate, stable_since,
-                   distinct_count, diagnostics)
+                   distinct_count, prefix_set, ones_in_window)
 
 
 def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
@@ -211,6 +202,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     and a source that runs dry before `horizon` bits is "inconclusive".  No
     row is computed: the lift at row j is bit j - 1 of N0_H - 1, with N0_H
     from the `char_set` of the H-bit prefix, which is held as one tuple.
+    That set is the verdict's `prefix_set`.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
@@ -222,24 +214,20 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
         return RealizabilityVerdict(kind=INCONCLUSIVE, horizon=horizon, window=window,
                                     rows_computed=exc.position)
     last = char_set(v)
+    ones_in_window = sum(v.bits[horizon - window:])
     # bit j - 2 is set when N0_j != N0_{j-1}; row 1's lift from N0_0 = 1 is no change
     changed = (last.N0 - 1) >> 1
     last_change = changed.bit_length() + 1  # 1 when N0 never changed
-    diag = ClassifierDiagnostics(
-        final_j=last.n,
-        int_distance=_int_distance(last.r0) if last.m else None,
-        m_over_n=last.m_over_n,
-        P_over_2n=last.P_over_2n,
-        ones_in_window=sum(v.bits[horizon - window:]),
-    )
     if changed and last_change > horizon - window:
         return RealizabilityVerdict(
             kind=GROWING, horizon=horizon, window=window, rows_computed=horizon,
-            distinct_count=changed.bit_count() + 1, diagnostics=diag,
+            distinct_count=changed.bit_count() + 1, prefix_set=last,
+            ones_in_window=ones_in_window,
         )
     return RealizabilityVerdict(
         kind=STABILIZED, horizon=horizon, window=window, rows_computed=horizon,
-        candidate=last.N0, stable_since=last_change, diagnostics=diag,
+        candidate=last.N0, stable_since=last_change, prefix_set=last,
+        ones_in_window=ones_in_window,
     )
 
 

@@ -399,7 +399,7 @@ def test_xstar_of_an_all_zero_vector_writes_nothing(capsys, tmp_path, flags, to_
     out_flag = ["--out", str(path)] if to_file else []
     code, out, err = run(capsys, "xstar", "0000", *flags, *out_flag)
     assert (code, out) == (1, "")
-    assert err == "error: xstar_decompose requires at least one 1 bit (m >= 1)\n"
+    assert err == "error: X* needs at least one 1 bit (m >= 1)\n"
     assert path.read_text() == "keep\n"
 
 
@@ -865,6 +865,25 @@ def test_errors_in_the_top_level_parser_voice(monkeypatch, capsys, argv, message
     captured = capsys.readouterr()
     assert exc.value.code == 64 and captured.out == ""
     assert captured.err == f"{TOP_LEVEL_USAGE}collatz-parity: error: {message}\n"
+
+
+@pytest.mark.parametrize("parse", ["command-first", "top-level"])
+@pytest.mark.parametrize("argv, flag, value", [
+    (["classify", "int:27", "--horizon", "x"], "--horizon", "x"),
+    (["classify", "int:27", "--window", "1.5"], "--window", "1.5"),
+    (["solve", "11", "--count", "abc"], "--count", "abc"),
+    (["trajectory", "int:27", "--precision", ""], "--precision", ""),
+    (["--max-digits", "abc", "analyze", "11"], "--max-digits", "abc"),
+])
+def test_a_non_integer_flag_value_names_no_helper(monkeypatch, capsys, argv, flag, value, parse):
+    # argparse's own wording for type=int, not the name of the CLI's type function
+    if parse == "top-level":
+        monkeypatch.setattr(cli, "_parse_args", _full_parse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 64 and captured.out == ""
+    assert captured.err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

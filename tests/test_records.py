@@ -50,17 +50,14 @@ RECORDS = [
      "XStarRow(k=2, j=2, theta=7, z=14, t=8), XStarRow(k=3, j=4, theta=1, z=8, t=14)), "
      "Xstar=27, Ystar=47, J=17)"),
     (xstar_decompose(PV("1101")).rows[0], "theta", "XStarRow(k=1, j=1, theta=5, z=5, t=1)"),
-    (_VERDICT.diagnostics, "final_j",
-     "ClassifierDiagnostics(final_j=12, int_distance=Fraction(7, 4096), "
-     "m_over_n=Fraction(1, 2), P_over_2n=Fraction(3089, 4096), ones_in_window=1)"),
     (_VERDICT, "kind",
      "RealizabilityVerdict(kind='stabilized', horizon=12, window=4, rows_computed=12, "
-     "candidate=7, stable_since=3, distinct_count=None, diagnostics=ClassifierDiagnostics("
-     "final_j=12, int_distance=Fraction(7, 4096), m_over_n=Fraction(1, 2), "
-     "P_over_2n=Fraction(3089, 4096), ones_in_window=1))"),
+     "candidate=7, stable_since=3, distinct_count=None, prefix_set=CharacteristicSet("
+     "n=12, m=6, P=3089, N0=7), ones_in_window=1)"),
     (classify(parse_generator("bits:101"), 12, 4), "rows_computed",
      "RealizabilityVerdict(kind='inconclusive', horizon=12, window=4, rows_computed=3, "
-     "candidate=None, stable_since=None, distinct_count=None, diagnostics=None)"),
+     "candidate=None, stable_since=None, distinct_count=None, prefix_set=None, "
+     "ones_in_window=None)"),
     (AsymptoticReport(2, {"m_over_n": Fraction(1, 2)}, {"m_over_n": None}), "last",
      "AsymptoticReport(tail_start=2, last={'m_over_n': Fraction(1, 2)}, "
      "max_over_tail={'m_over_n': None})"),

@@ -765,7 +765,7 @@ def test_crashing_fixture_is_a_failure():
                        expected={"Xstar": "1"}, source="made up")
     report = run_fixtures([case])
     assert report.failed == 1
-    assert report.results[0].detail.startswith("error: xstar_decompose requires")
+    assert report.results[0].detail.startswith("error: X* needs at least one 1 bit")
 
 
 def test_report_order_is_by_id():

@@ -32,6 +32,7 @@ from collatz_parity import (
     parse_generator,
     xstar_decompose,
 )
+from collatz_parity.cli import _int_distance
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
 
 PV = ParityVector.from_string
@@ -253,7 +254,7 @@ def test_classify_growing_cycle_100():
     verdict = classify(parse_generator("cycle:100"), 40, 10)
     assert verdict.kind == GROWING
     assert verdict.distinct_count >= 2
-    assert verdict.diagnostics is not None
+    assert verdict.prefix_set is not None
 
 
 def test_classify_stabilized_from_integer():
@@ -290,7 +291,7 @@ def test_classify_inconclusive_short_stream():
     # more rows than the window, but fewer than the horizon: no verdict either
     verdict = classify(parse_generator("bits:101"), 10, 2)
     assert verdict.kind == INCONCLUSIVE and verdict.rows_computed == 3
-    assert verdict.candidate is None and verdict.diagnostics is None
+    assert verdict.candidate is None and verdict.prefix_set is None
     # a finite source that lasts the whole horizon is classified as usual
     verdict = classify(parse_generator("bits:101"), 3, 2)
     assert verdict.kind == STABILIZED and verdict.rows_computed == 3
@@ -298,12 +299,32 @@ def test_classify_inconclusive_short_stream():
 
 def test_classify_reports_diagnostics():
     verdict = classify(IntegerGenerator(27), 80, 20)
-    d = verdict.diagnostics
-    assert d.final_j == 80
+    cs = verdict.prefix_set
+    assert cs.n == 80
     # realizable stream: q and q* are close to an integer (distance = r0 here)
-    assert d.int_distance == Fraction(27, 1 << 80)
-    assert d.m_over_n == Fraction(sum(IntegerGenerator(27).prefix(80).bits), 80)
-    assert d.ones_in_window > 0
+    assert _int_distance(cs.r0) == Fraction(27, 1 << 80)
+    assert cs.m_over_n == Fraction(sum(IntegerGenerator(27).prefix(80).bits), 80)
+    assert verdict.ones_in_window > 0
+
+
+def _no_solve(m, n):
+    raise AssertionError(f"_solve_ab({m}, {n}) was called")
+
+
+@pytest.mark.parametrize("spec", ["int:27", "head:0110;cycle:100", "cycle:0",
+                                  "bits:" + "1101" * 25])
+def test_classify_keeps_the_prefix_set(spec, monkeypatch):
+    # the verdict's set is char_set of the H-bit prefix, its (a, b) cache
+    # filled, so reading a and b solves nothing
+    gen = parse_generator(spec)
+    verdict, expected = classify(gen, 100, 16), char_set(gen.prefix(100))
+    monkeypatch.setattr(characteristics, "_solve_ab", _no_solve)
+    assert verdict.prefix_set == expected
+    assert (verdict.prefix_set.a, verdict.prefix_set.b) == (expected.a, expected.b)
+    assert verdict.ones_in_window == sum(gen.prefix(100).bits[-16:])
+    # a source that runs dry before the horizon gets no set
+    dry = classify(BitStreamGenerator(gen.prefix(99).bits), 100, 16)
+    assert dry.prefix_set is None and dry.ones_in_window is None
 
 
 int_specs = st.integers(1, 10**12).map(lambda N: f"int:{N}")
@@ -340,12 +361,13 @@ def test_classify_equals_the_prefix_oracle(spec, horizon_window):
     expected = oracle.classify(oracle.spec_bits(spec, horizon), horizon, window)
     d = expected.pop("diagnostics")
     assert {key: getattr(v, key) for key in expected} == expected
-    g = v.diagnostics
+    cs = v.prefix_set
     if d is None:
-        assert g is None
+        assert cs is None and v.ones_in_window is None
         return
-    assert (g.final_j, g.int_distance, g.int_distance, g.m_over_n, g.P_over_2n,
-            g.ones_in_window) == tuple(d.values())
+    distance = _int_distance(cs.r0) if cs.m else None
+    assert (cs.n, distance, distance, cs.m_over_n, cs.P_over_2n,
+            v.ones_in_window) == tuple(d.values())
 
 
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
@@ -399,7 +421,7 @@ def test_kept_rows_hold_linear_memory():
 def test_classify_flags_zero_tail():
     gen = parse_generator("head:1;cycle:0")
     verdict = classify(gen, 40, 10)
-    assert verdict.diagnostics.ones_in_window == 0
+    assert verdict.ones_in_window == 0
 
 
 def test_classify_validates_window():

@@ -94,11 +94,13 @@ def check_domain_errors() -> str:
 
 
 def check_usage_errors() -> str:
-    # exit 64, one error line after the usage, nothing on stdout or in --out
+    # exit 64, one error line after the usage, nothing on stdout or in --out,
+    # and no name of a private helper (a flag's type function) on stderr
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
         for argv in (("frobnicate",),
                      ("trajectory", "int:27", "--precision", "-1"),
+                     ("classify", "int:27", "--horizon", "x"),
                      ("classify", "int:27", "--horizon", "3", "--window", "5"),
                      ("solve", "11", "--count", "0"),
                      ("--max-digits", "5", "analyze", "11"),
@@ -107,7 +109,7 @@ def check_usage_errors() -> str:
             proc = cli(*argv, "--out", path)
             errors = [line for line in proc.stderr.splitlines() if "error:" in line]
             if (proc.returncode != 64 or proc.stdout or len(errors) != 1
-                    or os.path.exists(path)):
+                    or " _" in proc.stderr or os.path.exists(path)):
                 return f"{' '.join(argv)}: exit {proc.returncode}, stderr {proc.stderr!r}"
     return ""
 
