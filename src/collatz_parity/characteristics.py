@@ -39,17 +39,26 @@ class CharacteristicSet(Record):
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
     Only n, m, P and N0 are stored; every other number is computed on read.
-    a and b are kept in the `_ab` slot: `char_set` and `iter_trajectory`
-    fill it as they make the set, and any other set solves once on first
-    read.  They and the numbers that need them are None when m = 0 (the
-    equation needs m >= 1).  X* needs the one-positions, so
-    `xstar_decompose` reads it from the vector.
+    a and b are kept in the `_ab` slot: `char_set`, `iter_trajectory` and
+    `classify` fill it as they make the set, and any other set solves once
+    on first read.  A copy or a pickle keeps it.  They and the numbers that
+    need them are None when m = 0 (the equation needs m >= 1).  X* needs
+    the one-positions, so `xstar_decompose` reads it from the vector.
     """
 
     __slots__ = ("n", "m", "P", "N0", "_ab")
 
     def __init__(self, n: int, m: int, P: int, N0: int):
         self._init(n, m, P, N0)
+
+    def __reduce__(self):
+        try:
+            return self.__class__, self._values(), self._ab
+        except AttributeError:  # not solved yet
+            return self.__class__, self._values()
+
+    def __setstate__(self, ab: tuple) -> None:
+        object.__setattr__(self, "_ab", ab)
 
     def _solution(self) -> tuple[int, int] | tuple[None, None]:
         try:
@@ -381,21 +390,33 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
     return XStarDecomposition(tuple(rows), *totals)
 
 
+def _concat_p(P1: int, n1: int, P2: int, m2: int) -> int:
+    """P of v1 || v2 from P1 = P(v1), n1 = n(v1), P2 = P(v2), m2 = m(v2): 3^{m2} P1 + 2^{n1} P2."""
+    return 3**m2 * P1 + (P2 << n1)
+
+
+def _repeat_p(P: int, m: int, n: int, k: int) -> int:
+    """P of u repeated k >= 0 times from P = P(u), m = m(u), n = n(u).
+
+    P(u^k) = P(u) * (3^{km} - 2^{kn}) / (3^m - 2^n), an exact division.
+    """
+    num = P * (3 ** (k * m) - (1 << (k * n)))
+    den = 3**m - (1 << n)  # never zero: powers of 2 and 3 only meet at 1
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:
     """P of the concatenation v1 || v2, from the parts: 3^{m(v2)} P(v1) + 2^{n(v1)} P(v2)."""
-    return 3**v2.ones * _horner_p(v1) + (1 << v1.n) * _horner_p(v2)
+    return _concat_p(_horner_p(v1), v1.n, _horner_p(v2), v2.ones)
 
 
 def repeat_p(u: ParityVector, k: int) -> int:
     """P of u repeated k times: P(u) * (3^{km} - 2^{kn}) / (3^m - 2^n)."""
     if k < 1:
         raise ValueError(f"repeat count must be >= 1, got {k}")
-    m, n = u.ones, u.n
-    num = _horner_p(u) * (3 ** (k * m) - (1 << (k * n)))
-    den = 3**m - (1 << n)  # never zero: powers of 2 and 3 only meet at 1
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    return _repeat_p(_horner_p(u), u.ones, u.n, k)
 
 
 OmegaExtremes = namedtuple("OmegaExtremes", ["min_vector", "min_p", "max_vector", "max_p"])
@@ -456,10 +477,19 @@ def char_set(v: ParityVector) -> CharacteristicSet:
     mod 2^n (0 mapped to 2^n) from one solve for a; N0 = 2^n when m = 0.
     The solved (a, b) fills the set's cache.
     """
-    m = v.ones
-    pow2 = 1 << v.n
-    P = _horner_p(v)
-    ab = _solve_ab(m, v.n) if m else (None, None)
-    cs = CharacteristicSet(n=v.n, m=m, P=P, N0=P * (ab[0] or 0) % pow2 or pow2)
+    return _solved_set(v.n, v.ones, _horner_p(v))
+
+
+def _solved_set(n: int, m: int, P: int, N0: int | None = None) -> CharacteristicSet:
+    """The set of a length-n vector with m ones and offset P, its (a, b) cache filled.
+
+    One solve gives a and b; N0 is P * a mod 2^n (0 mapped to 2^n) unless
+    the caller knows it, taken by masks: `%` by 2^n would be a long division.
+    """
+    ab = _solve_ab(m, n) if m else (None, None)
+    if N0 is None:
+        mask = (1 << n) - 1
+        N0 = (P & mask) * (ab[0] or 0) & mask or mask + 1
+    cs = CharacteristicSet(n, m, P, N0)
     object.__setattr__(cs, "_ab", ab)
     return cs

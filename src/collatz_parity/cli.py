@@ -53,10 +53,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:  # argparse's own wording for type=int
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    """ASCII decimal digits after an optional "-", as the `int:` spec reads them.
+
+    int() would take other scripts' digits, "_" and whitespace too.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    # argparse's own wording for type=int
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _int_at_least(text: str, low: int) -> int:
@@ -208,10 +216,22 @@ def _frac_text(x: Fraction, args) -> str:
     return format_rational(x, args.precision, args.exact_rationals)
 
 
-def _int_distance(x: Fraction) -> Fraction:
-    """The exact distance of x to the nearest integer."""
-    frac = x % 1
-    return min(frac, 1 - frac)
+# the --json document as json.dumps(..., indent=2) lays it out; every string
+# in it is a kind, a decimal integer or a rendered rational, none of which
+# JSON escapes
+_CLASSIFY_JSON = (
+    '{\n  "kind": "%s",\n  "horizon": %d,\n  "window": %d,\n  "rows_computed": %d,\n'
+    '  "candidate": %s,\n  "stable_since": %s,\n  "distinct_count": %s,\n'
+    '  "note": "horizon-bounded verdict; limits are not decidable from finitely many bits"'
+    '%s\n}\n')
+_CLASSIFY_JSON_DIAGNOSTICS = (
+    ',\n  "diagnostics": {\n    "final_j": %d,\n    "q_int_distance": %s,\n'
+    '    "qstar_int_distance": %s,\n    "m_over_n": "%s",\n    "P_over_2n": "%s",\n'
+    '    "ones_in_window": %d\n  }')
+
+
+def _json_value(x, quote: bool = False) -> str:
+    return "null" if x is None else f'"{x}"' if quote else str(x)
 
 
 def _cmd_classify(args) -> int:
@@ -221,29 +241,20 @@ def _cmd_classify(args) -> int:
         # each rational is rendered once, for either layout; q = X/2^n and
         # q* = X*/2^n differ from r0 = N0/2^n by integers, and need m >= 1
         m_over_n, P_over_2n = _frac_text(cs.m_over_n, args), _frac_text(cs.P_over_2n, args)
-        distance = _frac_text(_int_distance(cs.r0), args) if cs.m else None
+        if cs.m:
+            pow2 = 1 << cs.n   # r0 = N0/2^n with 1 <= N0 <= 2^n
+            distance = _frac_text(Fraction(min(cs.N0, pow2 - cs.N0), pow2), args)
+        else:
+            distance = None
     # the whole text is built before the first write, so an error writes nothing
     if args.json:
-        payload = {
-            "kind": verdict.kind,
-            "horizon": verdict.horizon,
-            "window": verdict.window,
-            "rows_computed": verdict.rows_computed,
-            "candidate": None if verdict.candidate is None else str(verdict.candidate),
-            "stable_since": verdict.stable_since,
-            "distinct_count": verdict.distinct_count,
-            "note": "horizon-bounded verdict; limits are not decidable from finitely many bits",
-        }
-        if cs is not None:
-            payload["diagnostics"] = {
-                "final_j": cs.n,
-                "q_int_distance": distance,
-                "qstar_int_distance": distance,
-                "m_over_n": m_over_n,
-                "P_over_2n": P_over_2n,
-                "ones_in_window": verdict.ones_in_window,
-            }
-        text = json.dumps(payload, indent=2) + "\n"
+        diagnostics = "" if cs is None else _CLASSIFY_JSON_DIAGNOSTICS % (
+            cs.n, _json_value(distance, True), _json_value(distance, True), m_over_n,
+            P_over_2n, verdict.ones_in_window)
+        text = _CLASSIFY_JSON % (
+            verdict.kind, verdict.horizon, verdict.window, verdict.rows_computed,
+            _json_value(verdict.candidate, True), _json_value(verdict.stable_since),
+            _json_value(verdict.distinct_count), diagnostics)
     else:
         lines = [f"verdict: {verdict.kind} (horizon-bounded; horizon={verdict.horizon}, "
                  f"window={verdict.window}, rows={verdict.rows_computed})\n"]

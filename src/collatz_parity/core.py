@@ -176,6 +176,11 @@ def parity_vector(N: int, n: int) -> ParityVector:
     return IntegerGenerator(N).prefix(n)
 
 
+def _check_prefix_length(j: int) -> None:
+    if not 1 <= j <= sys.maxsize:  # islice takes no stop past sys.maxsize
+        raise ValueError(f"prefix length must be 1 to sys.maxsize ({sys.maxsize}), got {j}")
+
+
 class PrefixGenerator(Record):
     """Immutable spec for an infinite (or finite) stream of parity bits.
 
@@ -191,8 +196,7 @@ class PrefixGenerator(Record):
 
     def prefix(self, j: int) -> ParityVector:
         """The first j bits as a parity vector."""
-        if not 1 <= j <= sys.maxsize:  # islice takes no stop past sys.maxsize
-            raise ValueError(f"prefix length must be 1 to sys.maxsize ({sys.maxsize}), got {j}")
+        _check_prefix_length(j)
         bits = tuple(islice(self.bits(), j))
         if len(bits) < j:
             raise BitStreamExhausted(

@@ -13,12 +13,20 @@ set gets the row's a_j, and b_j = (3^{m_j} a_j + 1)/2^j, in its (a, b)
 cache, so reading them solves nothing; X*_j needs the one-positions, so it
 comes from `xstar_decompose(gen.prefix(j))`.
 
-`classify` reads no rows: it needs only N0_H, which one `char_set` of the
-H-bit prefix gives as P_H a_H mod 2^H.  That prefix is the engine's last
-block, of width H, but the engine would also count the X* terms and build
-the per-row K* table, which the classifier has no use for.  The verdict
-keeps that set as `verdict.prefix_set`, so every number of the H-bit prefix
-is read from the one CharacteristicSet type.
+`classify` reads no rows: it needs only the H-bit prefix's m_H, P_H and
+N0_H, and the 1 bits in its last W.  For the two spec types whose bits have
+a closed form it draws no bit at all:
+  * `int:N`: one pass of the orbit N, T(N), ..., T^H(N) counts m_H and the
+    window's ones; T^H(N) = (3^m N + P_H)/2^H gives P_H, and N, which
+    realizes every prefix, gives N0_H = ((N - 1) mod 2^H) + 1;
+  * head+cycle: the prefix is h || c^k || c[:r], so P_H joins P(h), P(c^k)
+    and P(c[:r]) by `compose_p`'s rule, P(c^k) coming from P(c) by
+    `repeat_p`'s rule, and m counts come from the parts; N0_H = P_H a_H
+    mod 2^H.
+Any other source gives its H-bit prefix, held as one tuple, to `char_set`.
+Each way takes one solve for (a_H, b_H), and the verdict keeps the set, its
+(a, b) cache filled, as `verdict.prefix_set`, so every number of the H-bit
+prefix is read from the one CharacteristicSet type.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.
@@ -31,8 +39,25 @@ from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from itertools import compress, islice
 
-from .core import _BITS, BitStreamExhausted, PrefixGenerator, Record
-from .characteristics import CharacteristicSet, char_set
+from .core import (
+    _BITS,
+    BitStreamExhausted,
+    HeadCycleGenerator,
+    IntegerGenerator,
+    ParityVector,
+    PrefixGenerator,
+    Record,
+    _check_prefix_length,
+    collatz_step,
+)
+from .characteristics import (
+    CharacteristicSet,
+    _concat_p,
+    _horner_p,
+    _repeat_p,
+    _solved_set,
+    char_set,
+)
 
 HALVED = "halved"
 HALVED_PLUS_HALF = "halved-plus-half"
@@ -193,6 +218,60 @@ class RealizabilityVerdict(Record):
                    distinct_count, prefix_set, ones_in_window)
 
 
+def _steps(x: int, count: int) -> tuple[int, int]:
+    """T^count(x), and how many of x, T(x), ..., T^(count-1)(x) are odd."""
+    odd = 0
+    for _ in range(count):
+        odd += x & 1
+        x = collatz_step(x)
+    return x, odd
+
+
+def _integer_prefix(N: int, horizon: int, window: int) -> tuple[CharacteristicSet, int]:
+    """The H-bit prefix's set of int:N and the 1 bits in its last `window`, from one orbit pass.
+
+    The bits are the parities of N, T(N), ..., so m_H counts the odd terms,
+    and T^H(N) = (3^m N + P_H) / 2^H gives P_H = 2^H T^H(N) - 3^m N.  N
+    realizes every prefix, so N0_H = ((N - 1) mod 2^H) + 1.
+    """
+    x, front = _steps(N, horizon - window)
+    x, ones = _steps(x, window)
+    m = front + ones
+    P = (x << horizon) - 3**m * N
+    return _solved_set(horizon, m, P, ((N - 1) & ((1 << horizon) - 1)) + 1), ones
+
+
+def _p_of(bits: tuple[int, ...]) -> int:
+    return _horner_p(ParityVector(bits)) if bits else 0
+
+
+def _head_cycle_prefix(gen: HeadCycleGenerator, horizon: int,
+                       window: int) -> tuple[CharacteristicSet, int]:
+    """The H-bit prefix's set of a head+cycle spec and the 1 bits in its last `window`.
+
+    The prefix is h || c^k || c[:r], h the head cut to H bits and c the
+    cycle: P_H joins P(h), P(c^k) and P(c[:r]) by `compose_p`'s rule, with
+    P(c^k) from P(c) by `repeat_p`'s rule, and m counts the ones of each
+    part.  No bit of the stream is drawn.
+    """
+    head = () if gen.head is None else gen.head.bits
+    cycle, m_cycle = gen.cycle.bits, gen.cycle.ones
+
+    def ones(j: int) -> int:   # the 1 bits among the first j of the stream
+        if j <= len(head):
+            return sum(head[:j])
+        k, r = divmod(j - len(head), len(cycle))
+        return sum(head) + k * m_cycle + sum(cycle[:r])
+
+    cut = head[:horizon]
+    k, r = divmod(horizon - len(cut), len(cycle))
+    P = _concat_p(_p_of(cut), len(cut),
+                  _repeat_p(_p_of(cycle), m_cycle, len(cycle), k), k * m_cycle)
+    P = _concat_p(P, horizon - r, _p_of(cycle[:r]), sum(cycle[:r]))
+    m = ones(horizon)
+    return _solved_set(horizon, m, P), m - ones(horizon - window)
+
+
 def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
              window: int = DEFAULT_WINDOW) -> RealizabilityVerdict:
     """Classify the N0_j behavior of a stream over a finite horizon.
@@ -201,20 +280,27 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     change N0 right after the horizon, so "stabilized" is evidence, not proof,
     and a source that runs dry before `horizon` bits is "inconclusive".  No
     row is computed: the lift at row j is bit j - 1 of N0_H - 1, with N0_H
-    from the `char_set` of the H-bit prefix, which is held as one tuple.
-    That set is the verdict's `prefix_set`.
+    from the characteristic set of the H-bit prefix, the verdict's
+    `prefix_set`.  For an `int:` or head+cycle spec that set comes in closed
+    form, with no bit drawn (`_integer_prefix`, `_head_cycle_prefix`); any
+    other source gives its first H bits, held as one tuple, to `char_set`.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > horizon:
         raise ValueError(f"window ({window}) must not exceed horizon ({horizon})")
-    try:
-        v = gen.prefix(horizon)
-    except BitStreamExhausted as exc:
-        return RealizabilityVerdict(kind=INCONCLUSIVE, horizon=horizon, window=window,
-                                    rows_computed=exc.position)
-    last = char_set(v)
-    ones_in_window = sum(v.bits[horizon - window:])
+    _check_prefix_length(horizon)
+    if isinstance(gen, IntegerGenerator):
+        last, ones_in_window = _integer_prefix(gen.N, horizon, window)
+    elif isinstance(gen, HeadCycleGenerator):
+        last, ones_in_window = _head_cycle_prefix(gen, horizon, window)
+    else:
+        try:
+            v = gen.prefix(horizon)
+        except BitStreamExhausted as exc:
+            return RealizabilityVerdict(kind=INCONCLUSIVE, horizon=horizon, window=window,
+                                        rows_computed=exc.position)
+        last, ones_in_window = char_set(v), sum(v.bits[horizon - window:])
     # bit j - 2 is set when N0_j != N0_{j-1}; row 1's lift from N0_0 = 1 is no change
     changed = (last.N0 - 1) >> 1
     last_change = changed.bit_length() + 1  # 1 when N0 never changed

@@ -311,11 +311,13 @@ def test_domain_error_exit_1(capsys):
 
 @pytest.mark.parametrize("horizon", [sys.maxsize + 1, 10**23])
 def test_a_horizon_past_sys_maxsize_is_a_one_line_error(capsys, horizon):
-    # classify reads its prefix through islice, which takes no longer stop
-    code, out, err = run(capsys, "classify", "int:27", "--horizon", str(horizon))
-    assert (code, out) == (1, "")
-    assert err == (f"error: prefix length must be 1 to sys.maxsize ({sys.maxsize}), "
-                   f"got {horizon}\n")
+    # a bits: source is read through islice, which takes no longer stop;
+    # int: and head+cycle specs draw no bits, yet take the same bound
+    for spec in ("int:27", "cycle:10", "head:1101;cycle:01", "bits:101"):
+        code, out, err = run(capsys, "classify", spec, "--horizon", str(horizon))
+        assert (code, out) == (1, "")
+        assert err == (f"error: prefix length must be 1 to sys.maxsize ({sys.maxsize}), "
+                       f"got {horizon}\n")
 
 
 def test_exhausted_bit_source_is_a_one_line_error(capsys):
@@ -884,6 +886,39 @@ def test_a_non_integer_flag_value_names_no_helper(monkeypatch, capsys, argv, fla
     captured = capsys.readouterr()
     assert exc.value.code == 64 and captured.out == ""
     assert captured.err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("parse", ["command-first", "top-level"])
+@pytest.mark.parametrize("argv, flag, value", [
+    (["classify", "int:27", "--horizon", "\u0664\u0660"], "--horizon", "\u0664\u0660"),
+    (["classify", "int:27", "--horizon", "40", "--window", "1_0"], "--window", "1_0"),
+    (["classify", "int:27", "--horizon", "\uff14\uff10"], "--horizon", "\uff14\uff10"),
+    (["classify", "int:27", "--window", "+5"], "--window", "+5"),
+    (["classify", "int:27", "--window", " 5"], "--window", " 5"),
+    (["solve", "11", "--count", "3 "], "--count", "3 "),
+    (["trajectory", "int:27", "--precision", "-\u0661"], "--precision", "-\u0661"),
+    (["--max-digits", "\u0665\u0660\u0660\u0660", "analyze", "11"], "--max-digits",
+     "\u0665\u0660\u0660\u0660"),
+])
+def test_integer_flags_take_ascii_digits_only(monkeypatch, capsys, argv, flag, value, parse):
+    # a flag reads an integer by the int: spec's rule: ASCII digits, here
+    # after an optional "-", and no other script's digits, "_", "+" or space
+    if parse == "top-level":
+        monkeypatch.setattr(cli, "_parse_args", _full_parse)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 64 and captured.out == ""
+    assert captured.err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "int:27", "--horizon", "040", "--window", "08"],
+    ["trajectory", "int:27", "--horizon", "3", "--precision", "-0"],
+])
+def test_integer_flags_take_leading_zeros(capsys, argv):
+    plain = [str(int(arg)) if arg.lstrip("-").isdigit() else arg for arg in argv]
+    assert run(capsys, *argv) == run(capsys, *plain)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,6 +1,9 @@
 """Order-j rows, the r0 dichotomy, and the horizon-bounded classifier."""
 
+import copy
 import io
+import math
+import pickle
 import random
 import tracemalloc
 import types
@@ -19,6 +22,7 @@ from collatz_parity import (
     HALVED_PLUS_HALF,
     INCONCLUSIVE,
     STABILIZED,
+    HeadCycleGenerator,
     IntegerGenerator,
     ParityVector,
     PrefixGenerator,
@@ -32,7 +36,6 @@ from collatz_parity import (
     parse_generator,
     xstar_decompose,
 )
-from collatz_parity.cli import _int_distance
 from collatz_parity.report import TRAJECTORY_CSV_HEADER, write_trajectory_csv
 
 PV = ParityVector.from_string
@@ -307,6 +310,11 @@ def test_classify_reports_diagnostics():
     assert verdict.ones_in_window > 0
 
 
+def _int_distance(x: Fraction) -> Fraction:
+    """The distance of x to the nearest integer, by its definition."""
+    return min(x - math.floor(x), math.ceil(x) - x)
+
+
 def _no_solve(m, n):
     raise AssertionError(f"_solve_ab({m}, {n}) was called")
 
@@ -325,6 +333,70 @@ def test_classify_keeps_the_prefix_set(spec, monkeypatch):
     # a source that runs dry before the horizon gets no set
     dry = classify(BitStreamGenerator(gen.prefix(99).bits), 100, 16)
     assert dry.prefix_set is None and dry.ones_in_window is None
+
+
+def _path_to_one(N: int) -> str:
+    bits = []
+    while N != 1:
+        bits.append(str(N & 1))
+        N = oracle.T(N)
+    return "".join(bits)
+
+
+# A 1 bit, then the orbit of T(27) + 2^299 down to 1 (a 1443-bit head), then
+# the cycle 10: its 2-adic value is 27 + 2^300/3, which no positive integer is.
+NOT_AN_INTEGER = f"head:1{_path_to_one(41 + 2**299)};cycle:10"
+CLOSED_FORM_SPECS = ["int:27", f"int:{2**700 + 1}", "cycle:1", "cycle:10", "head:1101;cycle:01",
+                     NOT_AN_INTEGER]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 193, 2000, 4000])
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda spec: spec[:24])
+def test_the_closed_form_verdict_is_the_generic_one(spec, horizon, monkeypatch):
+    # int: and head+cycle specs take closed forms; the same bits as a bits:
+    # source take char_set of the prefix, field for field and (a, b) too
+    gen = parse_generator(spec)
+    bits = gen.prefix(horizon).bits
+    for window in sorted({1, min(32, horizon), horizon}):
+        got = classify(gen, horizon, window)
+        expected = classify(BitStreamGenerator(bits), horizon, window)
+        with monkeypatch.context() as patched:
+            patched.setattr(characteristics, "_solve_ab", _no_solve)
+            assert got == expected
+            assert (got.prefix_set.a, got.prefix_set.b) == (
+                expected.prefix_set.a, expected.prefix_set.b)
+
+
+def _no_bits(self):
+    raise AssertionError(f"{self.spec_string()[:20]} drew a bit")
+
+
+@pytest.mark.parametrize("spec", ["int:27", "cycle:0", "head:0110;cycle:100110101", NOT_AN_INTEGER],
+                         ids=lambda spec: spec[:24])
+def test_int_and_head_cycle_specs_draw_no_bit(spec, monkeypatch):
+    gen = parse_generator(spec)
+    expected = classify(BitStreamGenerator(gen.prefix(300).bits), 300, 32)
+    for cls in (IntegerGenerator, HeadCycleGenerator):
+        monkeypatch.setattr(cls, "bits", _no_bits)
+    assert classify(gen, 300, 32) == expected
+
+
+@pytest.mark.parametrize("spec", ["int:27", "cycle:0", "bits:" + "1101" * 48])
+def test_a_copied_or_unpickled_verdict_keeps_the_solve(spec, monkeypatch):
+    verdict = classify(parse_generator(spec), 192, 32)
+    monkeypatch.setattr(characteristics, "_solve_ab", _no_solve)
+    for copied in (copy.copy(verdict), copy.deepcopy(verdict),
+                   pickle.loads(pickle.dumps(verdict))):
+        assert copied == verdict
+        assert (copied.prefix_set.a, copied.prefix_set.b) == (
+            verdict.prefix_set.a, verdict.prefix_set.b)
+
+
+def test_a_copied_unsolved_set_solves_on_first_read():
+    cs = char_set(PV("1011"))
+    fresh = characteristics.CharacteristicSet(cs.n, cs.m, cs.P, cs.N0)
+    for copied in (copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+        assert copied == cs and (copied.a, copied.b) == (cs.a, cs.b)
 
 
 int_specs = st.integers(1, 10**12).map(lambda N: f"int:{N}")

@@ -10,7 +10,9 @@ path, and compares the `trajectory` CSV in every rendering mode, the rows
 of `iter_trajectory`, the `classify` text and --json document and the
 `xstar` table and --json document, byte for byte, with tools/oracle.py,
 which computes each number from its definition and imports nothing of the
-package.  It also checks the exit codes, the digit limit, that an existing
+package.  It compares the verdict `classify` takes in closed form for
+`int:` and head+cycle specs with the one `char_set` gives for the same
+bits as a `bits:` source.  It also checks the exit codes, the digit limit, that an existing
 --out file holds exactly what each call wrote, that the CLI's
 lazily built parsers, each kept for the life of the process, parse and
 print what new parsers built in full up front do, each argv called twice
@@ -269,6 +271,31 @@ def check_classify_oracle() -> str:
     return ""
 
 
+def check_classify_closed_form() -> str:
+    # an int: or head+cycle spec gives classify its prefix state in closed
+    # form, drawing no bit; the same bits as a bits: source take char_set of
+    # the prefix.  The verdicts must agree field for field, and the closed
+    # form's set must hold the same solved (a, b), at horizons up to 2000,
+    # some inside a 300-bit head: a stand-in for the pytest tests
+    sys.path.insert(0, str(SRC))
+    from collatz_parity import BitStreamGenerator, classify, parse_generator
+
+    rng = random.Random(18)
+    head = "".join(rng.choice("01") for _ in range(300))
+    specs = [*random_specs(rng, 24), f"head:{head};cycle:10", f"head:1{head};cycle:011"]
+    for spec in specs:
+        gen = parse_generator(spec)
+        for horizon in (rng.randint(1, 2000), 2000):
+            bits = BitStreamGenerator(gen.prefix(horizon).bits)
+            for window in (rng.randint(1, horizon), horizon):
+                got, expected = classify(gen, horizon, window), classify(bits, horizon, window)
+                ab = getattr(got.prefix_set, "_ab", None)
+                if got != expected or ab != (expected.prefix_set.a, expected.prefix_set.b):
+                    return (f"{spec[:40]} --horizon {horizon} --window {window}: "
+                            "the closed form's verdict differs from char_set's")
+    return ""
+
+
 def check_xstar_oracle() -> str:
     # the CLI writes each row in one pass over the one-positions, taking
     # theta_k from the one before and summing X* and Y* as it goes, z_k
@@ -411,6 +438,8 @@ CHECKS = {
     "--out rewritten in place and cut at the end of the call": check_out_in_place,
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
+    "classify of int: and head+cycle specs in closed form = char_set of the prefix":
+        check_classify_closed_form,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
     "a command-first parse = a new top-level parser's, at 40, 200 and again 40 columns":
         check_command_first_parse,
