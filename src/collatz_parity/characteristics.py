@@ -22,8 +22,11 @@ oracle.  One generator, `_xstar_terms`, makes X*'s rows for
 `xstar_decompose` and for the table writers in report.py: it takes each
 theta_k from the one before by an exact division by 3, and each cofactor t_k
 from the one before and the bits theta_{k-1} drops, with no product of 3^k
-and a whole theta.  Every function here sums P by Horner, with the weighted
-sum `p_closed_form` as its oracle.  Realizers of v are exactly N0 + 2^n * k.
+and a whole theta.  Every function here sums P by Horner over the bytes of
+the vector, one step per 8 bits, P(u || w) = 3^{m(w)} P(u) + 2^{n(u)} P(w),
+with each byte's (3^{m(w)}, P(w)) from core's table of the 256 length-8
+vectors (`_horner_p`), and the weighted sum `p_closed_form` as its oracle.
+Realizers of v are exactly N0 + 2^n * k.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
-from .core import ParityVector, Record
+from .core import _BYTE_P, _DIGITS, ParityVector, Record
 
 
 class CharacteristicSet(Record):
@@ -280,11 +283,22 @@ def p_recurrence(v: ParityVector) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _horner_p(v: ParityVector) -> int:
-    """P by Horner over the one-positions, P = 3P + 2^{j-1}: no power of 3 per one."""
-    P = 0
-    for j in v.one_positions():
-        P = 3 * P + (1 << (j - 1))
+def _horner_p(bits: tuple[int, ...]) -> int:
+    """P of a bit tuple, possibly empty, by Horner over its bytes: P = 3^{m(w)} P + 2^{8i} P(w).
+
+    The bits are packed into one int, first bit lowest, and cut into bytes
+    by one to_bytes; byte i, its bits w, gives (3^{m(w)}, P(w)) from core's
+    `_BYTE_P`.  A last byte short of 8 bits reads as padded with zeros,
+    which leave P unchanged.
+    """
+    if not bits:
+        return 0
+    packed = int(bytes(bits)[::-1].translate(_DIGITS), 2)
+    P = shift = 0
+    for byte in packed.to_bytes((len(bits) + 7) >> 3, "little"):
+        pow3, p = _BYTE_P[byte]
+        P = pow3 * P + (p << shift)
+        shift += 8
     return P
 
 
@@ -332,7 +346,7 @@ def g_of(v: ParityVector, N: int) -> Fraction:
     """The affine value (3^m N + P) / 2^n as an exact reduced rational."""
     if N < 1:
         raise ValueError(f"g_of requires N >= 1, got {N}")
-    return Fraction(3**v.ones * N + _horner_p(v), 1 << v.n)
+    return Fraction(3**v.ones * N + _horner_p(v.bits), 1 << v.n)
 
 
 def is_member(v: ParityVector, N: int) -> bool:
@@ -342,13 +356,13 @@ def is_member(v: ParityVector, N: int) -> bool:
     """
     if N < 1:
         raise ValueError(f"is_member requires N >= 1, got {N}")
-    return (3**v.ones * N + _horner_p(v)) & ((1 << v.n) - 1) == 0
+    return (3**v.ones * N + _horner_p(v.bits)) & ((1 << v.n) - 1) == 0
 
 
 def apply_vector(v: ParityVector, N: int) -> int:
     """T^n(N) = (3^m N + P) / 2^n for a realizer N of v."""
     pow2 = 1 << v.n
-    num = 3**v.ones * N + _horner_p(v)
+    num = 3**v.ones * N + _horner_p(v.bits)
     if N < 1 or num % pow2 != 0:
         n0 = solve_n0(v)
         raise ValueError(
@@ -409,14 +423,14 @@ def _repeat_p(P: int, m: int, n: int, k: int) -> int:
 
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:
     """P of the concatenation v1 || v2, from the parts: 3^{m(v2)} P(v1) + 2^{n(v1)} P(v2)."""
-    return _concat_p(_horner_p(v1), v1.n, _horner_p(v2), v2.ones)
+    return _concat_p(_horner_p(v1.bits), v1.n, _horner_p(v2.bits), v2.ones)
 
 
 def repeat_p(u: ParityVector, k: int) -> int:
     """P of u repeated k times: P(u) * (3^{km} - 2^{kn}) / (3^m - 2^n)."""
     if k < 1:
         raise ValueError(f"repeat count must be >= 1, got {k}")
-    return _repeat_p(_horner_p(u), u.ones, u.n, k)
+    return _repeat_p(_horner_p(u.bits), u.ones, u.n, k)
 
 
 OmegaExtremes = namedtuple("OmegaExtremes", ["min_vector", "min_p", "max_vector", "max_p"])
@@ -447,7 +461,7 @@ def cycle_fixed_point(u: ParityVector) -> Fraction:
     An infinite repetition of u is realizable by an integer only if this value
     is a positive integer.  m = 0 gives 0: no positive fixed point.
     """
-    return Fraction(_horner_p(u), (1 << u.n) - 3**u.ones)
+    return Fraction(_horner_p(u.bits), (1 << u.n) - 3**u.ones)
 
 
 def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> int:
@@ -464,7 +478,7 @@ def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> 
         raise ValueError(f"x1={x1} does not realize v1")
     if not is_member(v2, x2):
         raise ValueError(f"x2={x2} does not realize v2")
-    num = 3 ** (v2.ones - v1.ones) * x2 * _horner_p(v1) - x1 * _horner_p(v2)
+    num = 3 ** (v2.ones - v1.ones) * x2 * _horner_p(v1.bits) - x1 * _horner_p(v2.bits)
     q, r = divmod(num, 1 << v1.n)
     assert r == 0, "congruence witness must be an exact integer"
     return q
@@ -473,11 +487,11 @@ def congruence_witness(v1: ParityVector, v2: ParityVector, x1: int, x2: int) -> 
 def char_set(v: ParityVector) -> CharacteristicSet:
     """The characteristic set of v.
 
-    P by Horner over the one-positions (P = 3P + 2^{j-1}), and N0 = P * a
+    P by Horner over the bytes of v (`_horner_p`), and N0 = P * a
     mod 2^n (0 mapped to 2^n) from one solve for a; N0 = 2^n when m = 0.
     The solved (a, b) fills the set's cache.
     """
-    return _solved_set(v.n, v.ones, _horner_p(v))
+    return _solved_set(v.n, v.ones, _horner_p(v.bits))
 
 
 def _solved_set(n: int, m: int, P: int, N0: int | None = None) -> CharacteristicSet:

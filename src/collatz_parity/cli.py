@@ -30,6 +30,7 @@ from .core import ParityVector, parse_generator
 from .report import (
     _LOWEST_DIGIT_LIMIT,
     DEFAULT_PRECISION,
+    _fixed,
     charset_to_json_dict,
     format_rational,
     load_fixtures,
@@ -212,8 +213,11 @@ def _classify_flags(p):
     _add_out_flag(p)
 
 
-def _frac_text(x: Fraction, args) -> str:
-    return format_rational(x, args.precision, args.exact_rationals)
+def _ratio_text(p: int, q: int, args) -> str:
+    """p/q as the flags ask; only --exact-rationals reduces it, through Fraction."""
+    if args.exact_rationals:
+        return format_rational(Fraction(p, q), exact=True)
+    return _fixed(p, q, args.precision)
 
 
 # the --json document as json.dumps(..., indent=2) lays it out; every string
@@ -238,14 +242,12 @@ def _cmd_classify(args) -> int:
     verdict = classify(parse_generator(args.spec), args.horizon, args.window)
     cs = verdict.prefix_set
     if cs is not None:
-        # each rational is rendered once, for either layout; q = X/2^n and
-        # q* = X*/2^n differ from r0 = N0/2^n by integers, and need m >= 1
-        m_over_n, P_over_2n = _frac_text(cs.m_over_n, args), _frac_text(cs.P_over_2n, args)
-        if cs.m:
-            pow2 = 1 << cs.n   # r0 = N0/2^n with 1 <= N0 <= 2^n
-            distance = _frac_text(Fraction(min(cs.N0, pow2 - cs.N0), pow2), args)
-        else:
-            distance = None
+        # each rational is rendered once, for either layout, from its integers;
+        # q = X/2^n and q* = X*/2^n differ from r0 = N0/2^n by integers, and
+        # need m >= 1
+        pow2 = 1 << cs.n   # r0 = N0/2^n with 1 <= N0 <= 2^n
+        m_over_n, P_over_2n = _ratio_text(cs.m, cs.n, args), _ratio_text(cs.P, pow2, args)
+        distance = _ratio_text(min(cs.N0, pow2 - cs.N0), pow2, args) if cs.m else None
     # the whole text is built before the first write, so an error writes nothing
     if args.json:
         diagnostics = "" if cs is None else _CLASSIFY_JSON_DIAGNOSTICS % (

@@ -8,6 +8,15 @@ The shortcut map consumes exactly one division by 2 per step:
 A parity vector records the parities (odd = 1) of consecutive iterates.
 All arithmetic is exact; integers are unbounded everywhere.
 
+Eight steps take one lookup.  Every N = r + 2^8 h with r = N mod 2^8 has the
+parity vector v_r of r's first 8 steps, and T^8(N) = 3^m h + T^8(r), m being
+the ones of v_r (Terras 1976; Lagarias 1985, section 2).  `_BYTE_STEPS`
+holds (v_r, m, 3^m, T^8(r)) for the 256 residues, built once at import, and
+`IntegerGenerator.bits` walks an orbit by it.  Its inverse view `_BYTE_P`,
+indexed by the 8-bit vector, gives (3^m, P(v)) with P(v_r) = 2^8 T^8(r) -
+3^m r, for the byte-wise Horner sum of P in `characteristics`.
+`collatz_step`, the one step, is the oracle of both.
+
 The package's value types derive from `Record`, a plain immutable
 `__slots__` base: its classes are cheap to define at import time, and its
 instances cheap to construct.
@@ -109,8 +118,38 @@ def collatz_sequence(N: int, n: int) -> tuple[int, ...]:
     return tuple(terms)
 
 
-# the bytes of "0" and "1" to the bit values 0 and 1
+# the bytes of "0" and "1" to the bit values 0 and 1, and back
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _byte_tables() -> tuple[list[tuple[bytes, int, int, int]], list[tuple[int, int]]]:
+    """(v_r, m, 3^m, T^8(r)) for r = 0..255, and (3^m, P(v)) indexed by the 8-bit vector v.
+
+    v_r is a bytes of 8 bit values.  Both tables are built by doubling from
+    one bit.  The steps of 2k bits come from those of k: with r = lo + 2^k
+    hi, T^k(r) = y = 3^m(lo) hi + T^k(lo), and T^2k(r) = T^k(y), looked up
+    again by y mod 2^k.  A vector of 2k bits, u || w with u and w of k bits,
+    has P = 3^m(w) P(u) + 2^k P(w); it is indexed with its first bit lowest.
+    """
+    steps = [(b"\x00", 0, 1, 0), (b"\x01", 1, 3, 2)]   # one step of r = 0 and r = 1
+    by_vector = [(1, 0), (3, 1)]
+    for k in (1, 2, 4):
+        low = (1 << k) - 1
+        doubled = []
+        for r in range(1 << 2 * k):
+            bits, m, pow3, y = steps[r & low]
+            y += pow3 * (r >> k)
+            more, m_more, pow3_more, t = steps[y & low]
+            doubled.append((bits + more, m + m_more, pow3 * pow3_more,
+                            pow3_more * (y >> k) + t))
+        steps = doubled
+        by_vector = [(pow3_u * pow3_w, pow3_w * p_u + (p_w << k))
+                     for pow3_w, p_w in by_vector for pow3_u, p_u in by_vector]
+    return steps, by_vector
+
+
+_BYTE_STEPS, _BYTE_P = _byte_tables()
 
 
 class ParityVector(Record):
@@ -219,9 +258,10 @@ class IntegerGenerator(PrefixGenerator):
 
     def bits(self) -> Iterator[int]:
         x = self.N
-        while True:
-            yield x & 1
-            x = collatz_step(x)
+        while True:   # 8 steps per lookup: N = r + 2^8 h gives T^8(N) = 3^m h + T^8(r)
+            bits, _, pow3, t = _BYTE_STEPS[x & 255]
+            yield from bits
+            x = pow3 * (x >> 8) + t
 
     def spec_string(self) -> str:
         return f"int:{self.N}"

@@ -69,14 +69,19 @@ def _digit_limit_error(limit: int, digits: int) -> ValueError:
 def _check_digit_limit(p: int, q: int, digits: int) -> None:
     """Raise the interpreter's digit-limit error if round(|p|/q * 10^digits) must pass it.
 
-    |p|/q > 2^e with e = bits(p) - bits(q) - 1, so the rounded value is at
-    least 10^(digits + e*log10(2)); this bound needs no 10^digits, which at
-    a precision of millions takes seconds to build.
+    |p|/q >= 2^e with e = floor(log2(|p|/q)), which is bits(p) - bits(q) or
+    one less, so the rounded value is at least 10^(digits + e*log10(2));
+    this bound needs no 10^digits, which at a precision of millions takes
+    seconds to build.  It depends on the value of p/q alone, not on whether
+    p/q is reduced.
     """
     limit = _digit_limit()
     if not limit:
         return
-    e = abs(p).bit_length() - q.bit_length() - 1
+    p = abs(p)
+    e = p.bit_length() - q.bit_length()
+    if p << max(-e, 0) < q << max(e, 0):   # |p|/q < 2^e
+        e -= 1
     # e*log10(2) rounded down, from 0.30102 < log10(2) < 0.30103
     if digits + e * (30102 if e >= 0 else 30103) // 100000 >= limit:
         raise _digit_limit_error(limit, digits)
@@ -85,18 +90,24 @@ def _check_digit_limit(p: int, q: int, digits: int) -> None:
 def format_rational(x: Fraction, digits: int = DEFAULT_PRECISION, exact: bool = False) -> str:
     """Decimal-string rendering of an exact rational.
 
-    `exact` gives the reduced p/q form; otherwise fixed-point with `digits`
-    fractional digits, rounded half to even in integer arithmetic.  From the
-    lowest digit limit up, a nonzero value is first bounded against the
-    interpreter's limit, so a precision of millions fails before 10^digits
-    is built.
+    `exact` gives the reduced p/q form; otherwise `_fixed` of its numerator
+    and denominator.
     """
     if exact:
         return str(x)
+    x = Fraction(x)
+    return _fixed(x.numerator, x.denominator, digits)
+
+
+def _fixed(p: int, q: int, digits: int) -> str:
+    """p/q, q >= 1 and p/q not necessarily reduced, in fixed point with `digits` fractional digits.
+
+    Rounded half to even in integer arithmetic.  From the lowest digit limit
+    up, a nonzero value is first bounded against the interpreter's limit,
+    so a precision of millions fails before 10^digits is built.
+    """
     if digits < 0:
         raise ValueError(f"precision must be >= 0, got {digits}")
-    x = Fraction(x)
-    p, q = x.numerator, x.denominator
     if p and digits >= _LOWEST_DIGIT_LIMIT:
         _check_digit_limit(p, q, digits)
     scaled, rem = divmod(p * 10**digits, q) if p else (0, 0)   # 0 needs no 10^digits

@@ -16,11 +16,13 @@ comes from `xstar_decompose(gen.prefix(j))`.
 `classify` reads no rows: it needs only the H-bit prefix's m_H, P_H and
 N0_H, and the 1 bits in its last W.  For the two spec types whose bits have
 a closed form it draws no bit at all:
-  * `int:N`: one pass of the orbit N, T(N), ..., T^H(N) counts m_H and the
-    window's ones; T^H(N) = (3^m N + P_H)/2^H gives P_H, and N, which
-    realizes every prefix, gives N0_H = ((N - 1) mod 2^H) + 1;
+  * `int:N`: one pass of the orbit N, T(N), ..., T^H(N), 8 steps per
+    lookup in core's table of the 256 residues mod 2^8 (`_steps`), counts
+    m_H and the window's ones; T^H(N) = (3^m N + P_H)/2^H gives P_H, and
+    N, which realizes every prefix, gives N0_H = ((N - 1) mod 2^H) + 1;
   * head+cycle: the prefix is h || c^k || c[:r], so P_H joins P(h), P(c^k)
-    and P(c[:r]) by `compose_p`'s rule, P(c^k) coming from P(c) by
+    and P(c[:r]) by `compose_p`'s rule, each part's P by the byte-wise
+    Horner sum `_horner_p` of its bit tuple and P(c^k) from P(c) by
     `repeat_p`'s rule, and m counts come from the parts; N0_H = P_H a_H
     mod 2^H.
 Any other source gives its H-bit prefix, held as one tuple, to `char_set`.
@@ -41,10 +43,10 @@ from itertools import compress, islice
 
 from .core import (
     _BITS,
+    _BYTE_STEPS,
     BitStreamExhausted,
     HeadCycleGenerator,
     IntegerGenerator,
-    ParityVector,
     PrefixGenerator,
     Record,
     _check_prefix_length,
@@ -219,9 +221,18 @@ class RealizabilityVerdict(Record):
 
 
 def _steps(x: int, count: int) -> tuple[int, int]:
-    """T^count(x), and how many of x, T(x), ..., T^(count-1)(x) are odd."""
+    """T^count(x), and how many of x, T(x), ..., T^(count-1)(x) are odd; x >= 1.
+
+    Eight steps at a time: with r = x mod 2^8, core's table gives the odd
+    terms m among r's 8 steps, 3^m and T^8(r), and T^8(x) = 3^m (x >> 8) +
+    T^8(r).  Only the last count mod 8 steps go through `collatz_step`.
+    """
     odd = 0
-    for _ in range(count):
+    for _ in range(count >> 3):
+        _, m, pow3, t = _BYTE_STEPS[x & 255]
+        odd += m
+        x = pow3 * (x >> 8) + t
+    for _ in range(count & 7):
         odd += x & 1
         x = collatz_step(x)
     return x, odd
@@ -232,7 +243,8 @@ def _integer_prefix(N: int, horizon: int, window: int) -> tuple[CharacteristicSe
 
     The bits are the parities of N, T(N), ..., so m_H counts the odd terms,
     and T^H(N) = (3^m N + P_H) / 2^H gives P_H = 2^H T^H(N) - 3^m N.  N
-    realizes every prefix, so N0_H = ((N - 1) mod 2^H) + 1.
+    realizes every prefix, so N0_H = ((N - 1) mod 2^H) + 1.  The pass is two
+    `_steps` calls, up to the window and through it, each 8 steps per lookup.
     """
     x, front = _steps(N, horizon - window)
     x, ones = _steps(x, window)
@@ -241,18 +253,15 @@ def _integer_prefix(N: int, horizon: int, window: int) -> tuple[CharacteristicSe
     return _solved_set(horizon, m, P, ((N - 1) & ((1 << horizon) - 1)) + 1), ones
 
 
-def _p_of(bits: tuple[int, ...]) -> int:
-    return _horner_p(ParityVector(bits)) if bits else 0
-
-
 def _head_cycle_prefix(gen: HeadCycleGenerator, horizon: int,
                        window: int) -> tuple[CharacteristicSet, int]:
     """The H-bit prefix's set of a head+cycle spec and the 1 bits in its last `window`.
 
     The prefix is h || c^k || c[:r], h the head cut to H bits and c the
     cycle: P_H joins P(h), P(c^k) and P(c[:r]) by `compose_p`'s rule, with
-    P(c^k) from P(c) by `repeat_p`'s rule, and m counts the ones of each
-    part.  No bit of the stream is drawn.
+    P(h), P(c) and P(c[:r]) from `_horner_p` of their bit tuples and P(c^k)
+    from P(c) by `repeat_p`'s rule, and m counts the ones of each part.  No
+    bit of the stream is drawn.
     """
     head = () if gen.head is None else gen.head.bits
     cycle, m_cycle = gen.cycle.bits, gen.cycle.ones
@@ -265,9 +274,9 @@ def _head_cycle_prefix(gen: HeadCycleGenerator, horizon: int,
 
     cut = head[:horizon]
     k, r = divmod(horizon - len(cut), len(cycle))
-    P = _concat_p(_p_of(cut), len(cut),
-                  _repeat_p(_p_of(cycle), m_cycle, len(cycle), k), k * m_cycle)
-    P = _concat_p(P, horizon - r, _p_of(cycle[:r]), sum(cycle[:r]))
+    P = _concat_p(_horner_p(cut), len(cut),
+                  _repeat_p(_horner_p(cycle), m_cycle, len(cycle), k), k * m_cycle)
+    P = _concat_p(P, horizon - r, _horner_p(cycle[:r]), sum(cycle[:r]))
     m = ones(horizon)
     return _solved_set(horizon, m, P), m - ones(horizon - window)
 

@@ -31,6 +31,7 @@ from collatz_parity import (
     xstar_decompose,
     xy_points,
 )
+from collatz_parity.core import _BYTE_P, _BYTE_STEPS
 
 PV = ParityVector.from_string
 
@@ -341,6 +342,41 @@ def test_p_three_forms_agree():
     vectors += [random_vector(rng, rng.randint(1, 400)) for _ in range(200)]
     for v in vectors:
         assert char_set(v).P == p_closed_form(v) == p_recurrence(v)[-1]
+
+
+def test_byte_table_entries_are_char_sets_of_length_8_vectors():
+    # residue r's 8 bits v_r, m, 3^m and T^8(r); the vector-indexed view
+    # holds (3^m, P) with P = 2^8 T^8(r) - 3^m r, and r realizes v_r
+    assert len(_BYTE_STEPS) == len(_BYTE_P) == 256
+    for r, (bits, m, pow3, t) in enumerate(_BYTE_STEPS):
+        v = ParityVector(tuple(bits))
+        cs = char_set(v)
+        assert v == parity_vector(r or 256, 8)
+        assert (cs.m, cs.P, cs.N0) == (m, (t << 8) - pow3 * r, r or 256)
+        assert pow3 == 3**m and _BYTE_P[sum(e << i for i, e in enumerate(bits))] == (pow3, cs.P)
+        x = r + 256   # T^8(r + 2^8) = 3^m + T^8(r), by plain steps
+        for _ in range(8):
+            x = collatz_step(x)
+        assert x == pow3 + t
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
+def test_byte_horner_equals_the_weighted_sum(bits):
+    v = ParityVector(tuple(bits))
+    assert characteristics._horner_p(v.bits) == p_closed_form(v)
+
+
+def test_byte_horner_on_runs_and_trailing_zeros():
+    rng = random.Random(35)
+    vectors = []
+    for n in (*range(1, 42), 255, 256, 257, 2047, 2048, 2049):
+        vectors += [(0,) * n, (1,) * n]
+        head = tuple(rng.randint(0, 1) for _ in range(n)) + (1,)
+        vectors += [head + (0,) * zeros for zeros in (0, 1, 7, 8, 9, 16)]
+    assert characteristics._horner_p(()) == 0
+    for bits in vectors:
+        assert characteristics._horner_p(bits) == p_closed_form(ParityVector(bits))
 
 
 def test_library_functions_sum_p_by_horner(monkeypatch):

@@ -1,9 +1,11 @@
 """Shortcut map, parity vectors, and prefix generators."""
 
 import re
+from itertools import islice
 
+import oracle
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_parity import (
     BitStreamExhausted,
@@ -106,6 +108,19 @@ def test_from_integer_generator_matches_parity_vector():
         gen = IntegerGenerator(N)
         for n in (1, 5, 33):
             assert gen.prefix(n) == parity_vector(N, n)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 2048).flatmap(lambda bits: st.integers(1, 2**bits - 1)),
+       st.integers(0, 300))
+@example(1, 0)
+@example(1, 7)
+@example(27, 300)
+@example(2**2048 - 1, 299)
+def test_integer_bits_equal_plain_iteration(N, count):
+    # 8 bits per table lookup, against the oracle's one plain step per bit;
+    # counts below 8 and counts that are no multiple of 8 included
+    assert list(islice(IntegerGenerator(N).bits(), count)) == oracle.spec_bits(f"int:{N}", count)
 
 
 def test_prefix_consistency():

@@ -12,7 +12,7 @@ from itertools import islice
 
 import oracle
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from collatz_parity import characteristics
 from collatz_parity import (
@@ -31,6 +31,7 @@ from collatz_parity.report import (
     TRAJECTORY_CSV_HEADER,
     FixtureCase,
     charset_to_json_dict,
+    _fixed,
     format_rational,
     load_fixtures,
     render_report_text,
@@ -69,6 +70,77 @@ def test_format_rational_of_zero_builds_no_power_of_ten():
 def test_format_rational_exact():
     assert format_rational(Fraction(79, 16), exact=True) == "79/16"
     assert format_rational(Fraction(10), exact=True) == "10"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(-10**30, 10**30) | st.just(0), st.integers(1, 10**20), st.integers(1, 10**6),
+       st.integers(0, 12))
+@example(0, 7, 3, 12)
+@example(0, 1, 1, 0)
+@example(5, 3, 4, 0)
+@example(1, 8, 5, 2)    # 12.5 hundredths: the tie rounds to the even 0.12
+@example(3, 8, 5, 2)    # 37.5 hundredths: the tie rounds to the even 0.38
+@example(-3, 8, 2, 2)
+def test_fixed_of_unreduced_integers_is_format_rational(p, q, k, digits):
+    assert _fixed(k * p, k * q, digits) == _fixed(p, q, digits) == format_rational(
+        Fraction(p, q), digits)
+
+
+def test_fixed_ties_round_half_even():
+    assert _fixed(1, 8, 2) == _fixed(2, 16, 2) == "0.12"
+    assert _fixed(3, 8, 2) == _fixed(9, 24, 2) == "0.38"
+    assert _fixed(1, 2, 0) == "0" and _fixed(3, 2, 0) == "2" and _fixed(0, 5, 0) == "0"
+    with pytest.raises(ValueError, match="precision must be >= 0, got -1"):
+        _fixed(1, 2, -1)
+
+
+class _Precision(int):
+    """A precision whose 10^digits fails the test: the digit-limit check must come first."""
+
+    def __rpow__(self, base, mod=None):
+        raise AssertionError(f"{base}^{int(self)} was built")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+@pytest.mark.parametrize("p, q, k", [(1, 1, 3), (3, 2, 3), (9, 6, 1), (1, 3, 7), (2**600, 3, 5),
+                                     (3**400, 2**700, 3), (-5, 4, 9), (1, 2**2000, 3)])
+@pytest.mark.parametrize("digits", [639, 640, 641, 700, 5000])
+def test_fixed_under_a_low_digit_limit_is_format_rational(p, q, k, digits):
+    # unreduced or not, _fixed renders what format_rational renders, or raises
+    # the same error; the bound that refuses before 10^digits is built
+    # depends on the value alone
+    def outcome(render, *args):
+        try:
+            return render(*args)
+        except ValueError as exc:
+            return str(exc)
+
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        expected = outcome(format_rational, Fraction(p, q), digits)
+        assert outcome(_fixed, k * p, k * q, digits) == outcome(_fixed, p, q, digits) == expected
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int/str digit limit")
+def test_fixed_refuses_before_building_ten_to_the_digits():
+    previous = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        for p, q in ((1, 3), (3, 6), (2**40, 2**41), (7, 1)):
+            with pytest.raises(ValueError) as exc:
+                _fixed(p, q, _Precision(10**9))
+            assert str(exc.value) == (
+                "Exceeds the limit (640 digits) for integer string conversion at precision "
+                "1000000000; use sys.set_int_max_str_digits() to increase the limit")
+        # a zero numerator builds no 10^digits either, and renders
+        assert _fixed(0, 3, _Precision(650)) == "0." + "0" * 650
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def rounded(p, q, digits):

@@ -13,7 +13,7 @@ import oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatz_parity import characteristics
+from collatz_parity import characteristics, trajectory
 from collatz_parity import (
     BitStreamExhausted,
     BitStreamGenerator,
@@ -379,6 +379,22 @@ def test_int_and_head_cycle_specs_draw_no_bit(spec, monkeypatch):
     for cls in (IntegerGenerator, HeadCycleGenerator):
         monkeypatch.setattr(cls, "bits", _no_bits)
     assert classify(gen, 300, 32) == expected
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 2048).flatmap(lambda bits: st.integers(1, 2**bits - 1)),
+       st.integers(0, 300))
+@example(1, 0)
+@example(1, 7)
+@example(27, 300)
+@example(2**2048 - 1, 299)
+def test_steps_equal_plain_iteration(N, count):
+    # 8 steps per table lookup and the rest one at a time, against the
+    # oracle's plain steps; counts below 8 and no multiple of 8 included
+    x = N
+    for _ in range(count):
+        x = oracle.T(x)
+    assert trajectory._steps(N, count) == (x, sum(oracle.spec_bits(f"int:{N}", count)))
 
 
 @pytest.mark.parametrize("spec", ["int:27", "cycle:0", "bits:" + "1101" * 48])

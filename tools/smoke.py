@@ -12,13 +12,16 @@ of `iter_trajectory`, the `classify` text and --json document and the
 which computes each number from its definition and imports nothing of the
 package.  It compares the verdict `classify` takes in closed form for
 `int:` and head+cycle specs with the one `char_set` gives for the same
-bits as a `bits:` source.  It also checks the exit codes, the digit limit, that an existing
---out file holds exactly what each call wrote, that the CLI's
-lazily built parsers, each kept for the life of the process, parse and
-print what new parsers built in full up front do, each argv called twice
-at widths of 40, 200 and again 40 columns, and that importing the CLI loads
-no module it has no use for at start-up.  It prints one PASS or FAIL line
-per check, and exits 0 when every check passes and 1 otherwise.
+bits as a `bits:` source, and the bits of `int:` orbits, `_steps` and the
+byte-wise `_horner_p`, which read core's table of 8-step residues, with
+the oracle's plain steps and weighted sum.  It also checks the exit codes,
+the digit limit, that an existing --out file holds exactly what each call
+wrote, that the CLI's lazily built parsers, each kept for the life of the
+process, parse and print what new parsers built in full up front do, each
+argv called twice at widths of 40, 200 and again 40 columns, and that
+importing the CLI loads no module it has no use for at start-up.  It
+prints one PASS or FAIL line per check, and exits 0 when every check
+passes and 1 otherwise.
 """
 
 import io
@@ -296,6 +299,40 @@ def check_classify_closed_form() -> str:
     return ""
 
 
+def check_byte_steps() -> str:
+    # int: orbits walk 8 steps per lookup in core's table, _steps counts odd
+    # terms the same way, and _horner_p sums P a byte at a time; each against
+    # the oracle's plain steps and weighted sum, for integers of 1 to 2048
+    # bits and counts of 0 to 300, some below 8 and some no multiple of 8:
+    # a stand-in for the pytest properties
+    sys.path.insert(0, str(SRC))
+    from itertools import islice
+
+    from collatz_parity.characteristics import _horner_p
+    from collatz_parity.core import IntegerGenerator
+    from collatz_parity.trajectory import _steps
+
+    rng = random.Random(19)
+    for i in range(200):
+        N = rng.getrandbits(rng.randint(1, 2048)) | 1 << i % 3
+        count = (0, 1, 7, 8, 9, rng.randint(0, 300))[i % 6]
+        bits = oracle.spec_bits(f"int:{N}", count)
+        x = N
+        for _ in range(count):
+            x = oracle.T(x)
+        if list(islice(IntegerGenerator(N).bits(), count)) != bits:
+            return f"int:{N % 10**12}... {count}: the bits differ from the oracle's"
+        if _steps(N, count) != (x, sum(bits)):
+            return f"_steps({N % 10**12}..., {count}) differs from the oracle's"
+        if count and _horner_p(tuple(bits)) != oracle._P(oracle._ones(bits)):
+            return f"_horner_p of int:{N % 10**12}...'s {count} bits differs from the oracle's"
+    for n in (1, 7, 8, 9, 40, 256, 2049):
+        for bits in ([0] * n, [1] * n, [1] + [0] * (n - 1)):
+            if _horner_p(tuple(bits)) != oracle._P(oracle._ones(bits)):
+                return f"_horner_p of a {n}-bit run differs from the oracle's"
+    return ""
+
+
 def check_xstar_oracle() -> str:
     # the CLI writes each row in one pass over the one-positions, taking
     # theta_k from the one before and summing X* and Y* as it goes, z_k
@@ -440,6 +477,7 @@ CHECKS = {
     "classify text and --json = the oracle": check_classify_oracle,
     "classify of int: and head+cycle specs in closed form = char_set of the prefix":
         check_classify_closed_form,
+    "int: bits, _steps and _horner_p, 8 bits per lookup, = the oracle": check_byte_steps,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
     "a command-first parse = a new top-level parser's, at 40, 200 and again 40 columns":
         check_command_first_parse,
