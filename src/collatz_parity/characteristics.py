@@ -16,9 +16,9 @@ all exact integers or rationals attached to v:
 
 A CharacteristicSet stores n, m, P and N0, and the rest derive from them.  X*
 and Y* need the one-positions, so they come from the vector, by
-`xstar_decompose(v)`.  a and b, and with a N0, come from one closed-form
-solve, `_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
-oracle.  One generator, `_xstar_terms`, makes X*'s rows for
+`xstar_decompose(v)`.  a, and with it N0, comes from one closed-form solve,
+`_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
+oracle; b is read off a.  One generator, `_xstar_terms`, makes X*'s rows for
 `xstar_decompose` and for the table writers in report.py: it takes each
 theta_k from the one before by an exact division by 3, and each cofactor t_k
 from the one before and the bits theta_{k-1} drops, with no product of 3^k
@@ -41,35 +41,25 @@ from .core import _BYTE_P, _DIGITS, ParityVector, Record
 class CharacteristicSet(Record):
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
-    Only n, m, P and N0 are stored; every other number is computed on read.
-    a and b are kept in the `_ab` slot: `char_set`, `iter_trajectory` and
-    `classify` fill it as they make the set, and any other set solves once
-    on first read.  A copy or a pickle keeps it.  They and the numbers that
-    need them are None when m = 0 (the equation needs m >= 1).  X* needs
-    the one-positions, so `xstar_decompose` reads it from the vector.
+    Only n, m, P and N0 are stored; every other number, b among them, is
+    computed on read.  a is kept in the `_a` slot: `char_set`,
+    `iter_trajectory` and `classify` fill it as they make the set, and any
+    other set solves once on first read.  A copy or a pickle keeps it, or
+    its absence.  a, b and the numbers that need them are None when m = 0
+    (the equation needs m >= 1).  X* needs the one-positions, so
+    `xstar_decompose` reads it from the vector.
     """
 
-    __slots__ = ("n", "m", "P", "N0", "_ab")
+    __slots__ = ("n", "m", "P", "N0", "_a")
 
     def __init__(self, n: int, m: int, P: int, N0: int):
         self._init(n, m, P, N0)
 
     def __reduce__(self):
         try:
-            return self.__class__, self._values(), self._ab
+            return _set_with_a, (*self._values(), self._a)
         except AttributeError:  # not solved yet
             return self.__class__, self._values()
-
-    def __setstate__(self, ab: tuple) -> None:
-        object.__setattr__(self, "_ab", ab)
-
-    def _solution(self) -> tuple[int, int] | tuple[None, None]:
-        try:
-            return self._ab
-        except AttributeError:  # not read yet
-            ab = _solve_ab(self.m, self.n) if self.m else (None, None)
-            object.__setattr__(self, "_ab", ab)
-            return ab
 
     @property
     def c(self) -> int:
@@ -77,11 +67,16 @@ class CharacteristicSet(Record):
 
     @property
     def a(self) -> int | None:
-        return self._solution()[0]
+        try:
+            return self._a
+        except AttributeError:  # not read yet
+            a = _solve_ab(self.m, self.n)[0] if self.m else None
+            object.__setattr__(self, "_a", a)
+            return a
 
     @property
     def b(self) -> int | None:
-        return self._solution()[1]
+        return None if self.a is None else (3**self.m * self.a + 1) >> self.n
 
     @property
     def alpha(self) -> int:
@@ -489,21 +484,26 @@ def char_set(v: ParityVector) -> CharacteristicSet:
 
     P by Horner over the bytes of v (`_horner_p`), and N0 = P * a
     mod 2^n (0 mapped to 2^n) from one solve for a; N0 = 2^n when m = 0.
-    The solved (a, b) fills the set's cache.
+    The solved a fills the set's cache.
     """
     return _solved_set(v.n, v.ones, _horner_p(v.bits))
 
 
 def _solved_set(n: int, m: int, P: int, N0: int | None = None) -> CharacteristicSet:
-    """The set of a length-n vector with m ones and offset P, its (a, b) cache filled.
+    """The set of a length-n vector with m ones and offset P, its a cache filled.
 
-    One solve gives a and b; N0 is P * a mod 2^n (0 mapped to 2^n) unless
-    the caller knows it, taken by masks: `%` by 2^n would be a long division.
+    One solve gives a; N0 is P * a mod 2^n (0 mapped to 2^n) unless the
+    caller knows it, taken by masks: `%` by 2^n would be a long division.
     """
-    ab = _solve_ab(m, n) if m else (None, None)
+    a = _solve_ab(m, n)[0] if m else None
     if N0 is None:
         mask = (1 << n) - 1
-        N0 = (P & mask) * (ab[0] or 0) & mask or mask + 1
+        N0 = (P & mask) * (a or 0) & mask or mask + 1
+    return _set_with_a(n, m, P, N0, a)
+
+
+def _set_with_a(n: int, m: int, P: int, N0: int, a: int | None) -> CharacteristicSet:
+    """The set with fields n, m, P and N0 whose a is known: None when m = 0."""
     cs = CharacteristicSet(n, m, P, N0)
-    object.__setattr__(cs, "_ab", ab)
+    object.__setattr__(cs, "_a", a)
     return cs

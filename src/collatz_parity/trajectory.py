@@ -9,9 +9,9 @@ One engine, `_rows`, works out every row's state: it reads the bits a block
 at a time and takes N0, K* and a of each row from per-block counts of the
 X* terms, as its docstring states.  `iter_trajectory` wraps its rows in
 CharacteristicSets and the CSV writer in `report` renders them.  Each
-set gets the row's a_j, and b_j = (3^{m_j} a_j + 1)/2^j, in its (a, b)
-cache, so reading them solves nothing; X*_j needs the one-positions, so it
-comes from `xstar_decompose(gen.prefix(j))`.
+set gets the row's a_j in its a cache, so reading a_j, or b_j = (3^{m_j}
+a_j + 1)/2^j, solves nothing; X*_j needs the one-positions, so it comes
+from `xstar_decompose(gen.prefix(j))`.
 
 `classify` reads no rows: it needs only the H-bit prefix's m_H, P_H and
 N0_H, and the 1 bits in its last W.  For the two spec types whose bits have
@@ -26,9 +26,9 @@ a closed form it draws no bit at all:
     `repeat_p`'s rule, and m counts come from the parts; N0_H = P_H a_H
     mod 2^H.
 Any other source gives its H-bit prefix, held as one tuple, to `char_set`.
-Each way takes one solve for (a_H, b_H), and the verdict keeps the set, its
-(a, b) cache filled, as `verdict.prefix_set`, so every number of the H-bit
-prefix is read from the one CharacteristicSet type.
+Each way takes one solve for a_H, and the verdict keeps the set, its a
+cache filled, as `verdict.prefix_set`, so every number of the H-bit prefix
+is read from the one CharacteristicSet type.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from fractions import Fraction
 from itertools import compress, islice
 
 from .core import (
@@ -57,6 +56,7 @@ from .characteristics import (
     _concat_p,
     _horner_p,
     _repeat_p,
+    _set_with_a,
     _solved_set,
     char_set,
 )
@@ -166,11 +166,8 @@ def iter_trajectory(gen: PrefixGenerator, horizon: int) -> Iterator[Characterist
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    for n, m, P, _, pow3, N0, _, a in _rows(gen, horizon):
-        cs = CharacteristicSet(n, m, P, N0)
-        # the row's a fills the set's (a, b) cache, as char_set's solve does
-        object.__setattr__(cs, "_ab", (a, (pow3 * a + 1) >> n) if m else (None, None))
-        yield cs
+    for n, m, P, _, _, N0, _, a in _rows(gen, horizon):
+        yield _set_with_a(n, m, P, N0, a)
 
 
 def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
@@ -182,9 +179,9 @@ def lemma51_check(prev: CharacteristicSet, cur: CharacteristicSet) -> str:
     """
     if cur.n != prev.n + 1:
         raise ValueError(f"rows must be consecutive, got j={prev.n} then j={cur.n}")
-    if cur.r0 == prev.r0 / 2:
+    if cur.N0 == prev.N0:
         return HALVED
-    if cur.r0 == prev.r0 / 2 + Fraction(1, 2):
+    if cur.N0 == prev.N0 + (1 << prev.n):
         return HALVED_PLUS_HALF
     raise AssertionError(
         f"r0 dichotomy violated between rows {prev.n} and {cur.n}: "
@@ -203,7 +200,7 @@ class RealizabilityVerdict(Record):
                 streams, so a finite source gets none, and prefix_set and
                 ones_in_window are None.
 
-    prefix_set is the CharacteristicSet of the H-bit prefix, its (a, b) cache
+    prefix_set is the CharacteristicSet of the H-bit prefix, its a cache
     filled: its n, m/n, P/2^n and r0 are the final row's numbers.
     ones_in_window counts the 1 bits inside the final window (zero suggests an
     all-zero tail, outside the infinite-ones assumption).

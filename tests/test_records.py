@@ -27,7 +27,7 @@ PV = ParityVector.from_string
 
 def _char_set_with_a_read():
     cs = char_set(PV("1011010111"))
-    assert (cs.a, cs.b) == (221, 472)  # fills the (a, b) cache
+    assert (cs.a, cs.b) == (221, 472)  # fills the a cache
     return cs
 
 

@@ -119,13 +119,17 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
 
 @pytest.mark.parametrize("spec, horizon", [("int:27", 1000), ("head:0010;cycle:10110", 300)])
 def test_rows_carry_a_and_b_without_a_solve(monkeypatch, spec, horizon):
-    # the engine's a fills each row's (a, b) cache; the head's leading
-    # zeros give rows with m = 0, where a, b and K are None
+    # the engine's a fills each row's a cache, and copies and pickles of the
+    # rows keep it; the head's leading zeros give rows with m = 0, where a,
+    # b and K are None
     solves = []
     solve_ab = characteristics._solve_ab
     monkeypatch.setattr(characteristics, "_solve_ab",
                         lambda m, n: solves.append((m, n)) or solve_ab(m, n))
-    got = [(row.a, row.b, row.K) for row in iter_trajectory(parse_generator(spec), horizon)]
+    rows = list(iter_trajectory(parse_generator(spec), horizon))
+    copies = [*map(copy.copy, rows), *map(copy.deepcopy, rows), *pickle.loads(pickle.dumps(rows))]
+    got = [(row.a, row.b, row.K) for row in rows]
+    assert copies == rows * 3 and [(row.a, row.b, row.K) for row in copies] == got * 3
     assert solves == []
     monkeypatch.setattr(characteristics, "_solve_ab", solve_ab)
     gen = parse_generator(spec)
@@ -197,9 +201,9 @@ def test_lemma51_dichotomy_everywhere():
         for prev, cur in zip(rows, rows[1:]):
             kind = lemma51_check(prev, cur)
             if cur.N0 == prev.N0:
-                assert kind == HALVED
+                assert kind == HALVED and cur.r0 == prev.r0 / 2
             else:
-                assert kind == HALVED_PLUS_HALF
+                assert kind == HALVED_PLUS_HALF and cur.r0 == prev.r0 / 2 + Fraction(1, 2)
                 assert cur.N0 == prev.N0 + (1 << prev.n)
 
 
@@ -207,6 +211,16 @@ def test_lemma51_rejects_non_consecutive():
     rows = list(iter_trajectory(IntegerGenerator(27), 5))
     with pytest.raises(ValueError):
         lemma51_check(rows[0], rows[3])
+
+
+def test_lemma51_rejects_rows_of_two_streams():
+    # N0 = 3 at row 2 of int:27, then N0 = 5 at row 3 of int:5: neither
+    # unchanged nor grown by 2^2
+    prev = list(iter_trajectory(IntegerGenerator(27), 2))[-1]
+    cur = list(iter_trajectory(IntegerGenerator(5), 3))[-1]
+    with pytest.raises(AssertionError) as exc:
+        lemma51_check(prev, cur)
+    assert str(exc.value) == "r0 dichotomy violated between rows 2 and 3: 3/4 -> 5/8"
 
 
 def test_row_identities():
@@ -495,7 +509,7 @@ def test_classify_reads_exactly_horizon_bits(spec, horizon, window):
 
 
 def test_kept_rows_hold_linear_memory():
-    # a row holds n, m, P, N0, a and b, O(j) bits in all: about 3.4 MB for
+    # a row holds n, m, P, N0 and a, O(j) bits in all: about 2.2 MB for
     # these 4000 rows; O(j) one-positions per row would take O(H^2), about 16.5 MB
     tracemalloc.start()
     try:
@@ -503,7 +517,7 @@ def test_kept_rows_hold_linear_memory():
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(rows) == 4000 and held < 4_000_000
+    assert len(rows) == 4000 and held < 3_000_000
 
 
 def test_classify_flags_zero_tail():

@@ -12,16 +12,17 @@ of `iter_trajectory`, the `classify` text and --json document and the
 which computes each number from its definition and imports nothing of the
 package.  It compares the verdict `classify` takes in closed form for
 `int:` and head+cycle specs with the one `char_set` gives for the same
-bits as a `bits:` source, and the bits of `int:` orbits, `_steps` and the
-byte-wise `_horner_p`, which read core's table of 8-step residues, with
-the oracle's plain steps and weighted sum.  It also checks the exit codes,
-the digit limit, that an existing --out file holds exactly what each call
-wrote, that the CLI's lazily built parsers, each kept for the life of the
-process, parse and print what new parsers built in full up front do, each
-argv called twice at widths of 40, 200 and again 40 columns, and that
-importing the CLI loads no module it has no use for at start-up.  It
-prints one PASS or FAIL line per check, and exits 0 when every check
-passes and 1 otherwise.
+bits as a `bits:` source, and the a and b of its set and of `iter_trajectory`
+rows, read with `_solve_ab` made to raise, with `char_set`'s; and the bits
+of `int:` orbits, `_steps` and the byte-wise `_horner_p`, which read core's
+table of 8-step residues, with the oracle's plain steps and weighted sum.
+It also checks the exit codes, the digit limit, that an existing --out
+file holds exactly what each call wrote, that the CLI's lazily built
+parsers, each kept for the life of the process, parse and print what new
+parsers built in full up front do, each argv called twice at widths of 40,
+200 and again 40 columns, and that importing the CLI loads no module it
+has no use for at start-up.  It prints one PASS or FAIL line per check,
+and exits 0 when every check passes and 1 otherwise.
 """
 
 import io
@@ -277,11 +278,17 @@ def check_classify_oracle() -> str:
 def check_classify_closed_form() -> str:
     # an int: or head+cycle spec gives classify its prefix state in closed
     # form, drawing no bit; the same bits as a bits: source take char_set of
-    # the prefix.  The verdicts must agree field for field, and the closed
-    # form's set must hold the same solved (a, b), at horizons up to 2000,
-    # some inside a 300-bit head: a stand-in for the pytest tests
+    # the prefix.  The verdicts must agree field for field, at horizons up
+    # to 2000, some inside a 300-bit head.  The closed form's set and the
+    # iter_trajectory rows at the window and at the horizon must hold
+    # char_set's a, and b from it, with _solve_ab raising: they keep a and
+    # solve nothing on read.  A stand-in for the pytest tests
     sys.path.insert(0, str(SRC))
-    from collatz_parity import BitStreamGenerator, classify, parse_generator
+    from collatz_parity import (BitStreamGenerator, char_set, characteristics, classify,
+                                iter_trajectory, parse_generator)
+
+    def no_solve(m, n):
+        raise AssertionError(f"_solve_ab({m}, {n}) was called")
 
     rng = random.Random(18)
     head = "".join(rng.choice("01") for _ in range(300))
@@ -292,10 +299,14 @@ def check_classify_closed_form() -> str:
             bits = BitStreamGenerator(gen.prefix(horizon).bits)
             for window in (rng.randint(1, horizon), horizon):
                 got, expected = classify(gen, horizon, window), classify(bits, horizon, window)
-                ab = getattr(got.prefix_set, "_ab", None)
-                if got != expected or ab != (expected.prefix_set.a, expected.prefix_set.b):
+                solved = {j: char_set(gen.prefix(j)) for j in (window, horizon)}
+                with mock.patch.object(characteristics, "_solve_ab", no_solve):
+                    kept = [(cs.a, cs.b) for cs in iter_trajectory(gen, horizon) if cs.n in solved]
+                    kept.append((got.prefix_set.a, got.prefix_set.b))
+                    want = [(cs.a, cs.b) for cs in (*solved.values(), solved[horizon])]
+                if got != expected or kept != want:
                     return (f"{spec[:40]} --horizon {horizon} --window {window}: "
-                            "the closed form's verdict differs from char_set's")
+                            "the closed form's verdict or a row differs from char_set's")
     return ""
 
 
@@ -475,7 +486,7 @@ CHECKS = {
     "--out rewritten in place and cut at the end of the call": check_out_in_place,
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
-    "classify of int: and head+cycle specs in closed form = char_set of the prefix":
+    "classify of int: and head+cycle specs in closed form, and rows' kept a and b, = char_set":
         check_classify_closed_form,
     "int: bits, _steps and _horner_p, 8 bits per lookup, = the oracle": check_byte_steps,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
