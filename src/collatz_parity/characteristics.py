@@ -17,12 +17,12 @@ all exact integers or rationals attached to v:
 A CharacteristicSet stores n, m, P and N0, and the rest derive from them.  X*
 and Y* need the one-positions, so they come from the vector, by
 `xstar_decompose(v)`.  a, and with it N0, comes from one closed-form solve,
-`_solve_ab`, with the paper's halving recurrence `ab_recurrence` as its
-oracle; b is read off a.  One generator, `_xstar_terms`, makes X*'s rows for
-`xstar_decompose` and for the table writers in report.py: it takes each
-theta_k from the one before by an exact division by 3, and each cofactor t_k
-from the one before and the bits theta_{k-1} drops, with no product of 3^k
-and a whole theta.  Every function here sums P by Horner over the bytes of
+`_solve_a`, with the paper's halving recurrence `ab_recurrence` as its
+oracle; b = (3^m a + 1) / 2^n is read off a.  One generator, `_xstar_terms`,
+makes X*'s rows for `xstar_decompose` and for the table writers in
+report.py: it takes each theta_k from the one before by an exact division by
+3, and each cofactor t_k from the one before and the bits theta_{k-1} drops,
+with no product of 3^k and a whole theta.  Every function here sums P by Horner over the bytes of
 the vector, one step per 8 bits, P(u || w) = 3^{m(w)} P(u) + 2^{n(u)} P(w),
 with each byte's (3^{m(w)}, P(w)) from core's table of the 256 length-8
 vectors (`_horner_p`), and the weighted sum `p_closed_form` as its oracle.
@@ -42,12 +42,12 @@ class CharacteristicSet(Record):
     """The characteristic set of a finite parity vector, or of a stream's length-n prefix.
 
     Only n, m, P and N0 are stored; every other number, b among them, is
-    computed on read.  a is kept in the `_a` slot: `char_set`,
-    `iter_trajectory` and `classify` fill it as they make the set, and any
-    other set solves once on first read.  A copy or a pickle keeps it, or
-    its absence.  a, b and the numbers that need them are None when m = 0
-    (the equation needs m >= 1).  X* needs the one-positions, so
-    `xstar_decompose` reads it from the vector.
+    computed on read.  A set keeps a (slot `_a`) when its maker already had
+    it, as `char_set` and `iter_trajectory` do, and otherwise solves once on
+    the first read, as one built by the constructor does.  A copy or a
+    pickle keeps a, or its absence.  a, b and the numbers that need them are
+    None when m = 0 (the equation needs m >= 1).  X* needs the
+    one-positions, so `xstar_decompose` reads it from the vector.
     """
 
     __slots__ = ("n", "m", "P", "N0", "_a")
@@ -70,7 +70,7 @@ class CharacteristicSet(Record):
         try:
             return self._a
         except AttributeError:  # not read yet
-            a = _solve_ab(self.m, self.n)[0] if self.m else None
+            a = _solve_a(self.m, self.n) if self.m else None
             object.__setattr__(self, "_a", a)
             return a
 
@@ -170,11 +170,13 @@ class CharacteristicSet(Record):
             assert pow3 - 2**self.m <= self.P <= (1 << (self.n - self.m)) * (pow3 - 2**self.m)
 
 
-def _solve_ab(m: int, n: int) -> tuple[int, int]:
-    """The least positive solution (a, b) of 3^m a + 1 = 2^n b, for m, n >= 1.
+def _solve_a(m: int, n: int) -> int:
+    """The least positive a with 3^m a + 1 = 2^n b for an integer b, for m, n >= 1.
 
     a = -3^-m mod 2^n, with the inverse x of 3^m mod 2^n by Newton-Hensel
     steps: if 3^m x = 1 mod 2^k, then x (2 - 3^m x) is the inverse mod 2^2k.
+    b = (3^m a + 1) >> n costs one more product, which the callers that
+    read b pay.
     """
     pow3 = 3**m
     inv, k = 1, 1   # the inverse mod 2^k; 3^m is odd
@@ -182,8 +184,7 @@ def _solve_ab(m: int, n: int) -> tuple[int, int]:
         k = min(2 * k, n)
         mask = (1 << k) - 1
         inv = inv * (2 - (pow3 & mask) * inv) & mask
-    a = (1 << n) - inv
-    return a, (pow3 * a + 1) >> n
+    return (1 << n) - inv
 
 
 XStarRow = namedtuple("XStarRow", [
@@ -261,8 +262,8 @@ def _xstar_totals(v: ParityVector, each_row: Callable | None = None) -> tuple[in
         Ystar = 3 * Ystar + t
         if each_row is not None:
             each_row(k, j, theta, z, t, s)
-    a, b = _solve_ab(k, v.n)
-    return Xstar, Ystar, a * Ystar - b * Xstar
+    a = _solve_a(k, v.n)
+    return Xstar, Ystar, a * Ystar - ((3**k * a + 1) >> v.n) * Xstar
 
 
 def p_recurrence(v: ParityVector) -> tuple[int, ...]:
@@ -333,8 +334,8 @@ def ab_family_member(m: int, n: int, j: int) -> tuple[int, int]:
     """The j-th member (a + 2^n j, b + 3^m j) of the solution family of 3^m a + 1 = 2^n b."""
     if m < 1 or n < 1:
         raise ValueError(f"ab_family_member requires m, n >= 1, got ({m}, {n})")
-    a, b = _solve_ab(m, n)
-    return a + (j << n), b + 3**m * j
+    pow3, a = 3**m, _solve_a(m, n)
+    return a + (j << n), ((pow3 * a + 1) >> n) + pow3 * j
 
 
 def g_of(v: ParityVector, N: int) -> Fraction:
@@ -484,22 +485,20 @@ def char_set(v: ParityVector) -> CharacteristicSet:
 
     P by Horner over the bytes of v (`_horner_p`), and N0 = P * a
     mod 2^n (0 mapped to 2^n) from one solve for a; N0 = 2^n when m = 0.
-    The solved a fills the set's cache.
+    The set keeps the solved a.
     """
     return _solved_set(v.n, v.ones, _horner_p(v.bits))
 
 
-def _solved_set(n: int, m: int, P: int, N0: int | None = None) -> CharacteristicSet:
-    """The set of a length-n vector with m ones and offset P, its a cache filled.
+def _solved_set(n: int, m: int, P: int) -> CharacteristicSet:
+    """The set of a length-n vector with m ones and offset P, keeping the a its N0 needs.
 
-    One solve gives a; N0 is P * a mod 2^n (0 mapped to 2^n) unless the
-    caller knows it, taken by masks: `%` by 2^n would be a long division.
+    One solve gives a, and N0 = P * a mod 2^n (0 mapped to 2^n), taken by
+    masks: `%` by 2^n would be a long division.
     """
-    a = _solve_ab(m, n)[0] if m else None
-    if N0 is None:
-        mask = (1 << n) - 1
-        N0 = (P & mask) * (a or 0) & mask or mask + 1
-    return _set_with_a(n, m, P, N0, a)
+    a = _solve_a(m, n) if m else None
+    mask = (1 << n) - 1
+    return _set_with_a(n, m, P, (P & mask) * (a or 0) & mask or mask + 1, a)
 
 
 def _set_with_a(n: int, m: int, P: int, N0: int, a: int | None) -> CharacteristicSet:

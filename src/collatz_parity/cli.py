@@ -148,10 +148,9 @@ def _analyze_flags(p):
     _add_out_flag(p)
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, out) -> int:
     cs = char_set(ParityVector.from_string(args.bits))
-    with _open_out(args) as out:
-        out.write(json.dumps(charset_to_json_dict(cs), indent=2) + "\n")
+    out.write(json.dumps(charset_to_json_dict(cs), indent=2) + "\n")
     return 0
 
 
@@ -162,14 +161,13 @@ def _solve_flags(p):
     _add_out_flag(p)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args, out) -> int:
     v = ParityVector.from_string(args.bits)
     n0 = solve_n0(v)
     # the last realizer is the largest: converted first, a digit-limit error writes nothing
     str(n0 + ((args.count - 1) << v.n))
-    with _open_out(args) as out:
-        for j in range(args.count):
-            out.write(f"{n0 + (j << v.n)}\n")
+    for j in range(args.count):
+        out.write(f"{n0 + (j << v.n)}\n")
     return 0
 
 
@@ -179,10 +177,9 @@ def _xstar_flags(p):
     _add_out_flag(p)
 
 
-def _cmd_xstar(args) -> int:
+def _cmd_xstar(args, out) -> int:
     v = ParityVector.from_string(args.bits)
-    with _open_out(args) as out:
-        (write_xstar_json if args.json else write_xstar_table)(v, out)
+    (write_xstar_json if args.json else write_xstar_table)(v, out)
     return 0
 
 
@@ -194,13 +191,9 @@ def _trajectory_flags(p):
     _add_out_flag(p)
 
 
-def _cmd_trajectory(args) -> int:
-    gen = parse_generator(args.spec)
-    with _open_out(args) as out:
-        write_trajectory_csv(
-            gen, args.horizon, out,
-            digits=args.precision, exact=args.exact_rationals,
-        )
+def _cmd_trajectory(args, out) -> int:
+    write_trajectory_csv(parse_generator(args.spec), args.horizon, out,
+                         digits=args.precision, exact=args.exact_rationals)
     return 0
 
 
@@ -238,7 +231,7 @@ def _json_value(x, quote: bool = False) -> str:
     return "null" if x is None else f'"{x}"' if quote else str(x)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args, out) -> int:
     verdict = classify(parse_generator(args.spec), args.horizon, args.window)
     cs = verdict.prefix_set
     if cs is not None:
@@ -273,8 +266,7 @@ def _cmd_classify(args) -> int:
                 lines.append("warning: no 1 bits inside the final window "
                              "(all-zero tail would break the infinite-ones assumption)\n")
         text = "".join(lines)
-    with _open_out(args) as out:
-        out.write(text)
+    out.write(text)
     return 0
 
 
@@ -284,14 +276,12 @@ def _verify_flags(p):
     _add_out_flag(p)
 
 
-def _cmd_verify(args) -> int:
-    cases = load_fixtures(args.fixtures)
-    report = run_fixtures(cases)
-    with _open_out(args) as out:
-        if args.json:
-            out.write(json.dumps(report_to_json(report), indent=2) + "\n")
-        else:
-            out.write(render_report_text(report) + "\n")
+def _cmd_verify(args, out) -> int:
+    report = run_fixtures(load_fixtures(args.fixtures))
+    if args.json:
+        out.write(json.dumps(report_to_json(report), indent=2) + "\n")
+    else:
+        out.write(render_report_text(report) + "\n")
     return 0 if report.failed == 0 else 2
 
 
@@ -380,7 +370,9 @@ def main(argv: list[str] | None = None) -> int:
     with _int_digit_limit(args.max_digits):
         try:
             _, _, run = _COMMANDS[args.command]
-            return run(args)
+            # looked up as a module global, which the benchmark's traced runs replace
+            with _open_out(args) as out:
+                return run(args, out)
         except (ValueError, OSError) as exc:
             print(f"error: {_error_text(exc)}", file=sys.stderr)
             return 1

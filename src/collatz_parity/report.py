@@ -125,12 +125,13 @@ def _opt(x: int | None) -> str | None:
 
 
 def charset_to_json_dict(cs: CharacteristicSet) -> dict:
+    b = cs.b   # read once: each read of b or Y takes the product 3^m a
     return {
         "n": str(cs.n), "m": str(cs.m), "P": str(cs.P), "c": str(cs.c),
-        "a": _opt(cs.a), "b": _opt(cs.b),
+        "a": _opt(cs.a), "b": _opt(b),
         "alpha": str(cs.alpha), "beta": str(cs.beta),
         "A": str(cs.A), "B": str(cs.B),
-        "N0": str(cs.N0), "X": _opt(cs.X), "Y": _opt(cs.Y),
+        "N0": str(cs.N0), "X": _opt(cs.X), "Y": _opt(None if b is None else cs.P * b),
         "r0_num": str(cs.r0.numerator), "r0_den": str(cs.r0.denominator),
     }
 

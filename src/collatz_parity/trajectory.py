@@ -26,9 +26,8 @@ a closed form it draws no bit at all:
     `repeat_p`'s rule, and m counts come from the parts; N0_H = P_H a_H
     mod 2^H.
 Any other source gives its H-bit prefix, held as one tuple, to `char_set`.
-Each way takes one solve for a_H, and the verdict keeps the set, its a
-cache filled, as `verdict.prefix_set`, so every number of the H-bit prefix
-is read from the one CharacteristicSet type.
+The verdict keeps that one CharacteristicSet as `verdict.prefix_set`; the
+last two ways keep the a_H they solve for, and an `int:` set solves on first read.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.
@@ -200,8 +199,8 @@ class RealizabilityVerdict(Record):
                 streams, so a finite source gets none, and prefix_set and
                 ones_in_window are None.
 
-    prefix_set is the CharacteristicSet of the H-bit prefix, its a cache
-    filled: its n, m/n, P/2^n and r0 are the final row's numbers.
+    prefix_set is the CharacteristicSet of the H-bit prefix (an `int:` spec's
+    solves for a on first read): its n, m/n, P/2^n and r0 are the final row's.
     ones_in_window counts the 1 bits inside the final window (zero suggests an
     all-zero tail, outside the infinite-ones assumption).
     """
@@ -240,14 +239,14 @@ def _integer_prefix(N: int, horizon: int, window: int) -> tuple[CharacteristicSe
 
     The bits are the parities of N, T(N), ..., so m_H counts the odd terms,
     and T^H(N) = (3^m N + P_H) / 2^H gives P_H = 2^H T^H(N) - 3^m N.  N
-    realizes every prefix, so N0_H = ((N - 1) mod 2^H) + 1.  The pass is two
-    `_steps` calls, up to the window and through it, each 8 steps per lookup.
+    realizes every prefix, so N0_H = ((N - 1) mod 2^H) + 1, with no solve.
+    Two `_steps` calls, up to the window and through it, walk 8 steps per lookup.
     """
     x, front = _steps(N, horizon - window)
     x, ones = _steps(x, window)
     m = front + ones
     P = (x << horizon) - 3**m * N
-    return _solved_set(horizon, m, P, ((N - 1) & ((1 << horizon) - 1)) + 1), ones
+    return CharacteristicSet(horizon, m, P, ((N - 1) & ((1 << horizon) - 1)) + 1), ones
 
 
 def _head_cycle_prefix(gen: HeadCycleGenerator, horizon: int,
@@ -290,6 +289,7 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     `prefix_set`.  For an `int:` or head+cycle spec that set comes in closed
     form, with no bit drawn (`_integer_prefix`, `_head_cycle_prefix`); any
     other source gives its first H bits, held as one tuple, to `char_set`.
+    Only the `int:` way makes no solve: its set solves for a on first read.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")

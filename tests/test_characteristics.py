@@ -136,14 +136,16 @@ def test_ab_recurrence_matches_modular_inverse():
             assert a < pow2 and b < 3**m
 
 
-def test_solve_ab_matches_the_halving_recurrence_up_to_200():
+def test_solve_a_matches_the_halving_recurrence_up_to_200():
     # the Newton-Hensel inverse against the paper's recurrence, for every
     # 1 <= m <= n <= 200; row n of ab_recurrence(m, 200) is the last row of
-    # ab_recurrence(m, n), the recurrence's solution for that n
+    # ab_recurrence(m, n), the recurrence's solution for that n; b is read
+    # off a as the callers that need it read it
     for m in range(1, 201):
         table = ab_recurrence(m, 200)
         for n in range(m, 201):
-            assert characteristics._solve_ab(m, n) == table[n - 1]
+            a = characteristics._solve_a(m, n)
+            assert (a, (3**m * a + 1) >> n) == table[n - 1]
 
 
 def test_ab_family_member():
@@ -279,7 +281,9 @@ def test_xstar_rows_match_the_closed_form_solve(bits):
         return
     dec = xstar_decompose(v)
     for r in dec.rows:
-        assert (r.theta, r.t) == characteristics._solve_ab(r.k, v.n - r.j + 1)
+        L = v.n - r.j + 1
+        assert r.theta == characteristics._solve_a(r.k, L)
+        assert r.t == (3**r.k * r.theta + 1) >> L
         assert r.z == r.theta << (r.j - 1)
     assert apply_vector(v, dec.Xstar) == dec.Ystar
     # X* sits over N0, and J = (X - X*)/2^n against X = P*a

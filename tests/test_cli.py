@@ -57,9 +57,9 @@ def test_analyze(capsys):
 
 
 def test_analyze_solves_for_a_and_b_once(capsys):
-    # char_set solves for a to get N0 and keeps (a, b) for the JSON's a, b, X and Y
-    solve_ab = characteristics._solve_ab
-    with mock.patch.object(characteristics, "_solve_ab", wraps=solve_ab) as counted:
+    # char_set solves for a to get N0 and keeps it; the JSON's b, X and Y follow from a
+    solve_a = characteristics._solve_a
+    with mock.patch.object(characteristics, "_solve_a", wraps=solve_a) as counted:
         code, out, _ = run(capsys, "analyze", "1011010111")
     assert code == 0 and json.loads(out)["a"] == "221"
     assert counted.call_count == 1

@@ -117,21 +117,27 @@ def test_every_row_is_the_char_set_of_its_prefix(bits):
             assert apply_vector(v, dec.Xstar) == dec.Ystar
 
 
+def _counted_solves(monkeypatch) -> list:
+    """Make `_solve_a` record each (m, n) it is called with, in the list returned."""
+    solves = []
+    solve_a = characteristics._solve_a
+    monkeypatch.setattr(characteristics, "_solve_a",
+                        lambda m, n: solves.append((m, n)) or solve_a(m, n))
+    return solves
+
+
 @pytest.mark.parametrize("spec, horizon", [("int:27", 1000), ("head:0010;cycle:10110", 300)])
 def test_rows_carry_a_and_b_without_a_solve(monkeypatch, spec, horizon):
     # the engine's a fills each row's a cache, and copies and pickles of the
     # rows keep it; the head's leading zeros give rows with m = 0, where a,
     # b and K are None
-    solves = []
-    solve_ab = characteristics._solve_ab
-    monkeypatch.setattr(characteristics, "_solve_ab",
-                        lambda m, n: solves.append((m, n)) or solve_ab(m, n))
+    solves = _counted_solves(monkeypatch)
     rows = list(iter_trajectory(parse_generator(spec), horizon))
     copies = [*map(copy.copy, rows), *map(copy.deepcopy, rows), *pickle.loads(pickle.dumps(rows))]
     got = [(row.a, row.b, row.K) for row in rows]
     assert copies == rows * 3 and [(row.a, row.b, row.K) for row in copies] == got * 3
     assert solves == []
-    monkeypatch.setattr(characteristics, "_solve_ab", solve_ab)
+    monkeypatch.undo()
     gen = parse_generator(spec)
     prefixes = map(gen.prefix, range(1, horizon + 1))
     assert got == [(cs.a, cs.b, cs.K) for cs in map(char_set, prefixes)]
@@ -330,19 +336,41 @@ def _int_distance(x: Fraction) -> Fraction:
 
 
 def _no_solve(m, n):
-    raise AssertionError(f"_solve_ab({m}, {n}) was called")
+    raise AssertionError(f"_solve_a({m}, {n}) was called")
+
+
+def _classify_with_no_solve_for_int(gen, horizon: int, window: int, monkeypatch):
+    """classify, with `_solve_a` raising when gen is an int: spec, whose N0 needs no a."""
+    with monkeypatch.context() as patched:
+        if isinstance(gen, IntegerGenerator):
+            patched.setattr(characteristics, "_solve_a", _no_solve)
+        return classify(gen, horizon, window)
+
+
+def _verdict_and_ab(gen, horizon: int, window: int, monkeypatch):
+    """classify's verdict and its set's (a, b), `_solve_a` raising in the step that must not solve.
+
+    An int: spec's N0 needs no a, so `classify` makes no solve, and the set
+    solves on the first read of a, after the patch is lifted.  Every other
+    source solves for N0 and keeps a, so reading a and b solves nothing.
+    """
+    verdict = _classify_with_no_solve_for_int(gen, horizon, window, monkeypatch)
+    with monkeypatch.context() as patched:
+        if not isinstance(gen, IntegerGenerator):
+            patched.setattr(characteristics, "_solve_a", _no_solve)
+        return verdict, (verdict.prefix_set.a, verdict.prefix_set.b)
 
 
 @pytest.mark.parametrize("spec", ["int:27", "head:0110;cycle:100", "cycle:0",
                                   "bits:" + "1101" * 25])
 def test_classify_keeps_the_prefix_set(spec, monkeypatch):
-    # the verdict's set is char_set of the H-bit prefix, its (a, b) cache
-    # filled, so reading a and b solves nothing
+    # the verdict's set is char_set of the H-bit prefix, and its a and b are
+    # char_set's, solved by classify or, for an int: spec, on the first read
     gen = parse_generator(spec)
-    verdict, expected = classify(gen, 100, 16), char_set(gen.prefix(100))
-    monkeypatch.setattr(characteristics, "_solve_ab", _no_solve)
+    verdict, ab = _verdict_and_ab(gen, 100, 16, monkeypatch)
+    expected = char_set(gen.prefix(100))
     assert verdict.prefix_set == expected
-    assert (verdict.prefix_set.a, verdict.prefix_set.b) == (expected.a, expected.b)
+    assert ab == (expected.a, expected.b)
     assert verdict.ones_in_window == sum(gen.prefix(100).bits[-16:])
     # a source that runs dry before the horizon gets no set
     dry = classify(BitStreamGenerator(gen.prefix(99).bits), 100, 16)
@@ -368,17 +396,14 @@ CLOSED_FORM_SPECS = ["int:27", f"int:{2**700 + 1}", "cycle:1", "cycle:10", "head
 @pytest.mark.parametrize("spec", CLOSED_FORM_SPECS, ids=lambda spec: spec[:24])
 def test_the_closed_form_verdict_is_the_generic_one(spec, horizon, monkeypatch):
     # int: and head+cycle specs take closed forms; the same bits as a bits:
-    # source take char_set of the prefix, field for field and (a, b) too
+    # source take char_set of the prefix, field for field, and a and b too
     gen = parse_generator(spec)
     bits = gen.prefix(horizon).bits
     for window in sorted({1, min(32, horizon), horizon}):
-        got = classify(gen, horizon, window)
+        got, ab = _verdict_and_ab(gen, horizon, window, monkeypatch)
         expected = classify(BitStreamGenerator(bits), horizon, window)
-        with monkeypatch.context() as patched:
-            patched.setattr(characteristics, "_solve_ab", _no_solve)
-            assert got == expected
-            assert (got.prefix_set.a, got.prefix_set.b) == (
-                expected.prefix_set.a, expected.prefix_set.b)
+        assert got == expected
+        assert ab == (expected.prefix_set.a, expected.prefix_set.b)
 
 
 def _no_bits(self):
@@ -392,7 +417,7 @@ def test_int_and_head_cycle_specs_draw_no_bit(spec, monkeypatch):
     expected = classify(BitStreamGenerator(gen.prefix(300).bits), 300, 32)
     for cls in (IntegerGenerator, HeadCycleGenerator):
         monkeypatch.setattr(cls, "bits", _no_bits)
-    assert classify(gen, 300, 32) == expected
+    assert _classify_with_no_solve_for_int(gen, 300, 32, monkeypatch) == expected
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -413,13 +438,18 @@ def test_steps_equal_plain_iteration(N, count):
 
 @pytest.mark.parametrize("spec", ["int:27", "cycle:0", "bits:" + "1101" * 48])
 def test_a_copied_or_unpickled_verdict_keeps_the_solve(spec, monkeypatch):
-    verdict = classify(parse_generator(spec), 192, 32)
-    monkeypatch.setattr(characteristics, "_solve_ab", _no_solve)
+    # copies of a verdict whose set kept a read it with no solve; an int:
+    # spec's verdict, made with no solve, gives unsolved copies, and each
+    # solves once on its first read
+    gen = parse_generator(spec)
+    verdict = _classify_with_no_solve_for_int(gen, 192, 32, monkeypatch)
+    expected = char_set(gen.prefix(192))
+    solves = _counted_solves(monkeypatch)
     for copied in (copy.copy(verdict), copy.deepcopy(verdict),
                    pickle.loads(pickle.dumps(verdict))):
         assert copied == verdict
-        assert (copied.prefix_set.a, copied.prefix_set.b) == (
-            verdict.prefix_set.a, verdict.prefix_set.b)
+        assert (copied.prefix_set.a, copied.prefix_set.b) == (expected.a, expected.b)
+    assert solves == [(expected.m, 192)] * (3 if isinstance(gen, IntegerGenerator) else 0)
 
 
 def test_a_copied_unsolved_set_solves_on_first_read():

@@ -13,7 +13,9 @@ which computes each number from its definition and imports nothing of the
 package.  It compares the verdict `classify` takes in closed form for
 `int:` and head+cycle specs with the one `char_set` gives for the same
 bits as a `bits:` source, and the a and b of its set and of `iter_trajectory`
-rows, read with `_solve_ab` made to raise, with `char_set`'s; and the bits
+rows with `char_set`'s: `classify` of an `int:` spec runs with `_solve_a`
+made to raise and its set solves on the first read, and every other set is
+read with `_solve_a` raising; and the bits
 of `int:` orbits, `_steps` and the byte-wise `_horner_p`, which read core's
 table of 8-step residues, with the oracle's plain steps and weighted sum.
 It also checks the exit codes, the digit limit, that an existing --out
@@ -279,31 +281,41 @@ def check_classify_closed_form() -> str:
     # an int: or head+cycle spec gives classify its prefix state in closed
     # form, drawing no bit; the same bits as a bits: source take char_set of
     # the prefix.  The verdicts must agree field for field, at horizons up
-    # to 2000, some inside a 300-bit head.  The closed form's set and the
-    # iter_trajectory rows at the window and at the horizon must hold
-    # char_set's a, and b from it, with _solve_ab raising: they keep a and
-    # solve nothing on read.  A stand-in for the pytest tests
+    # to 2000, some inside a 300-bit head.  The iter_trajectory rows at the
+    # window and at the horizon, and the head+cycle verdict's set, must
+    # hold char_set's a, and b from it, with _solve_a raising: they keep a
+    # and solve nothing on read.  An int: spec's N0 needs no a, so its
+    # classify runs with _solve_a raising, and its set must give char_set's
+    # a and b on the first read, which solves.  A stand-in for the pytest tests
     sys.path.insert(0, str(SRC))
     from collatz_parity import (BitStreamGenerator, char_set, characteristics, classify,
                                 iter_trajectory, parse_generator)
 
     def no_solve(m, n):
-        raise AssertionError(f"_solve_ab({m}, {n}) was called")
+        raise AssertionError(f"_solve_a({m}, {n}) was called")
 
     rng = random.Random(18)
     head = "".join(rng.choice("01") for _ in range(300))
     specs = [*random_specs(rng, 24), f"head:{head};cycle:10", f"head:1{head};cycle:011"]
     for spec in specs:
         gen = parse_generator(spec)
+        lazy = spec.startswith("int:")
         for horizon in (rng.randint(1, 2000), 2000):
             bits = BitStreamGenerator(gen.prefix(horizon).bits)
             for window in (rng.randint(1, horizon), horizon):
-                got, expected = classify(gen, horizon, window), classify(bits, horizon, window)
+                expected = classify(bits, horizon, window)
                 solved = {j: char_set(gen.prefix(j)) for j in (window, horizon)}
-                with mock.patch.object(characteristics, "_solve_ab", no_solve):
+                want = [(cs.a, cs.b) for cs in (*solved.values(), solved[horizon])]
+                if not lazy:
+                    got = classify(gen, horizon, window)
+                with mock.patch.object(characteristics, "_solve_a", no_solve):
+                    if lazy:
+                        got = classify(gen, horizon, window)
                     kept = [(cs.a, cs.b) for cs in iter_trajectory(gen, horizon) if cs.n in solved]
+                    if not lazy:
+                        kept.append((got.prefix_set.a, got.prefix_set.b))
+                if lazy:
                     kept.append((got.prefix_set.a, got.prefix_set.b))
-                    want = [(cs.a, cs.b) for cs in (*solved.values(), solved[horizon])]
                 if got != expected or kept != want:
                     return (f"{spec[:40]} --horizon {horizon} --window {window}: "
                             "the closed form's verdict or a row differs from char_set's")
@@ -486,7 +498,7 @@ CHECKS = {
     "--out rewritten in place and cut at the end of the call": check_out_in_place,
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
-    "classify of int: and head+cycle specs in closed form, and rows' kept a and b, = char_set":
+    "classify of int: specs with no solve and head+cycle specs, and rows' a and b, = char_set":
         check_classify_closed_form,
     "int: bits, _steps and _horner_p, 8 bits per lookup, = the oracle": check_byte_steps,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
