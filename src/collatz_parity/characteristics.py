@@ -25,7 +25,7 @@ report.py: it takes each theta_k from the one before by an exact division by
 with no product of 3^k and a whole theta.  Every function here sums P by Horner over the bytes of
 the vector, one step per 8 bits, P(u || w) = 3^{m(w)} P(u) + 2^{n(u)} P(w),
 with each byte's (3^{m(w)}, P(w)) from core's table of the 256 length-8
-vectors (`_horner_p`), and the weighted sum `p_closed_form` as its oracle.
+vectors (`core._horner_p`), and the weighted sum `p_closed_form` as its oracle.
 Realizers of v are exactly N0 + 2^n * k.
 """
 
@@ -35,7 +35,7 @@ from collections import namedtuple
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 
-from .core import _BYTE_P, _DIGITS, ParityVector, Record
+from .core import ParityVector, Record, _concat_p, _horner_p, _repeat_p
 
 
 class CharacteristicSet(Record):
@@ -279,25 +279,6 @@ def p_recurrence(v: ParityVector) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _horner_p(bits: tuple[int, ...]) -> int:
-    """P of a bit tuple, possibly empty, by Horner over its bytes: P = 3^{m(w)} P + 2^{8i} P(w).
-
-    The bits are packed into one int, first bit lowest, and cut into bytes
-    by one to_bytes; byte i, its bits w, gives (3^{m(w)}, P(w)) from core's
-    `_BYTE_P`.  A last byte short of 8 bits reads as padded with zeros,
-    which leave P unchanged.
-    """
-    if not bits:
-        return 0
-    packed = int(bytes(bits)[::-1].translate(_DIGITS), 2)
-    P = shift = 0
-    for byte in packed.to_bytes((len(bits) + 7) >> 3, "little"):
-        pow3, p = _BYTE_P[byte]
-        P = pow3 * P + (p << shift)
-        shift += 8
-    return P
-
-
 def p_closed_form(v: ParityVector) -> int:
     """P as the weighted sum 3^{m-i} * 2^{j_i - 1} over the one-positions j_1 < ... < j_m."""
     ones = v.one_positions()
@@ -398,23 +379,6 @@ def xstar_decompose(v: ParityVector) -> XStarDecomposition:
     rows: list[XStarRow] = []
     totals = _xstar_totals(v, lambda k, j, theta, z, t, s: rows.append(XStarRow(k, j, theta, z, t)))
     return XStarDecomposition(tuple(rows), *totals)
-
-
-def _concat_p(P1: int, n1: int, P2: int, m2: int) -> int:
-    """P of v1 || v2 from P1 = P(v1), n1 = n(v1), P2 = P(v2), m2 = m(v2): 3^{m2} P1 + 2^{n1} P2."""
-    return 3**m2 * P1 + (P2 << n1)
-
-
-def _repeat_p(P: int, m: int, n: int, k: int) -> int:
-    """P of u repeated k >= 0 times from P = P(u), m = m(u), n = n(u).
-
-    P(u^k) = P(u) * (3^{km} - 2^{kn}) / (3^m - 2^n), an exact division.
-    """
-    num = P * (3 ** (k * m) - (1 << (k * n)))
-    den = 3**m - (1 << n)  # never zero: powers of 2 and 3 only meet at 1
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
 
 
 def compose_p(v1: ParityVector, v2: ParityVector) -> int:

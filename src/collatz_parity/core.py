@@ -11,11 +11,26 @@ All arithmetic is exact; integers are unbounded everywhere.
 Eight steps take one lookup.  Every N = r + 2^8 h with r = N mod 2^8 has the
 parity vector v_r of r's first 8 steps, and T^8(N) = 3^m h + T^8(r), m being
 the ones of v_r (Terras 1976; Lagarias 1985, section 2).  `_BYTE_STEPS`
-holds (v_r, m, 3^m, T^8(r)) for the 256 residues, built once at import, and
-`IntegerGenerator.bits` walks an orbit by it.  Its inverse view `_BYTE_P`,
-indexed by the 8-bit vector, gives (3^m, P(v)) with P(v_r) = 2^8 T^8(r) -
-3^m r, for the byte-wise Horner sum of P in `characteristics`.
-`collatz_step`, the one step, is the oracle of both.
+holds (v_r, m, 3^m, T^8(r)) for the 256 residues, built once at import:
+`IntegerGenerator.bits` walks an orbit by it, and `_steps` counts an orbit's
+odd terms by it.  Its inverse view `_BYTE_P`, indexed by the 8-bit vector,
+gives (3^m, P(v)) with P(v_r) = 2^8 T^8(r) - 3^m r, for `_horner_p`, the
+byte-wise Horner sum of P that `characteristics` uses too.  `collatz_step`,
+the one step, is the oracle of both.
+
+`classify` needs only the H-bit prefix's m_H, P_H and N0_H, and the 1 bits
+in its last W, and each generator gives them by `_prefix_state`.  Any source
+draws its first H bits, held as one tuple, sums P_H by `_horner_p` and
+leaves N0_H to a solve.  The two spec types whose bits have a closed form
+draw no bit at all:
+  * `int:N`: one pass of the orbit N, T(N), ..., T^H(N), 8 steps per
+    lookup (`_steps`), counts m_H and the window's ones; T^H(N) = (3^m N +
+    P_H)/2^H gives P_H, and N, which realizes every prefix, gives N0_H =
+    ((N - 1) mod 2^H) + 1 with no solve;
+  * head+cycle: the prefix is h || c^k || c[:r], so P_H joins P(h), P(c^k)
+    and P(c[:r]) by `_concat_p`, each part's P by `_horner_p` of its bit
+    tuple and P(c^k) from P(c) by `_repeat_p`, and m counts come from the
+    parts; N0_H = P_H a_H mod 2^H is left to the solve.
 
 The package's value types derive from `Record`, a plain immutable
 `__slots__` base: its classes are cheap to define at import time, and its
@@ -152,6 +167,60 @@ def _byte_tables() -> tuple[list[tuple[bytes, int, int, int]], list[tuple[int, i
 _BYTE_STEPS, _BYTE_P = _byte_tables()
 
 
+def _steps(x: int, count: int) -> tuple[int, int]:
+    """T^count(x), and how many of x, T(x), ..., T^(count-1)(x) are odd; x >= 1.
+
+    Eight steps at a time: with r = x mod 2^8, `_BYTE_STEPS` gives the odd
+    terms m among r's 8 steps, 3^m and T^8(r), and T^8(x) = 3^m (x >> 8) +
+    T^8(r).  Only the last count mod 8 steps go through `collatz_step`.
+    """
+    odd = 0
+    for _ in range(count >> 3):
+        _, m, pow3, t = _BYTE_STEPS[x & 255]
+        odd += m
+        x = pow3 * (x >> 8) + t
+    for _ in range(count & 7):
+        odd += x & 1
+        x = collatz_step(x)
+    return x, odd
+
+
+def _horner_p(bits: tuple[int, ...]) -> int:
+    """P of a bit tuple, possibly empty, by Horner over its bytes: P = 3^{m(w)} P + 2^{8i} P(w).
+
+    The bits are packed into one int, first bit lowest, and cut into bytes
+    by one to_bytes; byte i, its bits w, gives (3^{m(w)}, P(w)) from
+    `_BYTE_P`.  A last byte short of 8 bits reads as padded with zeros,
+    which leave P unchanged.
+    """
+    if not bits:
+        return 0
+    packed = int(bytes(bits)[::-1].translate(_DIGITS), 2)
+    P = shift = 0
+    for byte in packed.to_bytes((len(bits) + 7) >> 3, "little"):
+        pow3, p = _BYTE_P[byte]
+        P = pow3 * P + (p << shift)
+        shift += 8
+    return P
+
+
+def _concat_p(P1: int, n1: int, P2: int, m2: int) -> int:
+    """P of v1 || v2 from P1 = P(v1), n1 = n(v1), P2 = P(v2), m2 = m(v2): 3^{m2} P1 + 2^{n1} P2."""
+    return 3**m2 * P1 + (P2 << n1)
+
+
+def _repeat_p(P: int, m: int, n: int, k: int) -> int:
+    """P of u repeated k >= 0 times from P = P(u), m = m(u), n = n(u).
+
+    P(u^k) = P(u) * (3^{km} - 2^{kn}) / (3^m - 2^n), an exact division.
+    """
+    num = P * (3 ** (k * m) - (1 << (k * n)))
+    den = 3**m - (1 << n)  # never zero: powers of 2 and 3 only meet at 1
+    q, r = divmod(num, den)
+    assert r == 0
+    return q
+
+
 class ParityVector(Record):
     """A finite, ordered sequence of bits; bit positions are 1-based."""
 
@@ -226,12 +295,24 @@ class PrefixGenerator(Record):
     `bits()` returns a fresh iterator each call, so re-running a spec
     reproduces the identical stream and concurrent consumers never share
     iterator state.
+
+    `_prefix_state(H, W)`, for 1 <= W <= H, gives (m_H, P_H, N0_H, ones) of
+    the stream's first H bits, ones being the 1 bits among the last W, and
+    N0_H None when it is left to a solve; it agrees with `bits()`.  This
+    base draws the H bits from `bits()` and raises BitStreamExhausted when
+    they run out, so a subclass that defines only `bits()` is read that
+    way.  A subclass whose bits have a closed form overrides it and draws
+    no bit.
     """
 
     __slots__ = ()
 
     def bits(self) -> Iterator[int]:
         raise NotImplementedError
+
+    def _prefix_state(self, horizon: int, window: int) -> tuple[int, int, int | None, int]:
+        bits = self.prefix(horizon).bits
+        return sum(bits), _horner_p(bits), None, sum(bits[horizon - window:])
 
     def prefix(self, j: int) -> ParityVector:
         """The first j bits as a parity vector."""
@@ -263,6 +344,13 @@ class IntegerGenerator(PrefixGenerator):
             yield from bits
             x = pow3 * (x >> 8) + t
 
+    def _prefix_state(self, horizon: int, window: int) -> tuple[int, int, int, int]:
+        """One orbit pass by `_steps`, up to the window and through it: P_H = 2^H T^H(N) - 3^m N."""
+        x, front = _steps(self.N, horizon - window)
+        x, ones = _steps(x, window)
+        m = front + ones
+        return m, (x << horizon) - 3**m * self.N, ((self.N - 1) & ((1 << horizon) - 1)) + 1, ones
+
     def spec_string(self) -> str:
         return f"int:{self.N}"
 
@@ -280,6 +368,25 @@ class HeadCycleGenerator(PrefixGenerator):
             yield from self.head.bits
         while True:
             yield from self.cycle.bits
+
+    def _prefix_state(self, horizon: int, window: int) -> tuple[int, int, None, int]:
+        """P_H and m_H from the parts of h || c^k || c[:r], h the head cut to H bits."""
+        head = () if self.head is None else self.head.bits
+        cycle, m_cycle = self.cycle.bits, self.cycle.ones
+
+        def ones(j: int) -> int:   # the 1 bits among the first j of the stream
+            if j <= len(head):
+                return sum(head[:j])
+            k, r = divmod(j - len(head), len(cycle))
+            return sum(head) + k * m_cycle + sum(cycle[:r])
+
+        cut = head[:horizon]
+        k, r = divmod(horizon - len(cut), len(cycle))
+        P = _concat_p(_horner_p(cut), len(cut),
+                      _repeat_p(_horner_p(cycle), m_cycle, len(cycle), k), k * m_cycle)
+        P = _concat_p(P, horizon - r, _horner_p(cycle[:r]), sum(cycle[:r]))
+        m = ones(horizon)
+        return m, P, None, m - ones(horizon - window)
 
     def spec_string(self) -> str:
         if self.head is None:

@@ -14,20 +14,11 @@ a_j + 1)/2^j, solves nothing; X*_j needs the one-positions, so it comes
 from `xstar_decompose(gen.prefix(j))`.
 
 `classify` reads no rows: it needs only the H-bit prefix's m_H, P_H and
-N0_H, and the 1 bits in its last W.  For the two spec types whose bits have
-a closed form it draws no bit at all:
-  * `int:N`: one pass of the orbit N, T(N), ..., T^H(N), 8 steps per
-    lookup in core's table of the 256 residues mod 2^8 (`_steps`), counts
-    m_H and the window's ones; T^H(N) = (3^m N + P_H)/2^H gives P_H, and
-    N, which realizes every prefix, gives N0_H = ((N - 1) mod 2^H) + 1;
-  * head+cycle: the prefix is h || c^k || c[:r], so P_H joins P(h), P(c^k)
-    and P(c[:r]) by `compose_p`'s rule, each part's P by the byte-wise
-    Horner sum `_horner_p` of its bit tuple and P(c^k) from P(c) by
-    `repeat_p`'s rule, and m counts come from the parts; N0_H = P_H a_H
-    mod 2^H.
-Any other source gives its H-bit prefix, held as one tuple, to `char_set`.
-The verdict keeps that one CharacteristicSet as `verdict.prefix_set`; the
-last two ways keep the a_H they solve for, and an `int:` set solves on first read.
+N0_H, and the 1 bits in its last W, and the generator gives them by its
+`_prefix_state` (core's docstring says how each spec type takes them).  The
+verdict keeps the prefix's one CharacteristicSet as `verdict.prefix_set`; a
+set whose N0 took a solve keeps the a_H it solved for, and an `int:` set
+solves on first read.
 
 True limits are never computed; everything here is horizon-bounded, and the
 classifier says only what the bits it read support.
@@ -39,26 +30,8 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import compress, islice
 
-from .core import (
-    _BITS,
-    _BYTE_STEPS,
-    BitStreamExhausted,
-    HeadCycleGenerator,
-    IntegerGenerator,
-    PrefixGenerator,
-    Record,
-    _check_prefix_length,
-    collatz_step,
-)
-from .characteristics import (
-    CharacteristicSet,
-    _concat_p,
-    _horner_p,
-    _repeat_p,
-    _set_with_a,
-    _solved_set,
-    char_set,
-)
+from .core import _BITS, BitStreamExhausted, PrefixGenerator, Record, _check_prefix_length
+from .characteristics import CharacteristicSet, _set_with_a, _solved_set
 
 HALVED = "halved"
 HALVED_PLUS_HALF = "halved-plus-half"
@@ -199,8 +172,10 @@ class RealizabilityVerdict(Record):
                 streams, so a finite source gets none, and prefix_set and
                 ones_in_window are None.
 
-    prefix_set is the CharacteristicSet of the H-bit prefix (an `int:` spec's
-    solves for a on first read): its n, m/n, P/2^n and r0 are the final row's.
+    prefix_set is the CharacteristicSet of the H-bit prefix, built from the
+    generator's `_prefix_state`: its n, m/n, P/2^n and r0 are the final row's.
+    It keeps a when its N0 took a solve, and solves on first read when the
+    generator gave N0 (an `int:` spec's).
     ones_in_window counts the 1 bits inside the final window (zero suggests an
     all-zero tail, outside the infinite-ones assumption).
     """
@@ -216,67 +191,6 @@ class RealizabilityVerdict(Record):
                    distinct_count, prefix_set, ones_in_window)
 
 
-def _steps(x: int, count: int) -> tuple[int, int]:
-    """T^count(x), and how many of x, T(x), ..., T^(count-1)(x) are odd; x >= 1.
-
-    Eight steps at a time: with r = x mod 2^8, core's table gives the odd
-    terms m among r's 8 steps, 3^m and T^8(r), and T^8(x) = 3^m (x >> 8) +
-    T^8(r).  Only the last count mod 8 steps go through `collatz_step`.
-    """
-    odd = 0
-    for _ in range(count >> 3):
-        _, m, pow3, t = _BYTE_STEPS[x & 255]
-        odd += m
-        x = pow3 * (x >> 8) + t
-    for _ in range(count & 7):
-        odd += x & 1
-        x = collatz_step(x)
-    return x, odd
-
-
-def _integer_prefix(N: int, horizon: int, window: int) -> tuple[CharacteristicSet, int]:
-    """The H-bit prefix's set of int:N and the 1 bits in its last `window`, from one orbit pass.
-
-    The bits are the parities of N, T(N), ..., so m_H counts the odd terms,
-    and T^H(N) = (3^m N + P_H) / 2^H gives P_H = 2^H T^H(N) - 3^m N.  N
-    realizes every prefix, so N0_H = ((N - 1) mod 2^H) + 1, with no solve.
-    Two `_steps` calls, up to the window and through it, walk 8 steps per lookup.
-    """
-    x, front = _steps(N, horizon - window)
-    x, ones = _steps(x, window)
-    m = front + ones
-    P = (x << horizon) - 3**m * N
-    return CharacteristicSet(horizon, m, P, ((N - 1) & ((1 << horizon) - 1)) + 1), ones
-
-
-def _head_cycle_prefix(gen: HeadCycleGenerator, horizon: int,
-                       window: int) -> tuple[CharacteristicSet, int]:
-    """The H-bit prefix's set of a head+cycle spec and the 1 bits in its last `window`.
-
-    The prefix is h || c^k || c[:r], h the head cut to H bits and c the
-    cycle: P_H joins P(h), P(c^k) and P(c[:r]) by `compose_p`'s rule, with
-    P(h), P(c) and P(c[:r]) from `_horner_p` of their bit tuples and P(c^k)
-    from P(c) by `repeat_p`'s rule, and m counts the ones of each part.  No
-    bit of the stream is drawn.
-    """
-    head = () if gen.head is None else gen.head.bits
-    cycle, m_cycle = gen.cycle.bits, gen.cycle.ones
-
-    def ones(j: int) -> int:   # the 1 bits among the first j of the stream
-        if j <= len(head):
-            return sum(head[:j])
-        k, r = divmod(j - len(head), len(cycle))
-        return sum(head) + k * m_cycle + sum(cycle[:r])
-
-    cut = head[:horizon]
-    k, r = divmod(horizon - len(cut), len(cycle))
-    P = _concat_p(_horner_p(cut), len(cut),
-                  _repeat_p(_horner_p(cycle), m_cycle, len(cycle), k), k * m_cycle)
-    P = _concat_p(P, horizon - r, _horner_p(cycle[:r]), sum(cycle[:r]))
-    m = ones(horizon)
-    return _solved_set(horizon, m, P), m - ones(horizon - window)
-
-
 def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
              window: int = DEFAULT_WINDOW) -> RealizabilityVerdict:
     """Classify the N0_j behavior of a stream over a finite horizon.
@@ -286,27 +200,23 @@ def classify(gen: PrefixGenerator, horizon: int = DEFAULT_HORIZON,
     and a source that runs dry before `horizon` bits is "inconclusive".  No
     row is computed: the lift at row j is bit j - 1 of N0_H - 1, with N0_H
     from the characteristic set of the H-bit prefix, the verdict's
-    `prefix_set`.  For an `int:` or head+cycle spec that set comes in closed
-    form, with no bit drawn (`_integer_prefix`, `_head_cycle_prefix`); any
-    other source gives its first H bits, held as one tuple, to `char_set`.
-    Only the `int:` way makes no solve: its set solves for a on first read.
+    `prefix_set`.  One call of the generator's `_prefix_state` gives m_H,
+    P_H, the window's ones and, for an `int:` spec, N0_H: an `int:` or
+    head+cycle spec takes them in closed form, with no bit drawn, and any
+    other source from its first H bits.  Where N0_H is not given, one solve
+    for a gives it and the set keeps a; an `int:` set solves on first read.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if window > horizon:
         raise ValueError(f"window ({window}) must not exceed horizon ({horizon})")
     _check_prefix_length(horizon)
-    if isinstance(gen, IntegerGenerator):
-        last, ones_in_window = _integer_prefix(gen.N, horizon, window)
-    elif isinstance(gen, HeadCycleGenerator):
-        last, ones_in_window = _head_cycle_prefix(gen, horizon, window)
-    else:
-        try:
-            v = gen.prefix(horizon)
-        except BitStreamExhausted as exc:
-            return RealizabilityVerdict(kind=INCONCLUSIVE, horizon=horizon, window=window,
-                                        rows_computed=exc.position)
-        last, ones_in_window = char_set(v), sum(v.bits[horizon - window:])
+    try:
+        m, P, N0, ones_in_window = gen._prefix_state(horizon, window)
+    except BitStreamExhausted as exc:
+        return RealizabilityVerdict(kind=INCONCLUSIVE, horizon=horizon, window=window,
+                                    rows_computed=exc.position)
+    last = _solved_set(horizon, m, P) if N0 is None else CharacteristicSet(horizon, m, P, N0)
     # bit j - 2 is set when N0_j != N0_{j-1}; row 1's lift from N0_0 = 1 is no change
     changed = (last.N0 - 1) >> 1
     last_change = changed.bit_length() + 1  # 1 when N0 never changed

@@ -13,7 +13,7 @@ import oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from collatz_parity import characteristics, trajectory
+from collatz_parity import characteristics, core
 from collatz_parity import (
     BitStreamExhausted,
     BitStreamGenerator,
@@ -342,7 +342,7 @@ def _no_solve(m, n):
 def _classify_with_no_solve_for_int(gen, horizon: int, window: int, monkeypatch):
     """classify, with `_solve_a` raising when gen is an int: spec, whose N0 needs no a."""
     with monkeypatch.context() as patched:
-        if isinstance(gen, IntegerGenerator):
+        if gen.spec_string().startswith("int:"):
             patched.setattr(characteristics, "_solve_a", _no_solve)
         return classify(gen, horizon, window)
 
@@ -410,14 +410,29 @@ def _no_bits(self):
     raise AssertionError(f"{self.spec_string()[:20]} drew a bit")
 
 
+class _Forwarding:
+    """A source with its own bits(), drawn from `gen`, that forwards every other name to `gen`."""
+
+    def __init__(self, gen):
+        self._gen = gen
+
+    def bits(self):
+        yield from self._gen.bits()
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
 @pytest.mark.parametrize("spec", ["int:27", "cycle:0", "head:0110;cycle:100110101", NOT_AN_INTEGER],
                          ids=lambda spec: spec[:24])
 def test_int_and_head_cycle_specs_draw_no_bit(spec, monkeypatch):
+    # a proxy that forwards all but bits(), as a tracing wrapper does, takes the same closed form
     gen = parse_generator(spec)
     expected = classify(BitStreamGenerator(gen.prefix(300).bits), 300, 32)
     for cls in (IntegerGenerator, HeadCycleGenerator):
         monkeypatch.setattr(cls, "bits", _no_bits)
-    assert _classify_with_no_solve_for_int(gen, 300, 32, monkeypatch) == expected
+    for source in (gen, _Forwarding(gen)):
+        assert _classify_with_no_solve_for_int(source, 300, 32, monkeypatch) == expected
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)
@@ -433,7 +448,7 @@ def test_steps_equal_plain_iteration(N, count):
     x = N
     for _ in range(count):
         x = oracle.T(x)
-    assert trajectory._steps(N, count) == (x, sum(oracle.spec_bits(f"int:{N}", count)))
+    assert core._steps(N, count) == (x, sum(oracle.spec_bits(f"int:{N}", count)))
 
 
 @pytest.mark.parametrize("spec", ["int:27", "cycle:0", "bits:" + "1101" * 48])

@@ -12,11 +12,13 @@ of `iter_trajectory`, the `classify` text and --json document and the
 which computes each number from its definition and imports nothing of the
 package.  It compares the verdict `classify` takes in closed form for
 `int:` and head+cycle specs with the one `char_set` gives for the same
-bits as a `bits:` source, and the a and b of its set and of `iter_trajectory`
+bits as a `bits:` source, and with the verdict of a proxy that draws its
+own bits and forwards every other name to the generator, as a tracing
+wrapper does; and the a and b of its set and of `iter_trajectory`
 rows with `char_set`'s: `classify` of an `int:` spec runs with `_solve_a`
 made to raise and its set solves on the first read, and every other set is
 read with `_solve_a` raising; and the bits
-of `int:` orbits, `_steps` and the byte-wise `_horner_p`, which read core's
+of `int:` orbits, core's `_steps` and byte-wise `_horner_p`, which read its
 table of 8-step residues, with the oracle's plain steps and weighted sum.
 It also checks the exit codes, the digit limit, that an existing --out
 file holds exactly what each call wrote, that the CLI's lazily built
@@ -281,18 +283,34 @@ def check_classify_closed_form() -> str:
     # an int: or head+cycle spec gives classify its prefix state in closed
     # form, drawing no bit; the same bits as a bits: source take char_set of
     # the prefix.  The verdicts must agree field for field, at horizons up
-    # to 2000, some inside a 300-bit head.  The iter_trajectory rows at the
-    # window and at the horizon, and the head+cycle verdict's set, must
-    # hold char_set's a, and b from it, with _solve_a raising: they keep a
-    # and solve nothing on read.  An int: spec's N0 needs no a, so its
-    # classify runs with _solve_a raising, and its set must give char_set's
-    # a and b on the first read, which solves.  A stand-in for the pytest tests
+    # to 2000, some inside a 300-bit head, and so must the verdict of a
+    # proxy that draws its own bits and forwards every other name to the
+    # spec, as a tracing wrapper does, with the spec's bits() raising.  The
+    # iter_trajectory rows at the window and at the horizon, and the
+    # head+cycle verdict's set, must hold char_set's a, and b from it, with
+    # _solve_a raising: they keep a and solve nothing on read.  An int:
+    # spec's N0 needs no a, so its classify runs with _solve_a raising, and
+    # its set must give char_set's a and b on the first read, which solves.
+    # A stand-in for the pytest tests
     sys.path.insert(0, str(SRC))
     from collatz_parity import (BitStreamGenerator, char_set, characteristics, classify,
                                 iter_trajectory, parse_generator)
 
     def no_solve(m, n):
         raise AssertionError(f"_solve_a({m}, {n}) was called")
+
+    def no_bits(self):
+        raise AssertionError(f"{self.spec_string()[:40]} drew a bit")
+
+    class Forwarding:  # its own bits(), drawn from gen; every other name is gen's
+        def __init__(self, gen):
+            self.gen = gen
+
+        def bits(self):
+            yield from self.gen.bits()
+
+        def __getattr__(self, name):
+            return getattr(self.gen, name)
 
     rng = random.Random(18)
     head = "".join(rng.choice("01") for _ in range(300))
@@ -316,24 +334,26 @@ def check_classify_closed_form() -> str:
                         kept.append((got.prefix_set.a, got.prefix_set.b))
                 if lazy:
                     kept.append((got.prefix_set.a, got.prefix_set.b))
-                if got != expected or kept != want:
+                with mock.patch.object(type(gen), "bits", no_bits):
+                    proxied = classify(Forwarding(gen), horizon, window)
+                if got != expected or kept != want or proxied != got:
                     return (f"{spec[:40]} --horizon {horizon} --window {window}: "
-                            "the closed form's verdict or a row differs from char_set's")
+                            "the closed form's verdict, its proxy's or a row differs from "
+                            "char_set's")
     return ""
 
 
 def check_byte_steps() -> str:
-    # int: orbits walk 8 steps per lookup in core's table, _steps counts odd
-    # terms the same way, and _horner_p sums P a byte at a time; each against
+    # int: orbits walk 8 steps per lookup in core's table, core's _steps
+    # counts odd terms the same way, and its _horner_p sums P a byte at a
+    # time; each against
     # the oracle's plain steps and weighted sum, for integers of 1 to 2048
     # bits and counts of 0 to 300, some below 8 and some no multiple of 8:
     # a stand-in for the pytest properties
     sys.path.insert(0, str(SRC))
     from itertools import islice
 
-    from collatz_parity.characteristics import _horner_p
-    from collatz_parity.core import IntegerGenerator
-    from collatz_parity.trajectory import _steps
+    from collatz_parity.core import IntegerGenerator, _horner_p, _steps
 
     rng = random.Random(19)
     for i in range(200):
@@ -498,8 +518,8 @@ CHECKS = {
     "--out rewritten in place and cut at the end of the call": check_out_in_place,
     "trajectory CSV of 2 fixed and 30 random specs = the oracle": check_csv_oracle,
     "classify text and --json = the oracle": check_classify_oracle,
-    "classify of int: specs with no solve and head+cycle specs, and rows' a and b, = char_set":
-        check_classify_closed_form,
+    "classify of int: specs with no solve, head+cycle specs and their forwarding proxies, "
+    "and rows' a and b, = char_set": check_classify_closed_form,
     "int: bits, _steps and _horner_p, 8 bits per lookup, = the oracle": check_byte_steps,
     "xstar and xstar --json = the oracle": check_xstar_oracle,
     "a command-first parse = a new top-level parser's, at 40, 200 and again 40 columns":
